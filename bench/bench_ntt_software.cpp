@@ -1,8 +1,9 @@
 // Experiment E8 (supporting): software NTT throughput and operation
 // counts. Establishes the software baseline the simulated accelerator is
-// compared against, shows the relative cost of the mixed-radix staging vs.
-// the iterative radix-2 fast path vs. the four-step vector-parallel path,
-// and verifies every engine bit-exactly against the others on every run.
+// compared against, shows the relative cost of the paper's mixed-radix
+// staging vs. the iterative radix-2 sweep vs. the four-step vector-parallel
+// engine every SSA product runs on, and verifies the three transforms
+// bit-exactly against each other on every run.
 //
 // Three classes of output feed the CI bench-regression gate:
 //   * deterministic op counts (shift vs. DSP multiplications per plan) and
@@ -27,7 +28,6 @@
 #include "core/scheduler.hpp"
 #include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/mixed_radix.hpp"
 #include "ntt/radix2.hpp"
 #include "ssa/multiply.hpp"
 #include "util/rng.hpp"
@@ -105,38 +105,32 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counts.generic_muls),
               static_cast<unsigned long long>(counts.additions));
 
-  // --- parity: iterative plan engine vs. the radix-2 fast path -----------
+  // --- parity: the natural-order 64K forwards of the three transforms ----
+  // The paper plan (NttContext), the monolithic radix-2 sweep and the
+  // four-step engine SSA runs on must agree on the same data.
   const ntt::Radix2Ntt& radix2_64k = ntt::shared_radix2(65536);
   fp::FpVec via_radix2 = data64k;
   radix2_64k.forward(via_radix2);
-  bool bit_exact = out64k == via_radix2;
+  fp::FpVec via_four_step = data64k;
+  fp::FpVec four_step_scratch;
+  ntt::shared_four_step(65536).forward(via_four_step, four_step_scratch);
+  bool bit_exact = out64k == via_radix2 && out64k == via_four_step;
 
-  // ... and end to end through a multiplication on each engine, including
-  // the four-step upgrade forced on and off.
+  // ... and end to end: ssa::multiply against Karatsuba.
   const std::size_t mul_bits = quick ? 49152 : 196608;
   util::Rng rng(0xE8);
   const bigint::BigUInt a = bigint::BigUInt::random_bits(rng, mul_bits);
   const bigint::BigUInt b = bigint::BigUInt::random_bits(rng, mul_bits);
-  ssa::SsaParams fast_params = ssa::SsaParams::for_bits(mul_bits);
-  ssa::SsaParams mixed_params = fast_params;
-  mixed_params.engine = ssa::Engine::kMixedRadix;
-  ssa::SsaParams four_step_params = fast_params;
-  four_step_params.four_step = ssa::FourStepMode::kAlways;
-  ssa::SsaParams monolithic_params = fast_params;
-  monolithic_params.four_step = ssa::FourStepMode::kNever;
-  const bigint::BigUInt product_fast = ssa::multiply(a, b, fast_params);
-  bit_exact = bit_exact && product_fast == ssa::multiply(a, b, mixed_params) &&
-              product_fast == ssa::multiply(a, b, four_step_params) &&
-              product_fast == ssa::multiply(a, b, monolithic_params) &&
-              product_fast == bigint::mul_karatsuba(a, b);
-  std::printf("parity (iterative vs radix-2 vs four-step vs karatsuba): %s\n\n",
+  const ssa::SsaParams mul_params = ssa::SsaParams::for_bits(mul_bits);
+  bit_exact = bit_exact && ssa::multiply(a, b, mul_params) == bigint::mul_karatsuba(a, b);
+  std::printf("parity (paper plan vs radix-2 vs four-step forward; ssa vs karatsuba): %s\n\n",
               bit_exact ? "bit-exact" : "MISMATCH");
 
   // --- throughput (warn-only; already warm from the parity section) ------
   const int iters_small = quick ? 40 : 400;
   const int iters_large = quick ? 3 : 30;
 
-  const u64 conv_n = fast_params.transform_size;
+  const u64 conv_n = mul_params.transform_size;
   const ntt::Radix2Ntt& conv_engine = ntt::shared_radix2(conv_n);
   fp::FpVec ca = random_vec(conv_n);
   fp::FpVec cb = random_vec(conv_n + 1);
@@ -155,7 +149,7 @@ int main(int argc, char** argv) {
   ssa::Workspace& ws = ssa::thread_workspace();
   bigint::BigUInt product;
   const double multiply_ms = time_ms(iters_small, [&] {
-    ssa::multiply_into(product, a, b, fast_params, ws);
+    ssa::multiply_into(product, a, b, mul_params, ws);
   });
 
   std::printf("radix-2 convolve (n=%llu)     : %8.3f ms\n",

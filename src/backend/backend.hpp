@@ -81,8 +81,8 @@ class MultiplierBackend {
 };
 
 /// Adapts an arbitrary multiplication function to the backend interface
-/// (used by fhe::Dghv::set_multiplier for backward compatibility and by
-/// tests that inject counting/faulting multipliers).
+/// (plug it in with fhe::Dghv::set_backend; tests use it to inject
+/// counting/faulting multipliers).
 class FunctionBackend final : public MultiplierBackend {
  public:
   using MulFn = std::function<bigint::BigUInt(const bigint::BigUInt&, const bigint::BigUInt&)>;

@@ -13,6 +13,7 @@
 #include "backend/backend.hpp"
 #include "core/config.hpp"
 #include "ntt/tiling.hpp"
+#include "ssa/resident.hpp"
 #include "ssa/spectrum_cache.hpp"
 
 namespace hemul::core {

@@ -93,10 +93,6 @@ void Dghv::set_backend(std::shared_ptr<backend::MultiplierBackend> engine) {
   engine_ = std::move(engine);
 }
 
-void Dghv::set_multiplier(MulFn mul) {
-  engine_ = std::make_shared<backend::FunctionBackend>(std::move(mul));
-}
-
 std::size_t Dghv::measured_noise_bits(const Ciphertext& c) const {
   return (c.value % p_).bit_length();
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -43,9 +42,6 @@ struct PublicKey {
 /// security-irrelevant simplification of the symmetric-noise spec.
 class Dghv {
  public:
-  using MulFn =
-      std::function<bigint::BigUInt(const bigint::BigUInt&, const bigint::BigUInt&)>;
-
   /// Generates a key pair with the given deterministic seed. The default
   /// multiplication engine is the registry's auto policy (classical below
   /// the SSA advantage point, NTT above).
@@ -87,10 +83,6 @@ class Dghv {
   /// backend::FunctionBackend:
   ///   scheme.set_backend(std::make_shared<backend::FunctionBackend>(fn));
   void set_backend(std::shared_ptr<backend::MultiplierBackend> engine);
-
-  /// Backward-compatible function hook (wrapped in a FunctionBackend).
-  [[deprecated("wrap the function in backend::FunctionBackend and call set_backend")]]
-  void set_multiplier(MulFn mul);
 
   [[nodiscard]] const std::shared_ptr<backend::MultiplierBackend>& engine() const noexcept {
     return engine_;

@@ -1,7 +1,6 @@
 #include "fhe/evaluator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -26,10 +25,6 @@ std::string format_bits(double bits) {
   std::snprintf(buf, sizeof buf, "%.1f", bits);
   return buf;
 }
-
-/// Registry key namespaces of concurrent resident evaluations never
-/// collide: each EvalState draws a distinct uid.
-std::atomic<u64> g_resident_uid{1};
 
 }  // namespace
 
@@ -132,50 +127,29 @@ std::vector<Ciphertext> EvalState::outputs() const {
 
 // --- spectrum residency ----------------------------------------------------
 
-u64 EvalState::local_key(u32 wire, unsigned kind) const noexcept {
+u64 EvalState::spectrum_key(u32 wire, unsigned kind) noexcept {
   // kind 0: operand spectrum (forward of the reduced wire value, the only
   // kind that may multiply); kind 1: product/sum spectrum (raw, unreduced).
   return (static_cast<u64>(wire) << 1) | kind;
 }
 
-u64 EvalState::registry_key(u32 wire, unsigned kind) const noexcept {
-  return (uid_ << 33) | local_key(wire, kind);
+const ssa::SpectrumHandle* EvalState::find_spectrum(u32 wire, unsigned kind) const {
+  const auto it = spectra_.find(spectrum_key(wire, kind));
+  return it != spectra_.end() ? &it->second : nullptr;
 }
 
 void EvalState::publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum) {
-  const bool fresh = resident_cache_.find_resident(local_key(wire, kind)) == nullptr;
-  if (registry_ != nullptr) registry_->put_resident(registry_key(wire, kind), spectrum);
-  resident_cache_.insert_resident(local_key(wire, kind), std::move(spectrum));
-  if (fresh) {
-    ++resident_now_;
-    rstats_.resident_peak = std::max<u64>(rstats_.resident_peak, resident_now_);
-  }
+  spectra_[spectrum_key(wire, kind)] = std::move(spectrum);
+  rstats_.resident_peak = std::max<u64>(rstats_.resident_peak, spectra_.size());
 }
 
 void EvalState::evict(u32 wire, unsigned kind) {
-  if (resident_cache_.evict_resident(local_key(wire, kind))) {
-    --resident_now_;
-    ++rstats_.spectra_evicted;
-    if (registry_ != nullptr) registry_->evict_resident(registry_key(wire, kind));
-  }
+  if (spectra_.erase(spectrum_key(wire, kind)) != 0) ++rstats_.spectra_evicted;
 }
 
-EvalState::~EvalState() {
-  // A completed evaluation has already evicted everything level by level;
-  // an aborted one (noise veto, lane fault) must not leak registry entries.
-  if (registry_ == nullptr || resident_now_ == 0) return;
-  for (u32 id = 0; id < static_cast<u32>(graph_->size()); ++id) {
-    evict(id, 0);
-    evict(id, 1);
-  }
-}
-
-void EvalState::enable_residency(const ssa::SsaParams& params,
-                                 ssa::ConcurrentSpectrumCache* registry) {
+void EvalState::enable_residency(const ssa::SsaParams& params) {
   params_ = params;
   params_.validate();
-  registry_ = registry;
-  if (registry_ != nullptr) uid_ = g_resident_uid.fetch_add(1, std::memory_order_relaxed);
   residency_ = true;
 
   const u32 count = static_cast<u32>(graph_->size());
@@ -291,7 +265,7 @@ std::vector<u32> EvalState::spectrum_plan(unsigned level) const {
   for (const u32 id : wavefront(level)) {
     const auto [a, b] = graph_->operands(Wire{id});
     for (const u32 operand : {a.id, b.id}) {
-      if (resident_cache_.find_resident(local_key(operand, 0)) == nullptr) {
+      if (find_spectrum(operand, 0) == nullptr) {
         plan.push_back(operand);
       }
     }
@@ -307,7 +281,7 @@ void EvalState::install_operand_spectrum(u32 wire, ssa::SpectrumHandle spectrum)
 }
 
 ssa::SpectrumHandle EvalState::operand_spectrum(u32 wire) const {
-  const ssa::SpectrumHandle* handle = resident_cache_.find_resident(local_key(wire, 0));
+  const ssa::SpectrumHandle* handle = find_spectrum(wire, 0);
   HEMUL_CHECK_MSG(handle != nullptr, "EvalState: missing operand spectrum");
   return *handle;
 }
@@ -347,7 +321,7 @@ std::vector<u32> EvalState::materialize_plan(unsigned level) const {
 }
 
 ssa::SpectrumHandle EvalState::wire_spectrum(u32 id) const {
-  const ssa::SpectrumHandle* handle = resident_cache_.find_resident(local_key(id, 1));
+  const ssa::SpectrumHandle* handle = find_spectrum(id, 1);
   HEMUL_CHECK_MSG(handle != nullptr, "EvalState: missing product spectrum");
   return *handle;
 }
@@ -411,8 +385,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
       scheduler_ != nullptr ? scheduler_->lanes_support_spectra() : resident_engine != nullptr;
   if (resident) {
     state.enable_residency(ssa::SsaParams::for_bits(scheme.public_key().x0.bit_length(),
-                                                    ssa::kResidentHeadroomBits),
-                           scheduler_ != nullptr ? &scheduler_->spectrum_cache() : nullptr);
+                                                    ssa::kResidentHeadroomBits));
   }
   if (report != nullptr) report->spectrum_resident = resident;
 

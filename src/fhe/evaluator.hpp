@@ -4,11 +4,12 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "backend/backend.hpp"
 #include "fhe/graph.hpp"
-#include "ssa/spectrum_cache.hpp"
+#include "ssa/resident.hpp"
 
 namespace hemul::core {
 class Scheduler;
@@ -170,12 +171,8 @@ class EvalState {
 
   /// Plans residency: decides per wire whether it stays in the spectrum
   /// domain (static reduction-bound analysis included; over-bound XOR folds
-  /// are demoted to eager and counted as bound_flushes). `registry`, when
-  /// given, mirrors resident entries into the shared concurrent cache under
-  /// a per-evaluation uid so cross-request residency stays observable and
-  /// bounded.
-  void enable_residency(const ssa::SsaParams& params,
-                        ssa::ConcurrentSpectrumCache* registry = nullptr);
+  /// are demoted to eager and counted as bound_flushes).
+  void enable_residency(const ssa::SsaParams& params);
   [[nodiscard]] bool residency_enabled() const noexcept { return residency_; }
   [[nodiscard]] const ssa::SsaParams& spectrum_params() const noexcept { return params_; }
 
@@ -213,11 +210,9 @@ class EvalState {
 
   [[nodiscard]] const ResidencyStats& residency_stats() const noexcept { return rstats_; }
 
-  ~EvalState();
-
  private:
-  [[nodiscard]] u64 local_key(u32 wire, unsigned kind) const noexcept;
-  [[nodiscard]] u64 registry_key(u32 wire, unsigned kind) const noexcept;
+  [[nodiscard]] static u64 spectrum_key(u32 wire, unsigned kind) noexcept;
+  [[nodiscard]] const ssa::SpectrumHandle* find_spectrum(u32 wire, unsigned kind) const;
   void publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum);
   void evict(u32 wire, unsigned kind);
 
@@ -235,14 +230,12 @@ class EvalState {
   // Spectrum residency (set up by enable_residency).
   bool residency_ = false;
   ssa::SsaParams params_;
-  ssa::ConcurrentSpectrumCache* registry_ = nullptr;
-  u64 uid_ = 0;  ///< registry key namespace of this evaluation
-  ssa::SpectrumCache resident_cache_;  ///< wire-keyed spectra of this evaluation
+  /// This evaluation's resident wire spectra, keyed by spectrum_key().
+  std::unordered_map<u64, ssa::SpectrumHandle> spectra_;
   std::vector<char> folded_;       ///< XOR swept in the spectrum domain
   std::vector<char> needs_value_;  ///< wire consumed outside the domain
   std::vector<std::vector<u32>> evict_operand_;   ///< kind-0 eviction per level
   std::vector<std::vector<u32>> evict_spectrum_;  ///< kind-1 eviction per level
-  std::size_t resident_now_ = 0;  ///< current local resident entries
   ResidencyStats rstats_;
 };
 

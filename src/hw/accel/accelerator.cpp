@@ -90,12 +90,13 @@ std::vector<BigUInt> HwAccelerator::multiply_batch_cached(
   u64 fft_engine_cycles = 0;  // transforms + dot products (shared multipliers)
   u64 last_carry_cycles = 0;  // only the tail's carry recovery is exposed
 
-  ssa::BatchSpectrumProvider spectra(operands, [&](const BigUInt& operand, FpVec& dst) {
+  const auto forward = [&](const BigUInt& operand, FpVec& dst) {
     NttRunReport fwd;
     ssa::pack_into(operand, config_.ssa, workspace_.pack_a);
     dst = ntt_.forward(workspace_.pack_a, &fwd);
     fft_engine_cycles += fwd.total_cycles;
-  });
+  };
+  ssa::BatchSpectrumProvider spectra(operands, config_.ssa, forward);
 
   for (std::size_t i = 0; i < operands.size(); ++i) {
     FpVec scratch_a;

@@ -419,14 +419,11 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
   }
 
   // "ssa" lanes speak spectrum handles: serve this request through
-  // spectrum-resident rounds, mirroring its wire spectra into the
-  // scheduler's shared cache (per-request uid-keyed, so tenants with
-  // different key sizes never collide).
+  // spectrum-resident rounds (its wire spectra live in its own EvalState).
   if (scheduler_.lanes_support_spectra()) {
     active->state->enable_residency(
         ssa::SsaParams::for_bits(active->session->scheme.public_key().x0.bit_length(),
-                                 ssa::kResidentHeadroomBits),
-        &scheduler_.spectrum_cache());
+                                 ssa::kResidentHeadroomBits));
   }
   return active;
 }

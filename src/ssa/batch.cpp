@@ -1,9 +1,6 @@
 #include "ssa/batch.hpp"
 
-#include "fp/kernels.hpp"
-#include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
 #include "ssa/pack.hpp"
 
 namespace hemul::ssa {
@@ -13,65 +10,28 @@ using fp::FpVec;
 
 namespace {
 
-/// Uniform engine access over the two software paths, bound to one
-/// workspace. Spectra are in the producing engine's own order (engine
-/// order for radix-2, natural for mixed-radix); they only ever meet this
-/// view's own inverse path, so the orders never mix.
-struct EngineView {
-  const ntt::Radix2Ntt* radix2 = nullptr;
-  const ntt::NttContext* mixed = nullptr;
-  const ntt::FourStepNtt* four_step = nullptr;
+/// The four-step engine of one parameterization bound to one workspace.
+/// Spectra are in four-step engine order.
+struct FourStepView {
+  const ntt::FourStepNtt& engine;
   const SsaParams& params;
   Workspace& ws;
-  ntt::FourStepStats tile_stats;  ///< intra-op tiling across this view's calls
+  ntt::FourStepStats tiles;  ///< intra-op tiling across this view's calls
 
-  EngineView(const SsaParams& p, Workspace& w) : params(p), ws(w) {
-    if (p.engine == Engine::kMixedRadix) {
-      mixed = &ntt::shared_context(p.plan);
-    } else if (p.use_four_step()) {
-      four_step = &ntt::shared_four_step(p.transform_size);
-    } else {
-      radix2 = &ntt::shared_radix2(p.transform_size);
-    }
-  }
+  FourStepView(const SsaParams& p, Workspace& w)
+      : engine(ntt::shared_four_step(p.transform_size)), params(p), ws(w) {}
 
   /// Forward spectrum of an operand into `dst` (resized; reuses its
   /// capacity). dst must not be a pack buffer of this view's workspace.
   void forward_into(const BigUInt& operand, FpVec& dst) {
-    if (mixed != nullptr) {
-      pack_into(operand, params, ws.pack_a);
-      mixed->forward(ws.pack_a, dst, ws.ntt);
-      return;
-    }
-    if (four_step != nullptr) {
-      pack_into(operand, params, dst);
-      four_step->forward_spectrum(dst, ws.tile_scratch, ws.tile_executor, &tile_stats);
-      return;
-    }
     pack_into(operand, params, dst);
-    radix2->forward_spectrum(dst);  // in place: no copy at all
+    engine.forward_spectrum(dst, ws.tile_scratch, ws.tile_executor, &tiles);
   }
 
-  /// Forward spectrum as a freshly owned vector (cache storage).
-  [[nodiscard]] FpVec forward_copy(const BigUInt& operand) {
-    FpVec out;
-    forward_into(operand, out);
-    return out;
-  }
-
-  /// product = carry_recover(inverse(fa . fb)); fa/fb may live in the
+  /// product = carry_recover(inverse(fa . fb)); fa/fb may live in a
   /// spectrum cache or in ws.spec_a/ws.spec_b, never in the pack buffers.
   void product_into(BigUInt& product, const FpVec& fa, const FpVec& fb) {
-    if (mixed != nullptr) {
-      ws.pack_b.resize(fa.size());
-      fp::pointwise_product(ws.pack_b.data(), fa.data(), fb.data(), fa.size());
-      mixed->inverse(ws.pack_b, ws.pack_a, ws.ntt);
-    } else if (four_step != nullptr) {
-      four_step->convolve_from_spectra(ws.pack_a, fa, fb, ws.tile_scratch, ws.tile_executor,
-                                       &tile_stats);
-    } else {
-      radix2->convolve_from_spectra(ws.pack_a, fa, fb);
-    }
+    engine.convolve_from_spectra(ws.pack_a, fa, fb, ws.tile_scratch, ws.tile_executor, &tiles);
     carry_recover_into(ws.pack_a, params.coeff_bits, product);
   }
 };
@@ -91,8 +51,8 @@ std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>>
     return products;
   }
 
-  EngineView engine(params, ws);
-  BatchSpectrumProvider spectra(jobs, [&engine](const BigUInt& operand, FpVec& dst) {
+  FourStepView engine(params, ws);
+  BatchSpectrumProvider spectra(jobs, params, [&engine](const BigUInt& operand, FpVec& dst) {
     engine.forward_into(operand, dst);
   });
 
@@ -123,11 +83,14 @@ BigUInt multiply_cached(const BigUInt& a, const BigUInt& b, const SsaParams& par
                         ConcurrentSpectrumCache& cache, Workspace& ws, SsaStats* stats) {
   if (a.is_zero() || b.is_zero()) return BigUInt{};
 
-  EngineView engine(params, ws);
+  FourStepView engine(params, ws);
   u64 forwards_executed = 0;
+  // Two captures fit std::function's inline buffer: no allocation.
   const auto forward = [&engine, &forwards_executed](const BigUInt& operand) {
     ++forwards_executed;
-    return engine.forward_copy(operand);
+    FpVec spectrum;
+    engine.forward_into(operand, spectrum);
+    return spectrum;
   };
   const std::shared_ptr<const FpVec> fa = cache.get_or_compute(a, params, forward);
   const std::shared_ptr<const FpVec> fb =
@@ -139,8 +102,8 @@ BigUInt multiply_cached(const BigUInt& a, const BigUInt& b, const SsaParams& par
   if (stats != nullptr) {
     stats->pointwise_muls += params.transform_size;
     stats->transform_count += forwards_executed + 1;  // cache hits skip forwards
-    stats->tile_groups += engine.tile_stats.tile_groups;
-    stats->tiles += engine.tile_stats.tiles;
+    stats->tile_groups += engine.tiles.tile_groups;
+    stats->tiles += engine.tiles.tiles;
   }
   return product;
 }

@@ -2,17 +2,26 @@
 
 #include <algorithm>
 
-#include "fp/kernels.hpp"
-#include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
 #include "ssa/pack.hpp"
-#include "util/check.hpp"
 
 namespace hemul::ssa {
 
 using bigint::BigUInt;
-using fp::FpVec;
+
+namespace {
+
+/// Books one four-step product (its tile accounting included) into stats.
+void book(SsaStats* stats, const SsaParams& params, u64 transforms,
+          const ntt::FourStepStats& tiles) {
+  if (stats == nullptr) return;
+  stats->pointwise_muls += params.transform_size;
+  stats->transform_count += transforms;
+  stats->tile_groups += tiles.tile_groups;
+  stats->tiles += tiles.tiles;
+}
+
+}  // namespace
 
 void multiply_into(BigUInt& out, const BigUInt& a, const BigUInt& b, const SsaParams& params,
                    Workspace& ws, SsaStats* stats) {
@@ -23,37 +32,13 @@ void multiply_into(BigUInt& out, const BigUInt& a, const BigUInt& b, const SsaPa
 
   pack_into(a, params, ws.pack_a);
   pack_into(b, params, ws.pack_b);
-
-  if (params.engine == Engine::kMixedRadix) {
-    const ntt::NttContext& engine = ntt::shared_context(params.plan);
-    ntt::NttOpCounts* counts = stats != nullptr ? &stats->transform_ops : nullptr;
-    engine.forward(ws.pack_a, ws.spec_a, ws.ntt, counts);
-    engine.forward(ws.pack_b, ws.spec_b, ws.ntt, counts);
-    fp::pointwise_product(ws.spec_a.data(), ws.spec_a.data(), ws.spec_b.data(),
-                          ws.spec_a.size());
-    engine.inverse(ws.spec_a, ws.pack_a, ws.ntt, counts);
-  } else if (params.use_four_step()) {
-    // Large transform: the four-step cache-blocked path, its corner-turn
-    // scratch in the workspace, its passes fanned across idle lanes when
-    // the workspace carries a tile executor (serial otherwise).
-    ntt::FourStepStats fs;
-    ntt::shared_four_step(params.transform_size)
-        .convolve_into(ws.pack_a, ws.pack_b, ws.tile_scratch, ws.tile_executor, &fs);
-    if (stats != nullptr) {
-      stats->tile_groups += fs.tile_groups;
-      stats->tiles += fs.tiles;
-    }
-  } else {
-    // Shared engine (twiddle tables cached process-wide, lock-free lookup)
-    // and the bit-reversal-free DIF/DIT convolution path, in place over the
-    // workspace's pack buffers.
-    ntt::shared_radix2(params.transform_size).convolve_into(ws.pack_a, ws.pack_b);
-  }
-
-  if (stats != nullptr) {
-    stats->pointwise_muls += params.transform_size;
-    stats->transform_count += 3;
-  }
+  // In place over the pack buffers; the corner-turn scratch lives in the
+  // workspace, and the passes fan across idle lanes when the workspace
+  // carries a tile executor (serial otherwise).
+  ntt::FourStepStats tiles;
+  ntt::shared_four_step(params.transform_size)
+      .convolve_into(ws.pack_a, ws.pack_b, ws.tile_scratch, ws.tile_executor, &tiles);
+  book(stats, params, 3, tiles);  // two forward + one inverse
   carry_recover_into(ws.pack_a, params.coeff_bits, out);
 }
 
@@ -78,29 +63,10 @@ void square_into(BigUInt& out, const BigUInt& a, const SsaParams& params, Worksp
   }
 
   pack_into(a, params, ws.pack_a);
-  if (params.engine == Engine::kMixedRadix) {
-    const ntt::NttContext& engine = ntt::shared_context(params.plan);
-    ntt::NttOpCounts* counts = stats != nullptr ? &stats->transform_ops : nullptr;
-    engine.forward(ws.pack_a, ws.spec_a, ws.ntt, counts);
-    fp::pointwise_product(ws.spec_a.data(), ws.spec_a.data(), ws.spec_a.data(),
-                          ws.spec_a.size());
-    engine.inverse(ws.spec_a, ws.pack_a, ws.ntt, counts);
-  } else if (params.use_four_step()) {
-    ntt::FourStepStats fs;
-    ntt::shared_four_step(params.transform_size)
-        .convolve_square_into(ws.pack_a, ws.tile_scratch, ws.tile_executor, &fs);
-    if (stats != nullptr) {
-      stats->tile_groups += fs.tile_groups;
-      stats->tiles += fs.tiles;
-    }
-  } else {
-    ntt::shared_radix2(params.transform_size).convolve_square_into(ws.pack_a);
-  }
-
-  if (stats != nullptr) {
-    stats->pointwise_muls += params.transform_size;
-    stats->transform_count += 2;  // one forward + one inverse
-  }
+  ntt::FourStepStats tiles;
+  ntt::shared_four_step(params.transform_size)
+      .convolve_square_into(ws.pack_a, ws.tile_scratch, ws.tile_executor, &tiles);
+  book(stats, params, 2, tiles);  // one forward + one inverse
   carry_recover_into(ws.pack_a, params.coeff_bits, out);
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "bigint/biguint.hpp"
-#include "ntt/op_counts.hpp"
 #include "ssa/params.hpp"
 #include "ssa/workspace.hpp"
 
@@ -15,17 +14,15 @@ namespace hemul::ssa {
 /// on spectrum-cache-hit paths (a cached operand skips its forward
 /// transform -- see multiply_cached / multiply_batch).
 struct SsaStats {
-  ntt::NttOpCounts transform_ops;  ///< all executed NTTs combined
-  u64 pointwise_muls = 0;          ///< component-wise products (paper: 65536)
-  u64 transform_count = 0;         ///< forward + inverse NTTs actually run
+  u64 pointwise_muls = 0;   ///< component-wise products (paper: 65536)
+  u64 transform_count = 0;  ///< forward + inverse NTTs actually run
   /// Four-step intra-op tiling: passes dispatched through a TileExecutor
-  /// and the tiles they split into (0 when the monolithic path ran or no
-  /// executor was installed). Deterministic in params + lane count.
+  /// and the tiles they split into (0 when no executor was installed).
+  /// Deterministic in params + lane count.
   u64 tile_groups = 0;
   u64 tiles = 0;
 
   SsaStats& operator+=(const SsaStats& o) noexcept {
-    transform_ops += o.transform_ops;
     pointwise_muls += o.pointwise_muls;
     transform_count += o.transform_count;
     tile_groups += o.tile_groups;
@@ -36,11 +33,11 @@ struct SsaStats {
 
 /// Schonhage-Strassen multiplication (paper Section III):
 /// pack -> NTT(a), NTT(b) -> component-wise product -> inverse NTT ->
-/// carry recovery, entirely within the given workspace's buffers and the
-/// process-wide shared engine caches: steady state runs allocation-free
-/// and setup-free. The product is written into `out`, reusing its limb
-/// storage (out may alias a or b). Exact for operands up to
-/// params.max_operand_bits().
+/// carry recovery, on the four-step NTT (ntt::FourStepNtt) and entirely
+/// within the given workspace's buffers and the process-wide shared engine
+/// cache: steady state runs allocation-free and setup-free. The product is
+/// written into `out`, reusing its limb storage (out may alias a or b).
+/// Exact for operands up to params.max_operand_bits().
 void multiply_into(bigint::BigUInt& out, const bigint::BigUInt& a, const bigint::BigUInt& b,
                    const SsaParams& params, Workspace& workspace,
                    SsaStats* stats = nullptr);

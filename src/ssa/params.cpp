@@ -1,5 +1,6 @@
 #include "ssa/params.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fp/fp64.hpp"
@@ -8,6 +9,9 @@
 namespace hemul::ssa {
 
 namespace {
+
+/// Smallest transform ntt::FourStepNtt can split (n1 = n2 = 2).
+constexpr u64 kMinTransform = 4;
 
 u64 next_pow2(u64 x) {
   u64 n = 1;
@@ -46,8 +50,7 @@ SsaParams SsaParams::for_bits(std::size_t operand_bits, unsigned headroom_bits) 
     SsaParams params;
     params.coeff_bits = m;
     params.num_coeffs = num_coeffs;
-    params.transform_size = next_pow2(2 * num_coeffs);
-    params.transform_size = std::max<u64>(params.transform_size, 2);
+    params.transform_size = std::max<u64>(next_pow2(2 * num_coeffs), kMinTransform);
     params.plan = ntt::NttPlan::pure_radix2(params.transform_size);
     params.validate();
     return params;
@@ -62,6 +65,8 @@ void SsaParams::validate() const {
                   "transform must have 2x headroom for the acyclic product");
   HEMUL_CHECK_MSG((transform_size & (transform_size - 1)) == 0,
                   "transform size must be a power of two");
+  HEMUL_CHECK_MSG(transform_size >= kMinTransform,
+                  "transform size below the smallest four-step split (2 x 2)");
   HEMUL_CHECK_MSG(plan.size == transform_size, "plan size must match transform size");
   HEMUL_CHECK_MSG(exact(coeff_bits, num_coeffs),
                   "coefficient width too large for exact convolution");

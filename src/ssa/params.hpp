@@ -6,39 +6,6 @@
 
 namespace hemul::ssa {
 
-/// Which NTT engine executes the transforms of an SSA multiplication.
-enum class Engine {
-  kRadix2Fast,  ///< iterative radix-2 software path (fast golden model)
-  kMixedRadix,  ///< Cooley-Tukey plan engine (paper Eq. 2 staging)
-};
-
-/// Whether the radix-2 fast path upgrades to the four-step cache-blocked
-/// transform (ntt::FourStepNtt).
-enum class FourStepMode {
-  kAuto,    ///< four-step when transform_size >= kFourStepMinTransform
-  kAlways,  ///< force four-step (tests, threshold tuning)
-  kNever,   ///< force the monolithic iterative sweep
-};
-
-/// Memory layout of the spectra a parameterization produces. Spectra are
-/// only meaningful to the inverse path of the engine that produced them;
-/// caches key entries by this tag so layouts never mix.
-enum class SpectralLayout {
-  kRadix2Engine,    ///< bit-reversed order of the radix-2 DIF sweep
-  kMixedNatural,    ///< natural order of the mixed-radix plan engine
-  kFourStepEngine,  ///< row-major n2 x n1 [rev(k2)][rev(k1)] four-step order
-};
-
-/// Transform length at which the four-step path beats the monolithic
-/// radix-2 sweep on this codebase's kernels. The win is not (primarily)
-/// cache blocking: the vector-parallel sub-transforms replace the scalar
-/// small-half butterfly levels that dominate the monolithic sweep with
-/// full-width SIMD passes, which pays off from tiny sizes (measured 3-8x
-/// for 64 <= N <= 128K on an AVX-512 host; see README "Software NTT fast
-/// path"). Below 64 the matrix lanes are narrower than a vector and the
-/// extra corner-turn loses.
-inline constexpr u64 kFourStepMinTransform = 64;
-
 /// Parameters of one Schonhage-Strassen multiplication instance.
 ///
 /// The paper's setting: 786,432-bit operands split into 32K coefficients of
@@ -50,41 +17,26 @@ inline constexpr u64 kFourStepMinTransform = 64;
 struct SsaParams {
   std::size_t coeff_bits = 0;  ///< m: bits per polynomial coefficient
   u64 num_coeffs = 0;          ///< operand coefficients (before padding)
-  u64 transform_size = 0;      ///< N: NTT length, power of two >= 2*num_coeffs
-  ntt::NttPlan plan;           ///< stage decomposition for the mixed-radix engine
-  Engine engine = Engine::kRadix2Fast;
-  FourStepMode four_step = FourStepMode::kAuto;  ///< radix-2 path upgrade policy
+  u64 transform_size = 0;      ///< N: NTT length, power of two >= max(4, 2*num_coeffs)
+  /// Stage decomposition of the N-point transform, read by the hw
+  /// performance model. The transforms themselves always run on
+  /// ntt::FourStepNtt.
+  ntt::NttPlan plan;
 
   /// The paper's configuration: 786,432-bit operands, m = 24, N = 64K,
   /// plan 64*64*16.
   static SsaParams paper();
 
   /// Chooses the largest exact coefficient width for the given operand size
-  /// and a matching power-of-two transform length. `headroom_bits` tightens
-  /// the exactness bound to num_coeffs * (2^m - 1)^2 < p / 2^headroom_bits,
+  /// and a matching power-of-two transform length of at least 4 points (the
+  /// smallest four-step split, 2 x 2). `headroom_bits` tightens the
+  /// exactness bound to num_coeffs * (2^m - 1)^2 < p / 2^headroom_bits,
   /// leaving room for up to 2^headroom_bits product spectra to accumulate
   /// pointwise before any coefficient can reach p (the spectrum-resident
   /// XOR sweep's lazy-reduction budget). headroom_bits == 0 reproduces the
   /// plain exactness choice. Throws std::invalid_argument if
   /// operand_bits == 0.
   static SsaParams for_bits(std::size_t operand_bits, unsigned headroom_bits = 0);
-
-  /// Does the radix-2 fast path run as the four-step cache-blocked
-  /// transform under these parameters? Deterministic in the params alone,
-  /// so every consumer (multiply, batch, resident domain, caches) resolves
-  /// the same engine for the same parameterization.
-  [[nodiscard]] bool use_four_step() const noexcept {
-    if (engine != Engine::kRadix2Fast) return false;
-    if (four_step == FourStepMode::kAlways) return transform_size >= 4;
-    if (four_step == FourStepMode::kNever) return false;
-    return transform_size >= kFourStepMinTransform;
-  }
-
-  /// Layout of the spectra this parameterization produces (cache keying).
-  [[nodiscard]] SpectralLayout spectral_layout() const noexcept {
-    if (engine == Engine::kMixedRadix) return SpectralLayout::kMixedNatural;
-    return use_four_step() ? SpectralLayout::kFourStepEngine : SpectralLayout::kRadix2Engine;
-  }
 
   /// Maximum operand size this instance can multiply exactly.
   [[nodiscard]] std::size_t max_operand_bits() const noexcept {

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "fp/kernels.hpp"
-#include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
 #include "ssa/pack.hpp"
 #include "util/check.hpp"
 
@@ -16,33 +14,18 @@ using bigint::BigUInt;
 SpectrumDomain::SpectrumDomain(const SsaParams& params, Workspace& ws)
     : params_(params), ws_(&ws) {
   params_.validate();
-  if (params_.engine == Engine::kMixedRadix) {
-    mixed_ = &ntt::shared_context(params_.plan);
-  } else if (params_.use_four_step()) {
-    four_step_ = &ntt::shared_four_step(params_.transform_size);
-  } else {
-    radix2_ = &ntt::shared_radix2(params_.transform_size);
-  }
+  engine_ = &ntt::shared_four_step(params_.transform_size);
 }
 
 void SpectrumDomain::enter(ResidentSpectrum& out, const BigUInt& value) const {
   const std::size_t bits = value.bit_length();
   HEMUL_CHECK_MSG(bits <= params_.max_operand_bits(),
                   "enter: value exceeds the packing geometry");
-  if (radix2_ != nullptr) {
-    // Pack straight into the resident buffer and transform in place.
-    pack_into(value, params_, out.spec);
-    radix2_->forward_spectrum(out.spec);
-  } else if (four_step_ != nullptr) {
-    // Same in-place shape as radix-2; the corner-turn scratch lives in the
-    // workspace, so steady state stays allocation-free.
-    pack_into(value, params_, out.spec);
-    four_step_->forward_spectrum(out.spec, ws_->tile_scratch, ws_->tile_executor);
-  } else {
-    // The mixed-radix engine needs distinct in/out buffers.
-    pack_into(value, params_, ws_->pack_a);
-    mixed_->forward(ws_->pack_a, out.spec, ws_->ntt);
-  }
+  // Pack straight into the resident buffer and transform in place; the
+  // corner-turn scratch lives in the workspace, so steady state stays
+  // allocation-free.
+  pack_into(value, params_, out.spec);
+  engine_->forward_spectrum(out.spec, ws_->tile_scratch, ws_->tile_executor);
   out.degree = std::max<u64>(1, (bits + params_.coeff_bits - 1) / params_.coeff_bits);
   out.coeff_bound = operand_bound();
 }
@@ -99,27 +82,12 @@ void SpectrumDomain::leave(BigUInt& out, const ResidentSpectrum& s) const {
   HEMUL_CHECK_MSG(!s.empty(), "leave: empty spectrum");
   HEMUL_CHECK_MSG(s.coeff_bound < u128{fp::kModulus}, "leave: bound reached p");
   HEMUL_CHECK(s.spec.size() == params_.transform_size);
-  if (radix2_ != nullptr) {
-    // The DIT sweep is exact on the redundant representation, so the lazy
-    // coefficients go straight in; the inverse canonicalizes on exit.
-    ws_->spec_a = s.spec;
-    radix2_->inverse_from_spectrum(ws_->spec_a);
-    carry_recover_into(ws_->spec_a, params_.coeff_bits, out);
-  } else if (four_step_ != nullptr) {
-    // Every four-step pass runs on the redundant representation too, so
-    // lazily accumulated spectra invert directly; the final corner-turn
-    // fuses 1/N + canonicalization.
-    ws_->spec_a = s.spec;
-    four_step_->inverse_from_spectrum(ws_->spec_a, ws_->tile_scratch, ws_->tile_executor);
-    carry_recover_into(ws_->spec_a, params_.coeff_bits, out);
-  } else {
-    // The mixed-radix engine's deferred-reduction row sums assume canonical
-    // inputs; pay the canonicalization sweep here, at inverse time.
-    ws_->spec_a = s.spec;
-    fp::canonicalize(ws_->spec_a.data(), ws_->spec_a.size());
-    mixed_->inverse(ws_->spec_a, ws_->pack_a, ws_->ntt);
-    carry_recover_into(ws_->pack_a, params_.coeff_bits, out);
-  }
+  // Every four-step pass runs on the redundant representation, so lazily
+  // accumulated spectra invert directly; the final corner-turn fuses 1/N +
+  // canonicalization.
+  ws_->spec_a = s.spec;
+  engine_->inverse_from_spectrum(ws_->spec_a, ws_->tile_scratch, ws_->tile_executor);
+  carry_recover_into(ws_->spec_a, params_.coeff_bits, out);
 }
 
 }  // namespace hemul::ssa

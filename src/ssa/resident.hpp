@@ -8,8 +8,6 @@
 #include "ssa/workspace.hpp"
 
 namespace hemul::ntt {
-class Radix2Ntt;
-class NttContext;
 class FourStepNtt;
 }  // namespace hemul::ntt
 
@@ -26,8 +24,7 @@ namespace hemul::ssa {
 /// stands for. As long as the bound stays below p, the inverse transform
 /// recovers the exact integer coefficients, so pointwise sums may pile up
 /// without any per-addition canonicalization; canonicalization happens only
-/// at inverse time (or, for the mixed-radix engine, immediately before the
-/// inverse, which expects canonical inputs).
+/// at inverse time.
 ///
 /// Two kinds of spectra flow through the evaluator:
 ///   * operand spectra (from enter()): degree = ceil(bits / m) packed
@@ -37,7 +34,7 @@ namespace hemul::ssa {
 ///     may be accumulated or inverted, never multiplied -- their degree and
 ///     coefficient bounds would break the exactness conditions.
 struct ResidentSpectrum {
-  fp::FpVec spec;       ///< transform_size elements, producing engine's order
+  fp::FpVec spec;       ///< transform_size elements, four-step engine order
   u64 degree = 0;       ///< nonzero coefficient count of the represented poly
   u128 coeff_bound = 0; ///< upper bound on any true convolution coefficient
 
@@ -48,9 +45,9 @@ struct ResidentSpectrum {
   }
 };
 
-/// Shared ownership handle for resident spectra: the caches, the scheduler
-/// lanes and the evaluator all hold the same immutable-once-published
-/// spectrum without copies.
+/// Shared ownership handle for resident spectra: the scheduler lanes and
+/// the evaluator hold the same immutable-once-published spectrum without
+/// copies.
 using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
 
 /// Exactness headroom (in bits) the spectrum-resident evaluator asks of
@@ -60,18 +57,16 @@ using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
 /// length is the same 1024 points with or without the headroom.
 inline constexpr unsigned kResidentHeadroomBits = 6;
 
-/// Binds one SSA parameterization (packing geometry + engine) to a
-/// workspace and exposes the spectrum-domain operations the evaluator
-/// composes: enter (pack + forward), pointwise multiply, lazy pointwise
-/// accumulate, and leave (canonicalize + inverse + carry recovery).
+/// Binds one SSA parameterization (packing geometry) to a workspace and
+/// exposes the spectrum-domain operations the evaluator composes: enter
+/// (pack + forward), pointwise multiply, lazy pointwise accumulate, and
+/// leave (inverse + carry recovery), all on the four-step NTT.
 ///
 /// Spectra produced by one SpectrumDomain are only meaningful to a domain
-/// with the same engine AND geometry (the radix-2 fast path stores
-/// engine-order spectra, the mixed-radix path natural order); the caches
-/// key resident entries accordingly.
+/// with the same geometry (coeff_bits and transform_size).
 class SpectrumDomain {
  public:
-  /// Engines are resolved through the process-wide shared caches, so
+  /// The engine is resolved through the process-wide shared cache, so
   /// construction is cheap after first use of a geometry.
   SpectrumDomain(const SsaParams& params, Workspace& ws);
 
@@ -99,9 +94,9 @@ class SpectrumDomain {
   /// Requires can_accumulate.
   void accumulate(ResidentSpectrum& acc, const ResidentSpectrum& b) const;
 
-  /// out = the exact integer `s` stands for: canonicalize when the engine
-  /// demands it, inverse transform, carry recovery. `s` is not consumed --
-  /// a cached spectrum can be left (inverted) many times.
+  /// out = the exact integer `s` stands for: inverse transform (which
+  /// accepts the redundant coefficients directly), carry recovery. `s` is
+  /// not consumed -- a cached spectrum can be left (inverted) many times.
   void leave(bigint::BigUInt& out, const ResidentSpectrum& s) const;
 
   /// True-coefficient bound of any operand spectrum of this geometry.
@@ -112,12 +107,7 @@ class SpectrumDomain {
   [[nodiscard]] const SsaParams& params() const noexcept { return params_; }
 
  private:
-  /// Exactly one engine pointer is set, following params.spectral_layout():
-  /// spectra entered through this domain carry that layout, and the caches
-  /// key resident entries by it, so bound tracking is layout-independent.
-  const ntt::Radix2Ntt* radix2_ = nullptr;
-  const ntt::NttContext* mixed_ = nullptr;
-  const ntt::FourStepNtt* four_step_ = nullptr;
+  const ntt::FourStepNtt* engine_;
   SsaParams params_;
   Workspace* ws_;
 };

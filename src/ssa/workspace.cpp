@@ -1,7 +1,5 @@
 #include "ssa/workspace.hpp"
 
-#include <algorithm>
-
 #include "ssa/params.hpp"
 
 namespace hemul::ssa {
@@ -12,11 +10,7 @@ void Workspace::reserve(const SsaParams& params) {
   pack_b.reserve(n);
   spec_a.reserve(n);
   spec_b.reserve(n);
-  if (params.use_four_step()) tile_scratch.reserve(n);
-  u64 max_radix = 2;
-  for (const u32 radix : params.plan.radices) max_radix = std::max<u64>(max_radix, radix);
-  ntt.column.reserve(max_radix);
-  ntt.dft.reserve(max_radix);
+  tile_scratch.reserve(n);
 }
 
 Workspace& thread_workspace() {

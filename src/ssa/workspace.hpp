@@ -1,7 +1,6 @@
 #pragma once
 
 #include "fp/fp64.hpp"
-#include "ntt/context.hpp"
 #include "ntt/tiling.hpp"
 
 namespace hemul::ssa {
@@ -11,7 +10,7 @@ struct SsaParams;
 /// Reusable buffer arena for the SSA multiplication pipeline -- the
 /// software analogue of the accelerator's statically managed on-chip
 /// operand/spectrum buffers. One workspace owns every transient the
-/// pipeline needs (packed operands, spectra, NTT column scratch); buffers
+/// pipeline needs (packed operands, spectra, corner-turn scratch); buffers
 /// keep their capacity across calls, so once warmed up a multiplication
 /// performs zero heap allocations (the allocation-audit test enforces
 /// this).
@@ -24,11 +23,10 @@ struct SsaParams;
 ///     contents across another ssa call on the same workspace.
 class Workspace {
  public:
-  fp::FpVec pack_a;  ///< packed operand a / in-place transform buffer
-  fp::FpVec pack_b;  ///< packed operand b / batch product buffer
-  fp::FpVec spec_a;  ///< spectrum of a (mixed-radix path, batch scratch)
-  fp::FpVec spec_b;  ///< spectrum of b
-  ntt::NttScratch ntt;  ///< column gather/scatter scratch for NttContext
+  fp::FpVec pack_a;        ///< packed operand a / in-place transform buffer
+  fp::FpVec pack_b;        ///< packed operand b (clobbered by the convolution)
+  fp::FpVec spec_a;        ///< single-use batch spectrum of a / inverse buffer
+  fp::FpVec spec_b;        ///< single-use batch spectrum of b
   fp::FpVec tile_scratch;  ///< four-step corner-turn scratch (transform_size)
 
   /// Intra-op tile executor for the four-step transform, or nullptr for

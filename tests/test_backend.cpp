@@ -243,19 +243,16 @@ TEST(Fhe, DghvRunsOnExplicitBackends) {
   }
 }
 
-TEST(Fhe, SetMultiplierWrapsFunctionBackend) {
+TEST(Fhe, SetBackendAcceptsFunctionBackend) {
   fhe::Dghv scheme(fhe::DghvParams::toy(), 9);
   static std::atomic<int> calls{0};
   calls = 0;
-  // The deprecated shim must keep behaving like the documented path
-  // (set_backend + FunctionBackend) until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  scheme.set_multiplier([](const BigUInt& a, const BigUInt& b) {
-    ++calls;
-    return bigint::mul_schoolbook(a, b);
-  });
-#pragma GCC diagnostic pop
+  // A bare multiplication function plugs in through FunctionBackend.
+  scheme.set_backend(std::make_shared<FunctionBackend>(
+      [](const BigUInt& a, const BigUInt& b) {
+        ++calls;
+        return bigint::mul_schoolbook(a, b);
+      }));
   const auto c = scheme.multiply(scheme.encrypt(true), scheme.encrypt(true));
   EXPECT_TRUE(scheme.decrypt(c));
   EXPECT_GE(calls.load(), 1);

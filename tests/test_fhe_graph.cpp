@@ -381,6 +381,49 @@ TEST(GraphResidency, ResidentEvaluationSavesTransformsDeterministically) {
   }
 }
 
+TEST(GraphResidency, EverySpectrumPublishedIsEvictedByTheLastLevel) {
+  // A resident evaluation keeps its wire spectra in its own EvalState.
+  // Every spectrum it enters, produces or folds must be evicted by the
+  // last level, and eviction after each consuming wavefront keeps the
+  // high-water mark below the total published.
+  Dghv scheme(DghvParams::toy(), 4242);
+  const Ciphertext zero = scheme.encrypt(false);
+  const EncryptedInt cx = encrypt_int(scheme, 11, 4);
+  const EncryptedInt cy = encrypt_int(scheme, 6, 4);
+  const EvalOptions no_veto{.check_noise = false};  // mul/4 exceeds the toy budget
+
+  core::Config config;
+  config.backend_name = "ssa";
+  config.num_workers = 2;
+  core::Scheduler scheduler(config);
+  for (const bool multiply : {false, true}) {
+    Graph graph(scheme);
+    const std::vector<Wire> a = graph.inputs(cx);
+    const std::vector<Wire> b = graph.inputs(cy);
+    const Wire wzero = graph.input(zero);
+    std::vector<Wire> outputs;
+    if (multiply) {
+      outputs = graph.multiply(a, b, wzero);
+    } else {
+      Graph::AddResult sum = graph.add(a, b, wzero);
+      outputs = std::move(sum.sum);
+      outputs.push_back(sum.carry_out);
+    }
+    const char* circuit = multiply ? "mul/4" : "adder/4";
+
+    Evaluator evaluator(scheduler);
+    EvalReport report;
+    (void)evaluator.evaluate(graph, outputs, &report, no_veto);
+    ASSERT_TRUE(report.spectrum_resident) << circuit;
+    const ResidencyStats& rs = report.residency;
+    const u64 published = rs.forward_transforms + rs.pointwise_products + rs.domain_additions;
+    EXPECT_GT(published, 0u) << circuit;
+    EXPECT_EQ(rs.spectra_evicted, published) << circuit;
+    EXPECT_GT(rs.resident_peak, 0u) << circuit;
+    EXPECT_LT(rs.resident_peak, published) << circuit;
+  }
+}
+
 // --- noise model tightness -------------------------------------------------
 
 TEST(GraphNoise, MaxMultDepthIsTightAndVetoedBeforeExecution) {

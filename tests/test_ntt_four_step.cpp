@@ -5,13 +5,14 @@
 #include <vector>
 
 #include "bigint/mul.hpp"
+#include "ntt/convolution.hpp"
 #include "ntt/four_step.hpp"
 #include "ntt/radix2.hpp"
 #include "ntt/reference.hpp"
 #include "ssa/multiply.hpp"
+#include "ssa/pack.hpp"
 #include "ssa/params.hpp"
 #include "ssa/resident.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "ssa/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -260,32 +261,40 @@ TEST(FourStepTiling, TilesPerPassIsDeterministic) {
 
 // ---- ssa routing ---------------------------------------------------------
 
-TEST(SsaFourStep, MultiplyMatchesMonolithicPath) {
-  for (const std::size_t bits : {1000u, 4096u, 20000u}) {
+/// The ssa size list: 1..417-bit operands exercise the smallest four-step
+/// splits (4-64 points), then larger geometries.
+constexpr std::size_t kSsaBits[] = {1, 26, 27, 100, 416, 417, 1000, 4096, 20000};
+
+/// The product through the monolithic radix-2 convolution (ntt::Radix2Ntt,
+/// natural order), independent of the four-step engine.
+BigUInt radix2_product(const BigUInt& a, const BigUInt& b, const ssa::SsaParams& params) {
+  return ssa::carry_recover(cyclic_convolve(ssa::pack(a, params), ssa::pack(b, params)),
+                            params.coeff_bits);
+}
+
+TEST(SsaFourStep, MultiplyMatchesMonolithicRadix2) {
+  for (const std::size_t bits : kSsaBits) {
     util::Rng rng(bits);
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
+    const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
+    const FourStepNtt& engine = shared_four_step(params.transform_size);
+    ASSERT_GE(engine.n1(), 2u) << bits;
+    ASSERT_GE(engine.n2(), 2u) << bits;
 
-    ssa::SsaParams four = ssa::SsaParams::for_bits(bits);
-    four.four_step = ssa::FourStepMode::kAlways;
-    ssa::SsaParams mono = four;
-    mono.four_step = ssa::FourStepMode::kNever;
-    ASSERT_TRUE(four.use_four_step());
-    ASSERT_FALSE(mono.use_four_step());
-
-    const BigUInt product = ssa::multiply(a, b, four);
-    EXPECT_EQ(product, ssa::multiply(a, b, mono)) << bits;
+    const BigUInt product = ssa::multiply(a, b, params);
+    EXPECT_EQ(product, radix2_product(a, b, params)) << bits;
     EXPECT_EQ(product, bigint::mul_schoolbook(a, b)) << bits;
-    EXPECT_EQ(ssa::square(a, four), ssa::square(a, mono)) << bits;
+    EXPECT_EQ(ssa::square(a, params), radix2_product(a, a, params)) << bits;
   }
 }
 
 TEST(SsaFourStep, AdversarialAllOnesOperands) {
-  const std::size_t bits = 4096;
-  const BigUInt ones = BigUInt::pow2(bits) - BigUInt(1);
-  ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
-  params.four_step = ssa::FourStepMode::kAlways;
-  EXPECT_EQ(ssa::multiply(ones, ones, params), bigint::mul_schoolbook(ones, ones));
+  for (const std::size_t bits : kSsaBits) {
+    const BigUInt ones = BigUInt::pow2(bits) - BigUInt(1);
+    const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
+    EXPECT_EQ(ssa::multiply(ones, ones, params), bigint::mul_schoolbook(ones, ones)) << bits;
+  }
 }
 
 TEST(SsaFourStep, StatsReportTileCountsThroughWorkspace) {
@@ -294,8 +303,7 @@ TEST(SsaFourStep, StatsReportTileCountsThroughWorkspace) {
   const BigUInt a = BigUInt::random_bits(rng, bits);
   const BigUInt b = BigUInt::random_bits(rng, bits);
 
-  ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
-  params.four_step = ssa::FourStepMode::kAlways;
+  const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
   ReversedExecutor exec(2);
   ssa::Workspace workspace;
   workspace.tile_executor = &exec;
@@ -308,59 +316,33 @@ TEST(SsaFourStep, StatsReportTileCountsThroughWorkspace) {
   EXPECT_EQ(stats.tiles, exec.tiles);
 }
 
-TEST(SsaFourStep, SpectrumDomainRoundTripsWithFourStepEngine) {
-  ssa::SsaParams params = ssa::SsaParams::for_bits(1024, ssa::kResidentHeadroomBits);
-  params.four_step = ssa::FourStepMode::kAlways;
-  ASSERT_TRUE(params.use_four_step());
-  ssa::Workspace workspace;
-  const ssa::SpectrumDomain domain(params, workspace);
+TEST(SsaFourStep, SpectrumDomainRoundTrips) {
+  for (const std::size_t bits : kSsaBits) {
+    const ssa::SsaParams params = ssa::SsaParams::for_bits(bits, ssa::kResidentHeadroomBits);
+    ssa::Workspace workspace;
+    const ssa::SpectrumDomain domain(params, workspace);
 
-  util::Rng rng(23);
-  const BigUInt a = BigUInt::random_bits(rng, 1024);
-  const BigUInt b = BigUInt::random_bits(rng, 1024);
-  ssa::ResidentSpectrum sa, sb;
-  domain.enter(sa, a);
-  domain.enter(sb, b);
-  ASSERT_TRUE(domain.can_multiply(sa, sb));
-  ssa::ResidentSpectrum product;
-  domain.multiply(product, sa, sb);
+    util::Rng rng(23 + bits);
+    const BigUInt a = BigUInt::random_bits(rng, bits);
+    const BigUInt b = BigUInt::random_bits(rng, bits);
+    ssa::ResidentSpectrum sa, sb;
+    domain.enter(sa, a);
+    domain.enter(sb, b);
+    ASSERT_TRUE(domain.can_multiply(sa, sb)) << bits;
+    ssa::ResidentSpectrum product;
+    domain.multiply(product, sa, sb);
 
-  // Lazy accumulate twice, then leave: 2ab, exactly.
-  ssa::ResidentSpectrum acc;
-  ASSERT_TRUE(domain.can_accumulate(acc, product));
-  domain.accumulate(acc, product);
-  ASSERT_TRUE(domain.can_accumulate(acc, product));
-  domain.accumulate(acc, product);
-  BigUInt materialized;
-  domain.leave(materialized, acc);
-  const BigUInt ab = bigint::mul_schoolbook(a, b);
-  EXPECT_EQ(materialized, ab + ab);
-}
-
-TEST(SsaFourStep, SpectrumCacheSeparatesLayouts) {
-  // The four-step and monolithic radix-2 spectra share Engine::kRadix2Fast
-  // but are layout-incompatible: the cache must never serve one for the
-  // other.
-  ssa::SsaParams four = ssa::SsaParams::for_bits(1024);
-  four.four_step = ssa::FourStepMode::kAlways;
-  ssa::SsaParams mono = four;
-  mono.four_step = ssa::FourStepMode::kNever;
-  ASSERT_NE(four.spectral_layout(), mono.spectral_layout());
-
-  util::Rng rng(29);
-  const BigUInt a = BigUInt::random_bits(rng, 1024);
-  ssa::ConcurrentSpectrumCache cache;
-  u64 transforms = 0;
-  const auto forward = [&](const BigUInt&) {
-    ++transforms;
-    return FpVec(four.transform_size, fp::kOne);
-  };
-  (void)cache.get_or_compute(a, four, forward);
-  (void)cache.get_or_compute(a, mono, forward);
-  EXPECT_EQ(transforms, 2u);  // layout mismatch => no cross-serving
-  EXPECT_EQ(cache.size(), 2u);
-  (void)cache.get_or_compute(a, four, forward);
-  EXPECT_EQ(transforms, 2u);  // same layout still hits
+    // Lazy accumulate twice, then leave: 2ab, exactly.
+    ssa::ResidentSpectrum acc;
+    ASSERT_TRUE(domain.can_accumulate(acc, product)) << bits;
+    domain.accumulate(acc, product);
+    ASSERT_TRUE(domain.can_accumulate(acc, product)) << bits;
+    domain.accumulate(acc, product);
+    BigUInt materialized;
+    domain.leave(materialized, acc);
+    const BigUInt ab = bigint::mul_schoolbook(a, b);
+    EXPECT_EQ(materialized, ab + ab) << bits;
+  }
 }
 
 }  // namespace

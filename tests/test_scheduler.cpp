@@ -250,6 +250,8 @@ TEST(SchedulerTiles, HelpersDoNotPerturbJobCounters) {
   for (auto& f : futures) f.get();
   EXPECT_EQ(tiles_run.load(), kJobs * 16);
 
+  // A lane books its job counters just after satisfying the future.
+  scheduler.wait_idle();
   const SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.submitted, kJobs);
   EXPECT_EQ(stats.completed, kJobs);

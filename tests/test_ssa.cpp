@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "backend/ssa_backend.hpp"
 #include "bigint/mul.hpp"
 #include "ssa/batch.hpp"
 #include "ssa/multiply.hpp"
@@ -107,33 +108,81 @@ TEST(CarryRecover, HandlesLargeOverlappingCoefficients) {
   EXPECT_EQ(carry_recover(coeffs, 24), expected);
 }
 
-// Multiplication correctness across sizes and engines.
-struct SsaCase {
-  std::size_t bits;
-  Engine engine;
-};
+TEST(SsaParams, ForBitsClampsTinyOperandsToTheSmallestFourStepSplit) {
+  // 1..26-bit operands pack into one coefficient; the transform still gets
+  // the 4 points a 2 x 2 four-step split needs.
+  for (const std::size_t bits : {1u, 13u, 26u}) {
+    const SsaParams p = SsaParams::for_bits(bits);
+    EXPECT_EQ(p.num_coeffs, 1u) << bits;
+    EXPECT_EQ(p.transform_size, 4u) << bits;
+  }
+  SsaParams p = SsaParams::for_bits(1);
+  p.transform_size = 2;
+  p.plan = ntt::NttPlan::pure_radix2(2);
+  EXPECT_THROW(p.validate(), std::logic_error);
+}
 
-class SsaMultiply : public ::testing::TestWithParam<SsaCase> {};
+/// Operand sizes at the small end of the single engine: 1 and 26 bits
+/// (one coefficient, clamped to 4 points), 27 (two coefficients), 100, 416
+/// (the largest 32-point geometry) and 417 (the smallest 64-point one).
+constexpr std::size_t kTinyBits[] = {1, 26, 27, 100, 416, 417};
+
+// Multiplication correctness across sizes.
+class SsaMultiply : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SsaMultiply, MatchesSchoolbook) {
-  const auto [bits, engine] = GetParam();
+  const std::size_t bits = GetParam();
   util::Rng rng(bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.engine = engine;
+  const SsaParams params = SsaParams::for_bits(bits);
   for (int i = 0; i < 3; ++i) {
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
     EXPECT_EQ(multiply(a, b, params), bigint::mul_schoolbook(a, b));
+    EXPECT_EQ(square(a, params), bigint::mul_schoolbook(a, a));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, SsaMultiply,
-    ::testing::Values(SsaCase{100, Engine::kRadix2Fast}, SsaCase{100, Engine::kMixedRadix},
-                      SsaCase{1000, Engine::kRadix2Fast}, SsaCase{1000, Engine::kMixedRadix},
-                      SsaCase{4096, Engine::kRadix2Fast}, SsaCase{4096, Engine::kMixedRadix},
-                      SsaCase{10000, Engine::kRadix2Fast},
-                      SsaCase{30000, Engine::kRadix2Fast}));
+INSTANTIATE_TEST_SUITE_P(Sizes, SsaMultiply,
+                         ::testing::Values(1, 26, 27, 100, 416, 417, 1000, 4096, 10000,
+                                           30000));
+
+TEST(SsaTinyOperands, CachedBatchedAndBackendPathsMatchSchoolbook) {
+  // Tiny operands run four-step at 4-32 points (64 at 417 bits). The
+  // cached, batched and backend entry points must agree with schoolbook
+  // multiplication there; SsaMultiply covers multiply/square and
+  // test_ntt_four_step the spectrum domain at the same sizes.
+  for (const std::size_t bits : kTinyBits) {
+    util::Rng rng(0x7E57 + bits);
+    const SsaParams params = SsaParams::for_bits(bits);
+    EXPECT_GE(params.transform_size, 4u) << bits;
+    EXPECT_LE(params.transform_size, bits <= 416 ? 32u : 64u) << bits;
+
+    // All-ones operands pin every coefficient at its maximum.
+    const BigUInt ones = BigUInt::pow2(bits) - BigUInt{1};
+    const BigUInt a = BigUInt::random_bits(rng, bits);
+    const BigUInt b = BigUInt::random_bits(rng, bits);
+    for (const auto& [x, y] : {std::pair{a, b}, std::pair{ones, ones}, std::pair{a, ones}}) {
+      const BigUInt expected = bigint::mul_schoolbook(x, y);
+
+      ConcurrentSpectrumCache cache;
+      Workspace workspace;
+      EXPECT_EQ(multiply_cached(x, y, params, cache, workspace, nullptr), expected) << bits;
+      EXPECT_EQ(multiply_cached(x, y, params, cache, workspace, nullptr), expected) << bits;
+
+      const std::vector<std::pair<BigUInt, BigUInt>> jobs = {{x, y}, {x, x}, {y, x}};
+      const std::vector<BigUInt> products = multiply_batch(jobs, params);
+      ASSERT_EQ(products.size(), jobs.size());
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        EXPECT_EQ(products[k], bigint::mul_schoolbook(jobs[k].first, jobs[k].second))
+            << bits << " job " << k;
+      }
+
+      backend::SsaBackend engine;
+      EXPECT_EQ(engine.multiply(x, y), expected) << bits;
+      EXPECT_EQ(engine.square(y), bigint::mul_schoolbook(y, y)) << bits;
+    }
+  }
+}
 
 TEST(SsaMultiply, EdgeValues) {
   const SsaParams p = SsaParams::for_bits(1000);
@@ -148,10 +197,9 @@ TEST(SsaMultiply, EdgeValues) {
 
 TEST(SsaMultiply, PaperSizeFullMultiplication) {
   // The headline workload: two 786,432-bit operands through the paper's
-  // exact parameterization (m=24, 64K-point transform, plan 64*64*16 on the
-  // fast engine), validated against Karatsuba.
-  SsaParams params = SsaParams::paper();
-  params.engine = Engine::kRadix2Fast;
+  // exact parameterization (m=24, 64K-point transform), validated against
+  // Karatsuba.
+  const SsaParams params = SsaParams::paper();
   util::Rng rng(786432);
   const BigUInt a = BigUInt::random_bits(rng, 786432);
   const BigUInt b = BigUInt::random_bits(rng, 786432);
@@ -165,16 +213,6 @@ TEST(SsaMultiply, PaperSizeFullMultiplication) {
   EXPECT_EQ(stats.transform_count, 3u);     // two forward + one inverse
 }
 
-TEST(SsaMultiply, MixedRadixEngineAgreesWithFastEngine) {
-  util::Rng rng(60);
-  const BigUInt a = BigUInt::random_bits(rng, 5000);
-  const BigUInt b = BigUInt::random_bits(rng, 5000);
-  SsaParams fast = SsaParams::for_bits(5000);
-  SsaParams mixed = fast;
-  mixed.engine = Engine::kMixedRadix;
-  EXPECT_EQ(multiply(a, b, fast), multiply(a, b, mixed));
-}
-
 TEST(SsaMultiply, AutoWrapperPicksWorkingParams) {
   util::Rng rng(61);
   const BigUInt a = BigUInt::random_bits(rng, 2500);
@@ -183,16 +221,14 @@ TEST(SsaMultiply, AutoWrapperPicksWorkingParams) {
   EXPECT_EQ(mul_ssa(BigUInt{}, a), BigUInt{});
 }
 
-TEST(SsaSquare, MatchesMultiplyBothEngines) {
+TEST(SsaSquare, MatchesMultiply) {
   util::Rng rng(70);
   for (const std::size_t bits : {500u, 3000u, 20000u}) {
     const BigUInt a = BigUInt::random_bits(rng, bits);
-    SsaParams fast = SsaParams::for_bits(bits);
-    SsaParams mixed = fast;
-    mixed.engine = Engine::kMixedRadix;
+    const SsaParams params = SsaParams::for_bits(bits);
     const BigUInt expected = bigint::mul_schoolbook(a, a);
-    EXPECT_EQ(square(a, fast), expected) << bits;
-    EXPECT_EQ(square(a, mixed), expected) << bits;
+    EXPECT_EQ(square(a, params), expected) << bits;
+    EXPECT_EQ(multiply(a, a, params), expected) << bits;
   }
 }
 
@@ -267,23 +303,36 @@ TEST(SsaStatsAccounting, BatchTransformCountReflectsCacheHits) {
   }
 }
 
-TEST(SpectrumCacheKeying, EnginesNeverShareSpectra) {
-  // The two engines store layout-incompatible spectra (engine order vs
-  // natural order) at identical packing geometry: a shared cache must key
-  // on the engine, or a cross-engine hit silently corrupts the product.
+TEST(SpectrumCacheKeying, GeometriesNeverShareSpectra) {
+  // A spectrum is only meaningful under the geometry that packed it: two
+  // parameterizations differing in coeff_bits or in transform_size must
+  // never be served each other's spectra, or the product is silently
+  // wrong.
   util::Rng rng(83);
-  const BigUInt a = BigUInt::random_bits(rng, 5000);
-  const BigUInt b = BigUInt::random_bits(rng, 5000);
-  SsaParams fast = SsaParams::for_bits(5000);
-  SsaParams mixed = fast;
-  mixed.engine = Engine::kMixedRadix;
-  const BigUInt expected = bigint::mul_schoolbook(a, b);
+  const BigUInt a = BigUInt::random_bits(rng, 1024);
+  const BigUInt b = BigUInt::random_bits(rng, 1024);
+  const SsaParams base = SsaParams::for_bits(1024);
+  const SsaParams narrower = SsaParams::for_bits(1024, 12);  // smaller m
+  SsaParams longer = base;
+  longer.transform_size = 2 * base.transform_size;
+  longer.plan = ntt::NttPlan::pure_radix2(longer.transform_size);
+  ASSERT_NE(narrower.coeff_bits, base.coeff_bits);
+  ASSERT_EQ(narrower.transform_size, base.transform_size);
+  ASSERT_NO_THROW(longer.validate());
 
+  const BigUInt expected = bigint::mul_schoolbook(a, b);
   ConcurrentSpectrumCache cache;
   Workspace workspace;
-  EXPECT_EQ(multiply_cached(a, b, fast, cache, workspace, nullptr), expected);
-  EXPECT_EQ(multiply_cached(a, b, mixed, cache, workspace, nullptr), expected);
-  EXPECT_EQ(cache.size(), 4u);  // two operands x two engines, no sharing
+  for (const SsaParams& params : {base, narrower, longer}) {
+    SsaStats stats;
+    EXPECT_EQ(multiply_cached(a, b, params, cache, workspace, &stats), expected);
+    EXPECT_EQ(stats.transform_count, 3u) << "a cold geometry must transform both operands";
+  }
+  EXPECT_EQ(cache.size(), 6u);  // two operands x three geometries, no sharing
+
+  SsaStats warm;
+  EXPECT_EQ(multiply_cached(a, b, base, cache, workspace, &warm), expected);
+  EXPECT_EQ(warm.transform_count, 1u);  // the same geometry still hits
 }
 
 TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
@@ -292,79 +341,43 @@ TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
   // headroom the domain must accept a deep stack of pointwise-accumulated
   // products, refuse exactly when the tracked bound would reach p, and
   // materialize the exact integer sum from the redundant spectrum.
-  for (const Engine engine : {Engine::kRadix2Fast, Engine::kMixedRadix}) {
-    SsaParams params = SsaParams::for_bits(1024, kResidentHeadroomBits);
-    params.engine = engine;
-    Workspace workspace;
-    const SpectrumDomain domain(params, workspace);
+  const SsaParams params = SsaParams::for_bits(1024, kResidentHeadroomBits);
+  Workspace workspace;
+  const SpectrumDomain domain(params, workspace);
 
-    const BigUInt ones = BigUInt::pow2(1024) - BigUInt(1);
-    ResidentSpectrum sa, sb;
-    domain.enter(sa, ones);
-    domain.enter(sb, ones);
-    EXPECT_EQ(sa.coeff_bound, domain.operand_bound());
-    ASSERT_TRUE(domain.can_multiply(sa, sb));
+  const BigUInt ones = BigUInt::pow2(1024) - BigUInt(1);
+  ResidentSpectrum sa, sb;
+  domain.enter(sa, ones);
+  domain.enter(sb, ones);
+  EXPECT_EQ(sa.coeff_bound, domain.operand_bound());
+  ASSERT_TRUE(domain.can_multiply(sa, sb));
 
-    ResidentSpectrum product;
-    domain.multiply(product, sa, sb);
-    const u128 product_bound =
-        sa.coeff_bound * sb.coeff_bound * u128{std::min(sa.degree, sb.degree)};
-    EXPECT_EQ(product.coeff_bound, product_bound);
-    EXPECT_LT(product_bound, u128{fp::kModulus} >> kResidentHeadroomBits);
+  ResidentSpectrum product;
+  domain.multiply(product, sa, sb);
+  const u128 product_bound =
+      sa.coeff_bound * sb.coeff_bound * u128{std::min(sa.degree, sb.degree)};
+  EXPECT_EQ(product.coeff_bound, product_bound);
+  EXPECT_LT(product_bound, u128{fp::kModulus} >> kResidentHeadroomBits);
 
-    // Stack products until the tracked bound refuses; the refusal must
-    // come from the bound alone (headroom guarantees >= 2^h - 1 addends).
-    ResidentSpectrum acc;
-    u64 accumulated = 0;
-    while (domain.can_accumulate(acc, product)) {
-      domain.accumulate(acc, product);
-      ++accumulated;
-      ASSERT_EQ(acc.coeff_bound, u128{accumulated} * product_bound);
-      ASSERT_LT(accumulated, u64{1} << 20) << "bound tracking never refused";
-    }
-    EXPECT_GE(accumulated, (u64{1} << kResidentHeadroomBits) - 1);
-    EXPECT_GE(acc.coeff_bound + product.coeff_bound, u128{fp::kModulus});
-
-    const BigUInt one_product = bigint::mul_schoolbook(ones, ones);
-    BigUInt expected;
-    for (u64 k = 0; k < accumulated; ++k) expected += one_product;
-    BigUInt materialized;
-    domain.leave(materialized, acc);
-    EXPECT_EQ(materialized, expected) << "engine " << static_cast<int>(engine);
+  // Stack products until the tracked bound refuses; the refusal must
+  // come from the bound alone (headroom guarantees >= 2^h - 1 addends).
+  ResidentSpectrum acc;
+  u64 accumulated = 0;
+  while (domain.can_accumulate(acc, product)) {
+    domain.accumulate(acc, product);
+    ++accumulated;
+    ASSERT_EQ(acc.coeff_bound, u128{accumulated} * product_bound);
+    ASSERT_LT(accumulated, u64{1} << 20) << "bound tracking never refused";
   }
-}
+  EXPECT_GE(accumulated, (u64{1} << kResidentHeadroomBits) - 1);
+  EXPECT_GE(acc.coeff_bound + product.coeff_bound, u128{fp::kModulus});
 
-TEST(SpectrumCacheResidency, WireKeyedEntriesInsertFindEvict) {
-  SpectrumCache cache;
-  auto handle = std::make_shared<ResidentSpectrum>();
-  handle->degree = 3;
-  cache.insert_resident(42, handle);
-  ASSERT_NE(cache.find_resident(42), nullptr);
-  EXPECT_EQ(cache.find_resident(42)->get(), handle.get());
-  EXPECT_EQ(cache.find_resident(7), nullptr);
-  EXPECT_EQ(cache.resident_entries(), 1u);
-  EXPECT_TRUE(cache.evict_resident(42));
-  EXPECT_FALSE(cache.evict_resident(42));
-  EXPECT_EQ(cache.resident_entries(), 0u);
-
-  // Value-keyed entries and wire-keyed entries are independent planes.
-  cache.insert_resident(1, handle);
-  EXPECT_EQ(cache.size(), 0u);
-  cache.clear();
-  EXPECT_EQ(cache.resident_entries(), 0u);
-
-  ConcurrentSpectrumCache shared;
-  shared.put_resident(1, handle);
-  shared.put_resident(2, handle);
-  EXPECT_EQ(shared.resident_size(), 2u);
-  EXPECT_NE(shared.get_resident(1), nullptr);
-  EXPECT_EQ(shared.get_resident(99), nullptr);
-  EXPECT_TRUE(shared.evict_resident(1));
-  EXPECT_FALSE(shared.evict_resident(1));
-  EXPECT_EQ(shared.resident_size(), 1u);
-  const ConcurrentSpectrumCache::Stats stats = shared.stats();
-  EXPECT_EQ(stats.resident_peak, 2u);
-  EXPECT_EQ(stats.resident_evictions, 1u);
+  const BigUInt one_product = bigint::mul_schoolbook(ones, ones);
+  BigUInt expected;
+  for (u64 k = 0; k < accumulated; ++k) expected += one_product;
+  BigUInt materialized;
+  domain.leave(materialized, acc);
+  EXPECT_EQ(materialized, expected);
 }
 
 TEST(SsaMultiply, IntoVariantReusesOutputAndAliasesSafely) {

@@ -17,6 +17,7 @@
 #include "ssa/batch.hpp"
 #include "ssa/multiply.hpp"
 #include "ssa/pack.hpp"
+#include "ssa/resident.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -106,60 +107,53 @@ TEST_F(SsaAllocationAudit, SteadyStateSquareIntoIsAllocationFree) {
   EXPECT_EQ(product, bigint::mul_karatsuba(a, a));
 }
 
-TEST_F(SsaAllocationAudit, FourStepPathIsAllocationFree) {
-  // The cache-blocked four-step transform keeps all scratch (including the
-  // corner-turn buffer) inside the Workspace: the serial tiled path must be
-  // just as allocation-free as the monolithic sweep it replaces.
-  util::Rng rng(5);
-  const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.four_step = FourStepMode::kAlways;
-  ASSERT_TRUE(params.use_four_step());
+TEST_F(SsaAllocationAudit, TinyOperandsAreAllocationFree) {
+  // 1..417-bit operands run the four-step transform at 4-64 points, all
+  // scratch (including the corner-turn buffer) inside the Workspace: the
+  // smallest geometries must be as allocation-free as the paper-size one,
+  // for multiply, square and the spectrum-resident primitives alike.
+  for (const std::size_t bits : {1u, 26u, 27u, 100u, 416u, 417u}) {
+    util::Rng rng(5 + bits);
+    const BigUInt a = BigUInt::random_bits(rng, bits);
+    const BigUInt b = BigUInt::random_bits(rng, bits);
+    const SsaParams params = SsaParams::for_bits(bits, kResidentHeadroomBits);
 
-  Workspace workspace;
-  BigUInt product;
-  multiply_into(product, a, b, params, workspace);
-  multiply_into(product, a, b, params, workspace);
+    Workspace workspace;
+    BigUInt product;
+    multiply_into(product, a, b, params, workspace);
+    multiply_into(product, a, b, params, workspace);
+    for (int round = 0; round < 3; ++round) {
+      const u64 allocs = allocations_in([&] {
+        multiply_into(product, a, b, params, workspace);
+      });
+      EXPECT_EQ(allocs, 0u) << bits << " bits, round " << round;
+    }
+    EXPECT_EQ(product, bigint::mul_schoolbook(a, b)) << bits;
 
-  for (int round = 0; round < 5; ++round) {
-    const u64 allocs = allocations_in([&] {
-      multiply_into(product, a, b, params, workspace);
-    });
-    EXPECT_EQ(allocs, 0u) << "round " << round;
+    square_into(product, a, params, workspace);
+    for (int round = 0; round < 3; ++round) {
+      const u64 allocs = allocations_in([&] { square_into(product, a, params, workspace); });
+      EXPECT_EQ(allocs, 0u) << bits << " bits, square round " << round;
+    }
+    EXPECT_EQ(product, bigint::mul_schoolbook(a, a)) << bits;
+
+    const SpectrumDomain domain(params, workspace);
+    ResidentSpectrum sa, sb, spectrum, acc;
+    const auto run = [&] {
+      acc.reset();
+      domain.enter(sa, a);
+      domain.enter(sb, b);
+      domain.multiply(spectrum, sa, sb);
+      domain.accumulate(acc, spectrum);
+      domain.leave(product, acc);
+    };
+    run();
+    run();
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(allocations_in(run), 0u) << bits << " bits, resident round " << round;
+    }
+    EXPECT_EQ(product, bigint::mul_schoolbook(a, b)) << bits;
   }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, b));
-
-  // Squaring shares the same scratch discipline.
-  square_into(product, a, params, workspace);
-  for (int round = 0; round < 5; ++round) {
-    const u64 allocs = allocations_in([&] { square_into(product, a, params, workspace); });
-    EXPECT_EQ(allocs, 0u) << "square round " << round;
-  }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, a));
-}
-
-TEST_F(SsaAllocationAudit, MixedRadixEngineIsAlsoAllocationFree) {
-  util::Rng rng(3);
-  const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.engine = Engine::kMixedRadix;
-
-  Workspace workspace;
-  BigUInt product;
-  multiply_into(product, a, b, params, workspace);
-  multiply_into(product, a, b, params, workspace);
-
-  for (int round = 0; round < 3; ++round) {
-    const u64 allocs = allocations_in([&] {
-      multiply_into(product, a, b, params, workspace);
-    });
-    EXPECT_EQ(allocs, 0u) << "round " << round;
-  }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, b));
 }
 
 TEST_F(SsaAllocationAudit, ResidentSpectrumSteadyStateIsAllocationFree) {
