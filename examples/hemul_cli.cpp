@@ -86,7 +86,7 @@ int usage() {
 
 core::Accelerator make_accelerator(const std::string& backend_name) {
   core::Config config;
-  config.backend_name = backend_name;
+  if (!backend_name.empty()) config.backend_name = backend_name;
   return core::Accelerator(config);
 }
 
@@ -208,7 +208,7 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra
   // before reading, or the last job per lane can be missing.
   scheduler.wait_idle();
   const core::SchedulerStats stats = scheduler.stats();
-  std::printf("backend      : %s\n", config.resolved_backend_name().c_str());
+  std::printf("backend      : %s\n", config.backend_name.c_str());
   std::printf("workers      : %u\n", scheduler.num_workers());
   std::printf("jobs         : %zu x %zu bits\n", n, bits);
   std::printf("wall time    : %.1f ms\n", wall_ms);
@@ -373,7 +373,7 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   std::printf("lowering     : %s\n", fhe::lowering_strategy_name(lowering.strategy).data());
   std::printf("pred. depth  : ripple %u, carry-save %u (params support max_mult_depth %u)\n",
               depth_ripple, depth_cs, max_depth);
-  std::printf("backend      : %s, %u PE lane(s)\n", config.resolved_backend_name().c_str(),
+  std::printf("backend      : %s, %u PE lane(s)\n", config.backend_name.c_str(),
               scheduler.num_workers());
   std::printf("nodes        : %zu recorded, %zu live, %zu dead (eliminated)\n",
               report.nodes, report.live_nodes, report.dead_nodes);
@@ -517,7 +517,7 @@ int cmd_service(const std::string& backend_name, unsigned workers, unsigned tena
 
   const core::ServiceStats stats = service.stats();
   const u64 requests = stats.submitted;
-  std::printf("backend      : %s, %u PE lane(s)\n", options.config.resolved_backend_name().c_str(),
+  std::printf("backend      : %s, %u PE lane(s)\n", options.config.backend_name.c_str(),
               service.scheduler().num_workers());
   std::printf("tenants      : %u x %u single-multiply request(s)\n", tenants,
               requests_per_tenant);

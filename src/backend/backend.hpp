@@ -23,11 +23,6 @@ struct BackendLimits {
   /// The backend models hardware and fills cycle counts in BatchStats /
   /// exposes per-multiply cycle reports.
   bool reports_hw_cycles = false;
-  /// The backend can accept and return resident spectrum handles
-  /// (forward / pointwise multiply / materialize as separate operations),
-  /// letting the evaluator keep wires in the NTT domain across circuit
-  /// levels instead of round-tripping every gate.
-  bool spectrum_resident = false;
 };
 
 /// Execution statistics of one multiply_batch call.

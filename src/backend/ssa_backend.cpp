@@ -12,7 +12,6 @@ BackendLimits SsaBackend::limits() const {
   BackendLimits limits;
   limits.max_operand_bits = fixed_params_.has_value() ? fixed_params_->max_operand_bits() : 0;
   limits.caches_spectra = true;
-  limits.spectrum_resident = true;
   return limits;
 }
 

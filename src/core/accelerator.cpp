@@ -10,7 +10,7 @@ namespace hemul::core {
 
 Accelerator::Accelerator(Config config) : config_(std::move(config)) {
   config_.validate();
-  const std::string name = config_.resolved_backend_name();
+  const std::string& name = config_.backend_name;
   if (name == "hw") {
     // Instantiated directly (not via the registry) so it runs with this
     // facade's hardware configuration rather than the paper default.

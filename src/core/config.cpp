@@ -6,11 +6,6 @@ namespace hemul::core {
 
 Config Config::paper() { return Config{}; }
 
-std::string Config::resolved_backend_name() const {
-  if (!backend_name.empty()) return backend_name;
-  return backend == Backend::kSimulatedHardware ? "hw" : "ssa";
-}
-
 unsigned Config::resolved_num_workers() const noexcept {
   if (num_workers > 0) return num_workers;
   const unsigned hc = std::thread::hardware_concurrency();

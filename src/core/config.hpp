@@ -7,21 +7,13 @@
 
 namespace hemul::core {
 
-/// Which engine executes multiplications submitted to the facade.
-enum class Backend {
-  kSimulatedHardware,  ///< cycle-accurate accelerator model (default)
-  kSoftware,           ///< pure software SSA (no hardware modeling)
-};
-
 /// Top-level configuration of the public accelerator API.
 struct Config {
-  Backend backend = Backend::kSimulatedHardware;
   /// Registry key of the multiplier engine ("hw", "ssa", "classical",
-  /// "auto", ...). Empty selects from `backend` for compatibility:
-  /// kSimulatedHardware -> "hw", kSoftware -> "ssa". The "hw" and "ssa"
-  /// engines are instantiated with this config's `hardware` parameters;
-  /// other names come from the backend::Registry as-is.
-  std::string backend_name;
+  /// "auto", ...). The "hw" and "ssa" engines are instantiated with this
+  /// config's `hardware` parameters; other names come from the
+  /// backend::Registry as-is.
+  std::string backend_name = "hw";
   hw::AcceleratorConfig hardware = hw::AcceleratorConfig::paper();
   /// PE lanes of the core::Scheduler: worker threads, one backend instance
   /// each, mirroring the paper's array of processing elements. 0 selects
@@ -36,9 +28,6 @@ struct Config {
   /// The paper's prototype: 4 PEs, 200 MHz, 64*64*16 plan, 786,432-bit
   /// operands.
   static Config paper();
-
-  /// backend_name, or the name derived from `backend` when empty.
-  [[nodiscard]] std::string resolved_backend_name() const;
 
   /// num_workers, or the hardware thread count when 0 (at least 1).
   [[nodiscard]] unsigned resolved_num_workers() const noexcept;

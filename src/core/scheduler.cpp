@@ -1,7 +1,6 @@
 #include "core/scheduler.hpp"
 
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 
 #include "backend/hw_backend.hpp"
@@ -70,7 +69,7 @@ Scheduler::~Scheduler() {
 }
 
 std::shared_ptr<backend::MultiplierBackend> Scheduler::make_lane_backend() {
-  const std::string name = config_.resolved_backend_name();
+  const std::string& name = config_.backend_name;
   if (name == "hw") {
     // One simulated accelerator per lane, built with this scheduler's
     // hardware configuration (the paper's PE-array sharding).
@@ -227,75 +226,7 @@ std::future<BigUInt> Scheduler::submit(Job job) {
 }
 
 bool Scheduler::lanes_support_spectra() const {
-  return config_.resolved_backend_name() == "ssa";
-}
-
-namespace {
-
-/// Lane backend as an SsaBackend, or null for lanes that cannot speak
-/// spectrum handles.
-backend::SsaBackend* as_ssa(backend::MultiplierBackend& backend) {
-  return dynamic_cast<backend::SsaBackend*>(&backend);
-}
-
-}  // namespace
-
-std::future<ssa::SpectrumHandle> Scheduler::submit_spectrum_forward(BigUInt value,
-                                                                    ssa::SsaParams params) {
-  auto promise = std::make_shared<std::promise<ssa::SpectrumHandle>>();
-  std::future<ssa::SpectrumHandle> future = promise->get_future();
-  enqueue([value = std::move(value), params = std::move(params),
-           promise](backend::MultiplierBackend& backend) {
-    try {
-      backend::SsaBackend* ssa_backend = as_ssa(backend);
-      if (ssa_backend == nullptr) {
-        throw std::logic_error("spectrum job submitted to a non-ssa lane");
-      }
-      promise->set_value(ssa_backend->forward_spectrum(value, params));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
-}
-
-std::future<ssa::SpectrumHandle> Scheduler::submit_spectrum_multiply(ssa::SpectrumHandle a,
-                                                                     ssa::SpectrumHandle b,
-                                                                     ssa::SsaParams params) {
-  auto promise = std::make_shared<std::promise<ssa::SpectrumHandle>>();
-  std::future<ssa::SpectrumHandle> future = promise->get_future();
-  enqueue([a = std::move(a), b = std::move(b), params = std::move(params),
-           promise](backend::MultiplierBackend& backend) {
-    try {
-      backend::SsaBackend* ssa_backend = as_ssa(backend);
-      if (ssa_backend == nullptr) {
-        throw std::logic_error("spectrum job submitted to a non-ssa lane");
-      }
-      promise->set_value(ssa_backend->multiply_spectra(a, b, params));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
-}
-
-std::future<BigUInt> Scheduler::submit_spectrum_materialize(ssa::SpectrumHandle spectrum,
-                                                            ssa::SsaParams params) {
-  auto promise = std::make_shared<std::promise<BigUInt>>();
-  std::future<BigUInt> future = promise->get_future();
-  enqueue([spectrum = std::move(spectrum), params = std::move(params),
-           promise](backend::MultiplierBackend& backend) {
-    try {
-      backend::SsaBackend* ssa_backend = as_ssa(backend);
-      if (ssa_backend == nullptr) {
-        throw std::logic_error("spectrum job submitted to a non-ssa lane");
-      }
-      promise->set_value(ssa_backend->materialize_spectrum(*spectrum, params));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
+  return config_.backend_name == "ssa";
 }
 
 std::future<BigUInt> Scheduler::submit_multiply(BigUInt a, BigUInt b) {

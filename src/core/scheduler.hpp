@@ -13,7 +13,6 @@
 #include "backend/backend.hpp"
 #include "core/config.hpp"
 #include "ntt/tiling.hpp"
-#include "ssa/resident.hpp"
 #include "ssa/spectrum_cache.hpp"
 
 namespace hemul::core {
@@ -49,7 +48,7 @@ struct SchedulerStats {
 /// array of processing elements), fed from one work queue via an async
 /// submit()/future API.
 ///
-/// Lane engines follow Config::resolved_backend_name():
+/// Lane engines follow Config::backend_name:
 ///   - "hw"  -> one simulated accelerator per lane, built from
 ///              config.hardware (per-lane cycle accounting in LaneStats);
 ///   - "ssa" -> the adaptive software SSA engine per lane, all lanes
@@ -96,28 +95,11 @@ class Scheduler {
   /// Enqueues every job of the batch; futures are in job order.
   std::vector<std::future<bigint::BigUInt>> submit_batch(std::span<const backend::MulJob> jobs);
 
-  // ---- spectrum-resident job forms -----------------------------------
-  // Only meaningful when lanes_support_spectra(): the lanes' SsaBackends
-  // split the 3-transform multiply into its phases so the evaluator can
-  // keep wires in the NTT domain across wavefronts. Submitting these to
-  // non-"ssa" lanes fails the future with std::logic_error.
-
   /// True iff every lane runs the software SSA engine (the only backend
-  /// that speaks spectrum handles).
+  /// that speaks spectrum handles). fhe::Lanes reads it to decide whether
+  /// circuits evaluated on these lanes stay spectrum-resident; the
+  /// resident lane jobs themselves are plain submit() jobs.
   [[nodiscard]] bool lanes_support_spectra() const;
-
-  /// Enqueues one forward transform: value -> operand spectrum.
-  std::future<ssa::SpectrumHandle> submit_spectrum_forward(bigint::BigUInt value,
-                                                           ssa::SsaParams params);
-
-  /// Enqueues one pointwise product of two operand spectra.
-  std::future<ssa::SpectrumHandle> submit_spectrum_multiply(ssa::SpectrumHandle a,
-                                                            ssa::SpectrumHandle b,
-                                                            ssa::SsaParams params);
-
-  /// Enqueues one inverse transform + carry recovery: spectrum -> integer.
-  std::future<bigint::BigUInt> submit_spectrum_materialize(ssa::SpectrumHandle spectrum,
-                                                           ssa::SsaParams params);
 
   // ---- nested tile execution -----------------------------------------
   // The intra-op parallelism seam: a job already running on a lane splits
@@ -156,8 +138,8 @@ class Scheduler {
  private:
   /// Type-erased unit of work. The runner owns its promise (shared_ptr,
   /// since std::function requires copyable closures) and reports results /
-  /// exceptions through it, so one queue carries integer jobs and spectrum
-  /// jobs alike. `internal` marks tile-helper tasks spawned by run_tiles:
+  /// exceptions through it, so one queue carries submitted jobs and tile
+  /// helpers alike. `internal` marks tile-helper tasks spawned by run_tiles:
   /// they ride the same queue but do not count as submitted/completed jobs
   /// (SchedulerStats job counters describe the caller-visible workload).
   struct Task {

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -338,6 +340,183 @@ void EvalState::evict_spent_spectra(unsigned level) {
   for (const u32 id : evict_spectrum_[level]) evict(id, 1);
 }
 
+// --- level driver ----------------------------------------------------------
+
+Lanes::Lanes(core::Scheduler& scheduler)
+    : scheduler_(&scheduler), resident_(scheduler.lanes_support_spectra()) {}
+
+Lanes::Lanes(std::shared_ptr<backend::MultiplierBackend> engine)
+    : engine_(std::move(engine)),
+      resident_(dynamic_cast<backend::SsaBackend*>(engine_.get()) != nullptr) {
+  HEMUL_CHECK_MSG(engine_ != nullptr, "Lanes: null engine");
+}
+
+void Lanes::plan(EvalState& state) const {
+  if (!resident_) return;
+  state.enable_residency(ssa::SsaParams::for_bits(
+      state.graph().scheme().public_key().x0.bit_length(), ssa::kResidentHeadroomBits));
+}
+
+namespace {
+
+/// One lane job of a phase: the step it serves and the wire it computes.
+struct LaneJob {
+  std::size_t step = 0;
+  u32 wire = 0;
+};
+
+backend::SsaBackend& spectrum_lane(backend::MultiplierBackend& engine) {
+  auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
+  HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident level on a non-ssa lane");
+  return *ssa_engine;
+}
+
+/// Runs fn(job, engine) for every job where `lanes` runs them; results are
+/// in job order. On scheduler lanes a fault is caught inside the lane job
+/// into a per-job slot and merged into the owning step's fault slot here,
+/// on the coordinator, once every future is satisfied: no exception_ptr
+/// crosses threads (a rethrown exception's refcounted what()-string is
+/// invisible to TSan inside libstdc++ and reads as a race). Lane jobs only
+/// read coordinator state, which nothing writes while the phase runs.
+template <typename Result, typename Fn>
+std::vector<Result> run_jobs(const Lanes& lanes, std::span<LevelStep> steps,
+                             const std::vector<LaneJob>& jobs, const Fn& fn) {
+  std::vector<Result> results(jobs.size());
+  if (lanes.scheduler() == nullptr) {
+    for (std::size_t k = 0; k < jobs.size(); ++k) results[k] = fn(jobs[k], *lanes.engine());
+    return results;
+  }
+  std::vector<std::optional<std::string>> faults(jobs.size());
+  std::vector<std::future<bigint::BigUInt>> futures;
+  futures.reserve(jobs.size());
+  try {
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      futures.push_back(lanes.scheduler()->submit([&, k](backend::MultiplierBackend& engine) {
+        try {
+          results[k] = fn(jobs[k], engine);
+        } catch (const std::exception& e) {
+          faults[k] = e.what();
+        } catch (...) {
+          faults[k] = "unknown lane error";
+        }
+        return bigint::BigUInt{};
+      }));
+    }
+  } catch (...) {
+    for (auto& future : futures) future.wait();  // queued jobs reference this frame
+    throw;
+  }
+  for (auto& future : futures) future.get();
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    LevelStep& step = steps[jobs[k].step];
+    if (faults[k] && !step.fault) step.fault = std::move(faults[k]);
+  }
+  return results;
+}
+
+}  // namespace
+
+backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes) {
+  const auto state_of = [&](const LaneJob& job) -> EvalState& { return *steps[job.step].state; };
+  const auto healthy = [&](const LaneJob& job) { return !steps[job.step].fault; };
+  // One job per wire `plan(state, level)` lists, over every healthy step
+  // on the given protocol.
+  const auto collect = [&](bool resident, const auto& plan) {
+    std::vector<LaneJob> jobs;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const LevelStep& step = steps[s];
+      if (step.fault || step.state->residency_enabled() != resident) continue;
+      for (const u32 wire : plan(*step.state, step.level)) jobs.push_back({s, wire});
+    }
+    return jobs;
+  };
+  const auto wavefront = [](const EvalState& state, unsigned level) -> const std::vector<u32>& {
+    return state.wavefront(level);
+  };
+
+  // Resident phase 1: forward transforms of operand wires new to the domain.
+  const std::vector<LaneJob> forwards = collect(
+      true, [](const EvalState& state, unsigned level) { return state.spectrum_plan(level); });
+  std::vector<ssa::SpectrumHandle> entered = run_jobs<ssa::SpectrumHandle>(
+      lanes, steps, forwards, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
+        const EvalState& state = state_of(job);
+        return spectrum_lane(engine).forward_spectrum(state.wire_value(job.wire),
+                                                      state.spectrum_params());
+      });
+  for (std::size_t k = 0; k < forwards.size(); ++k) {
+    if (healthy(forwards[k])) {
+      state_of(forwards[k]).install_operand_spectrum(forwards[k].wire, std::move(entered[k]));
+    }
+  }
+
+  // Resident phase 2: every AND as one pointwise product.
+  const std::vector<LaneJob> products = collect(true, wavefront);
+  std::vector<ssa::SpectrumHandle> produced = run_jobs<ssa::SpectrumHandle>(
+      lanes, steps, products, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
+        const EvalState& state = state_of(job);
+        const auto [a, b] = state.graph().operands(Wire{job.wire});
+        return spectrum_lane(engine).multiply_spectra(
+            state.operand_spectrum(a.id), state.operand_spectrum(b.id), state.spectrum_params());
+      });
+  for (std::size_t k = 0; k < products.size(); ++k) {
+    if (healthy(products[k])) {
+      state_of(products[k]).install_product(products[k].wire, std::move(produced[k]));
+    }
+  }
+
+  // Resident phase 3: XOR folds stay in the domain (coordinator-side O(N)
+  // additions).
+  for (LevelStep& step : steps) {
+    if (!step.fault && step.state->residency_enabled()) step.state->fold_linear(step.level);
+  }
+
+  // Resident phase 4: one inverse per wire whose value leaves the domain.
+  const std::vector<LaneJob> leaves = collect(
+      true, [](const EvalState& state, unsigned level) { return state.materialize_plan(level); });
+  std::vector<bigint::BigUInt> raw = run_jobs<bigint::BigUInt>(
+      lanes, steps, leaves, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
+        const EvalState& state = state_of(job);
+        return spectrum_lane(engine).materialize_spectrum(*state.wire_spectrum(job.wire),
+                                                          state.spectrum_params());
+      });
+  for (std::size_t k = 0; k < leaves.size(); ++k) {
+    if (healthy(leaves[k])) {
+      state_of(leaves[k]).apply_materialized(leaves[k].wire, std::move(raw[k]));
+    }
+  }
+
+  // Eager states: one multiply per AND. Inline, the wavefront goes through
+  // the engine's multiply_batch (spectrum cache, hw cycle accounting).
+  const std::vector<LaneJob> gates = collect(false, wavefront);
+  backend::BatchStats batch;
+  std::vector<bigint::BigUInt> multiplied;
+  if (lanes.scheduler() == nullptr) {
+    std::vector<backend::MulJob> jobs;
+    jobs.reserve(gates.size());
+    for (const LaneJob& gate : gates) jobs.push_back(state_of(gate).gate_job(gate.wire));
+    if (!jobs.empty()) multiplied = lanes.engine()->multiply_batch(jobs, &batch);
+  } else {
+    multiplied = run_jobs<bigint::BigUInt>(
+        lanes, steps, gates, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
+          const EvalState& state = state_of(job);
+          const auto [a, b] = state.graph().operands(Wire{job.wire});
+          return engine.multiply(state.wire_value(a.id), state.wire_value(b.id));
+        });
+  }
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    if (healthy(gates[k])) {
+      state_of(gates[k]).apply_product(gates[k].wire, std::move(multiplied[k]));
+    }
+  }
+
+  for (LevelStep& step : steps) {
+    if (step.fault) continue;
+    step.state->sweep_linear(step.level);
+    step.state->evict_spent_spectra(step.level);
+  }
+  return batch;
+}
+
 // --- Evaluator -------------------------------------------------------------
 
 std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
@@ -370,188 +549,73 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
     report->wavefronts.reserve(state.max_level());
   }
 
-  std::shared_ptr<backend::MultiplierBackend> engine = engine_;
-  if (scheduler_ == nullptr && engine == nullptr) engine = scheme.engine();
-
-  // Spectrum residency: when every execution lane speaks spectrum handles
-  // (the software SSA engine), wires stay in the NTT domain across levels
-  // -- one forward per distinct operand wire, one pointwise product per
-  // AND, XOR folds as pointwise additions, one inverse only per wire whose
-  // value is consumed outside the domain. Any other engine (hw model,
-  // classical bigint, injected test backends) keeps the eager protocol.
-  backend::SsaBackend* resident_engine =
-      engine != nullptr ? dynamic_cast<backend::SsaBackend*>(engine.get()) : nullptr;
-  const bool resident =
-      scheduler_ != nullptr ? scheduler_->lanes_support_spectra() : resident_engine != nullptr;
-  if (resident) {
-    state.enable_residency(ssa::SsaParams::for_bits(scheme.public_key().x0.bit_length(),
-                                                    ssa::kResidentHeadroomBits));
-  }
+  const Lanes lanes = scheduler_ != nullptr
+                          ? Lanes(*scheduler_)
+                          : Lanes(engine_ != nullptr ? engine_ : scheme.engine());
+  lanes.plan(state);
+  const bool resident = state.residency_enabled();
   if (report != nullptr) report->spectrum_resident = resident;
 
+  // Per-wavefront lane/cache numbers on the scheduler path are before/after
+  // deltas of the scheduler-wide stats, and lane stats are booked only
+  // after each future is satisfied (so the delta needs a wait_idle). Both
+  // are observability-only: collect them just when a report was asked for,
+  // so reportless evaluation never blocks on (or misattributes) work other
+  // threads may be running on a shared scheduler.
+  const bool collect_stats = report != nullptr && scheduler_ != nullptr;
+
   for (unsigned level = 1; level <= state.max_level(); ++level) {
-    const std::vector<u32>& gates = state.wavefront(level);
     WavefrontStats wf;
     wf.level = level;
-    wf.and_gates = gates.size();
+    wf.and_gates = state.wavefront(level).size();
+    const ResidencyStats before_r = state.residency_stats();
+    core::SchedulerStats before;
+    if (collect_stats) before = scheduler_->stats();
 
     const auto t0 = Clock::now();
+    LevelStep step{&state, level, {}};
+    wf.batch = step_levels({&step, 1}, lanes);
+    if (step.fault) throw std::runtime_error("Evaluator: lane fault: " + *step.fault);
+    wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    if (report == nullptr) continue;
+
+    wf.lanes_used = wf.and_gates == 0 ? 0 : 1;
     if (resident) {
-      const ResidencyStats before_r = state.residency_stats();
-      const bool collect_stats = report != nullptr && scheduler_ != nullptr;
-      core::SchedulerStats before;
-      if (collect_stats) before = scheduler_->stats();
-      const ssa::SsaParams& params = state.spectrum_params();
-
-      // Phase 1: forward transforms of operand wires new to the domain.
-      const std::vector<u32> forwards = state.spectrum_plan(level);
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<ssa::SpectrumHandle>> futures;
-        futures.reserve(forwards.size());
-        for (const u32 w : forwards) {
-          futures.push_back(scheduler_->submit_spectrum_forward(state.wire_value(w), params));
-        }
-        for (std::size_t k = 0; k < forwards.size(); ++k) {
-          state.install_operand_spectrum(forwards[k], futures[k].get());
-        }
-      } else {
-        for (const u32 w : forwards) {
-          state.install_operand_spectrum(
-              w, resident_engine->forward_spectrum(state.wire_value(w), params));
-        }
-      }
-
-      // Phase 2: every AND of the wavefront as one pointwise product.
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<ssa::SpectrumHandle>> futures;
-        futures.reserve(gates.size());
-        for (const u32 id : gates) {
-          const auto [a, b] = graph.operands(Wire{id});
-          futures.push_back(scheduler_->submit_spectrum_multiply(
-              state.operand_spectrum(a.id), state.operand_spectrum(b.id), params));
-        }
-        for (std::size_t k = 0; k < gates.size(); ++k) {
-          state.install_product(gates[k], futures[k].get());
-        }
-      } else {
-        for (const u32 id : gates) {
-          const auto [a, b] = graph.operands(Wire{id});
-          state.install_product(id, resident_engine->multiply_spectra(
-                                        state.operand_spectrum(a.id),
-                                        state.operand_spectrum(b.id), params));
-        }
-      }
-
-      // Phase 3: XOR folds stay in the domain (coordinator-side O(N) adds).
-      state.fold_linear(level);
-
-      // Phase 4: one inverse per wire actually leaving the domain.
-      const std::vector<u32> leaves = state.materialize_plan(level);
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<bigint::BigUInt>> futures;
-        futures.reserve(leaves.size());
-        for (const u32 id : leaves) {
-          futures.push_back(
-              scheduler_->submit_spectrum_materialize(state.wire_spectrum(id), params));
-        }
-        for (std::size_t k = 0; k < leaves.size(); ++k) {
-          state.apply_materialized(leaves[k], futures[k].get());
-        }
-      } else {
-        for (const u32 id : leaves) {
-          state.apply_materialized(
-              id, resident_engine->materialize_spectrum(*state.wire_spectrum(id), params));
-        }
-      }
-
-      state.sweep_linear(level);
-      state.evict_spent_spectra(level);
-      wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-      if (report != nullptr) {
-        const ResidencyStats& after_r = state.residency_stats();
-        wf.spectra_cached = after_r.forward_transforms - before_r.forward_transforms;
-        wf.inverses_paid = after_r.inverse_transforms - before_r.inverse_transforms;
-        wf.folds = after_r.domain_additions - before_r.domain_additions;
-        // Residency's cache semantics: a "miss" enters a spectrum, a "hit"
-        // re-consumes a resident one (each gate touches two operands).
-        wf.cache_misses = wf.spectra_cached;
-        wf.cache_hits = 2 * wf.and_gates - std::min<u64>(wf.spectra_cached, 2 * wf.and_gates);
-        wf.transforms_avoided = static_cast<i64>(3 * wf.and_gates) -
-                                static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
-        wf.lanes_used = gates.empty() && forwards.empty() && leaves.empty() ? 0 : 1;
-        if (collect_stats) {
-          scheduler_->wait_idle();
-          const core::SchedulerStats after = scheduler_->stats();
-          wf.lanes_used = 0;
-          for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
-            const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
-            if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
-          }
-        }
-        report->and_gates += wf.and_gates;
-        report->wavefronts.push_back(std::move(wf));
-      }
-      continue;
-    }
-    std::vector<bigint::BigUInt> products;
-    if (scheduler_ != nullptr) {
-      // Per-wavefront lane/cache numbers are before/after deltas of the
-      // scheduler-wide stats, and lane stats are booked only after each
-      // future is satisfied (so the delta needs a wait_idle). Both are
-      // observability-only: collect them just when a report was asked for,
-      // so reportless evaluation never blocks on (or misattributes) work
-      // other threads may be running on a shared scheduler. Per-wavefront
-      // stats are accurate only when the scheduler is not shared
-      // concurrently during the evaluation.
-      const bool collect_stats = report != nullptr;
-      core::SchedulerStats before;
-      if (collect_stats) before = scheduler_->stats();
-      // Submit per gate (no intermediate MulJob vector): each queued job
-      // holds the only extra copy of its operand pair.
-      std::vector<std::future<bigint::BigUInt>> futures;
-      futures.reserve(gates.size());
-      for (const u32 id : gates) {
-        backend::MulJob job = state.gate_job(id);
-        futures.push_back(scheduler_->submit_multiply(std::move(job.first), std::move(job.second)));
-      }
-      products.reserve(futures.size());
-      for (auto& future : futures) products.push_back(future.get());
-      if (collect_stats) {
-        scheduler_->wait_idle();
-        const core::SchedulerStats after = scheduler_->stats();
-        wf.cache_hits = after.cache.hits - before.cache.hits;
-        wf.cache_misses = after.cache.misses - before.cache.misses;
-        wf.batch.jobs = gates.size();
-        wf.batch.spectrum_cache_hits = wf.cache_hits;
-        for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
-          const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
-          if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
-          wf.batch.total_cycles +=
-              after.lanes[lane].hw_cycles -
-              (lane < before.lanes.size() ? before.lanes[lane].hw_cycles : 0);
-        }
-      }
+      const ResidencyStats& after_r = state.residency_stats();
+      wf.spectra_cached = after_r.forward_transforms - before_r.forward_transforms;
+      wf.inverses_paid = after_r.inverse_transforms - before_r.inverse_transforms;
+      wf.folds = after_r.domain_additions - before_r.domain_additions;
+      // Residency's cache semantics: a "miss" enters a spectrum, a "hit"
+      // re-consumes a resident one (each gate touches two operands).
+      wf.cache_misses = wf.spectra_cached;
+      wf.cache_hits = 2 * wf.and_gates - std::min<u64>(wf.spectra_cached, 2 * wf.and_gates);
+      wf.transforms_avoided = static_cast<i64>(3 * wf.and_gates) -
+                              static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
     } else {
-      std::vector<backend::MulJob> jobs;
-      jobs.reserve(gates.size());
-      for (const u32 id : gates) jobs.push_back(state.gate_job(id));
-      products = engine->multiply_batch(jobs, &wf.batch);
       wf.cache_hits = wf.batch.spectrum_cache_hits;
       wf.cache_misses = wf.batch.forward_transforms;
-      wf.lanes_used = gates.empty() ? 0 : 1;
     }
-    wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-    for (std::size_t k = 0; k < gates.size(); ++k) {
-      state.apply_product(gates[k], std::move(products[k]));
+    if (collect_stats) {
+      scheduler_->wait_idle();
+      const core::SchedulerStats after = scheduler_->stats();
+      wf.lanes_used = 0;
+      for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
+        const bool known = lane < before.lanes.size();
+        if (after.lanes[lane].jobs > (known ? before.lanes[lane].jobs : 0)) ++wf.lanes_used;
+        if (!resident) {
+          wf.batch.total_cycles +=
+              after.lanes[lane].hw_cycles - (known ? before.lanes[lane].hw_cycles : 0);
+        }
+      }
+      if (!resident) {
+        wf.cache_hits = after.cache.hits - before.cache.hits;
+        wf.cache_misses = after.cache.misses - before.cache.misses;
+        wf.batch.jobs = wf.and_gates;
+        wf.batch.spectrum_cache_hits = wf.cache_hits;
+      }
     }
-    state.sweep_linear(level);
-
-    if (report != nullptr) {
-      report->and_gates += wf.and_gates;
-      report->wavefronts.push_back(std::move(wf));
-    }
+    report->and_gates += wf.and_gates;
+    report->wavefronts.push_back(std::move(wf));
   }
 
   if (report != nullptr && resident) report->residency = state.residency_stats();

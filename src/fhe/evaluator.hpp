@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -109,15 +110,16 @@ struct EvalOptions {
 /// a recorded Graph: dead-node elimination from the requested outputs,
 /// per-depth wavefront grouping, the pre-execution noise audit, XOR/input
 /// sweeps and AND-product completion (reduction modulo x0 + noise
-/// annotation). fhe::Evaluator drives one instance to completion in a
-/// single call; core::Service interleaves many instances one level per
-/// coalesced round. Keeping the rules here is what guarantees served
-/// results stay bit-exact against in-process evaluation.
+/// annotation). step_levels() advances instances one level at a time:
+/// fhe::Evaluator steps one instance to completion in a single call;
+/// core::Service steps many per coalesced round. Keeping the rules here is
+/// what guarantees served results stay bit-exact against in-process
+/// evaluation.
 ///
-/// Protocol per level L = 1..max_level(): obtain the gates of
-/// wavefront(L), multiply each gate_job() on any engine, hand every raw
-/// product back through apply_product(), then sweep_linear(L). Level 0
-/// (inputs and depth-0 XORs) is swept in the constructor.
+/// Eager protocol per level L = 1..max_level(): multiply each gate_job()
+/// of wavefront(L) on any engine, hand every raw product back through
+/// apply_product(), then sweep_linear(L). Level 0 (inputs and depth-0
+/// XORs) is swept in the constructor.
 class EvalState {
  public:
   /// Validates the output wires, eliminates dead nodes, levels the live
@@ -155,7 +157,8 @@ class EvalState {
 
   // --- spectrum-resident stepping ------------------------------------------
   // Opt-in alternative protocol per level L (engines that speak spectrum
-  // handles only -- SsaBackend / "ssa" scheduler lanes):
+  // handles only -- SsaBackend / "ssa" scheduler lanes; Lanes::plan()
+  // enables it):
   //   1. forward every wire of spectrum_plan(L), install_operand_spectrum();
   //   2. pointwise-multiply each wavefront gate's operand spectra,
   //      install_product();
@@ -239,16 +242,70 @@ class EvalState {
   ResidencyStats rstats_;
 };
 
+/// Where step_levels() runs its lane jobs: the PE lanes of a multi-PE
+/// core::Scheduler, or one engine inline on the calling thread. This is
+/// also the one place the residency decision is made: wires stay in the
+/// NTT domain iff every job target speaks spectrum handles -- all
+/// scheduler lanes are "ssa", or the engine is a backend::SsaBackend. Any
+/// other engine (hw model, classical bigint, injected test backends) runs
+/// the eager protocol: the hw model needs real operands, and a resident
+/// spectrum is an fp vector with a coefficient bound.
+class Lanes {
+ public:
+  /// Jobs run on the scheduler's lanes (non-owning; must outlive this).
+  explicit Lanes(core::Scheduler& scheduler);
+  /// Jobs run inline on `engine`, on the calling thread.
+  explicit Lanes(std::shared_ptr<backend::MultiplierBackend> engine);
+
+  [[nodiscard]] core::Scheduler* scheduler() const noexcept { return scheduler_; }
+  [[nodiscard]] backend::MultiplierBackend* engine() const noexcept { return engine_.get(); }
+
+  /// Enables residency on `state` (SSA geometry of its scheme's x0) when
+  /// the lanes speak spectra; leaves it on the eager protocol otherwise.
+  void plan(EvalState& state) const;
+
+ private:
+  core::Scheduler* scheduler_ = nullptr;
+  std::shared_ptr<backend::MultiplierBackend> engine_;
+  bool resident_ = false;
+};
+
+/// One participant of step_levels(): a state and the level it executes.
+struct LevelStep {
+  EvalState* state = nullptr;
+  unsigned level = 0;
+  /// First lane error of this step. A faulted state receives no further
+  /// installs and is not swept; the caller abandons it.
+  std::optional<std::string> fault;
+};
+
+/// The per-level protocol, written once: advances every step's state by
+/// its one level, fusing each phase across all of them. Resident states
+/// run the forwards of spectrum_plan(), one pointwise product per AND,
+/// fold_linear() and the inverses of materialize_plan(); eager states run
+/// one multiply per AND; every healthy state is then swept
+/// (sweep_linear, evict_spent_spectra).
+///
+/// On scheduler lanes a job's exception is caught inside the lane and its
+/// message lands in the step's fault slot, so the other steps of the batch
+/// carry on. Inline, jobs run on the calling thread and exceptions
+/// propagate. Inline eager wavefronts go through the engine's
+/// multiply_batch; its BatchStats (spectrum-cache hits, hw modeled cycles)
+/// are returned (zero otherwise).
+backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes);
+
 /// Wavefront executor for a recorded Graph: dead nodes (not reachable from
 /// the requested outputs) are eliminated, live AND gates are grouped by
-/// multiplicative depth, and each depth is issued as ONE batch -- to the
-/// multi-PE core::Scheduler when one is installed (every gate of the
-/// wavefront in flight across all lanes at once) or to the engine's
-/// spectrum-caching multiply_batch otherwise. XOR nodes are plain
-/// ciphertext additions evaluated between wavefronts.
+/// multiplicative depth, and each depth is issued as ONE step_levels()
+/// batch -- to the multi-PE core::Scheduler when one is installed (every
+/// job of the wavefront in flight across all lanes at once) or to one
+/// engine inline otherwise. XOR nodes are plain ciphertext additions (or
+/// spectrum folds) evaluated between wavefronts.
 ///
 /// Results are bit-exact against eager fhe::Circuits evaluation: the same
 /// products are taken modulo the same x0, only their grouping differs.
+/// A lane fault on the scheduler path throws std::runtime_error carrying
+/// the lane's message.
 class Evaluator {
  public:
   /// Executes AND wavefronts on the graph's scheme engine.

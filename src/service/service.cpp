@@ -8,11 +8,8 @@
 #include <utility>
 
 #include "backend/registry.hpp"
-#include "backend/ssa_backend.hpp"
-#include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/noise.hpp"
-#include "ssa/resident.hpp"
 #include "util/check.hpp"
 
 namespace hemul::core {
@@ -72,8 +69,6 @@ struct Service::Active {
   std::optional<fhe::EvalState> state;  ///< built once recording succeeded
   unsigned next_level = 1;
   Response response;  ///< counters filled as rounds execute
-  bool failed = false;
-  std::string fail_error;
 
   explicit Active(const fhe::Dghv& scheme) : graph(scheme) {}
 
@@ -418,40 +413,37 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
     return nullptr;
   }
 
-  // "ssa" lanes speak spectrum handles: serve this request through
-  // spectrum-resident rounds (its wire spectra live in its own EvalState).
-  if (scheduler_.lanes_support_spectra()) {
-    active->state->enable_residency(
-        ssa::SsaParams::for_bits(active->session->scheme.public_key().x0.bit_length(),
-                                 ssa::kResidentHeadroomBits));
-  }
+  // Spectrum-resident rounds when the lanes speak spectra (the request's
+  // wire spectra live in its own EvalState).
+  lanes_.plan(*active->state);
   return active;
 }
 
-void Service::retire_round(std::vector<std::unique_ptr<Active>>& active, bool resident) {
-  // Advance every participant one level; retire the finished and failed.
+void Service::retire_round(std::vector<std::unique_ptr<Active>>& active,
+                           std::span<const fhe::LevelStep> steps) {
+  // Retire the failed and the finished; the rest move on one level.
   std::vector<std::unique_ptr<Active>> still_running;
   still_running.reserve(active.size());
-  for (auto& request : active) {
-    if (request->failed) {
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    std::unique_ptr<Active>& request = active[k];
+    if (steps[k].fault) {
       Response response = std::move(request->response);
       response.status = ResponseStatus::kInternalError;
-      response.error = "execution failed: " + request->fail_error;
+      response.error = "execution failed: " + *steps[k].fault;
       complete(*request, std::move(response));
       continue;
     }
-    request->response.and_gates += request->state->wavefront(request->next_level).size();
+    const fhe::EvalState& state = *request->state;
+    request->response.and_gates += state.wavefront(request->next_level).size();
     ++request->response.shared_batches;
-    request->state->sweep_linear(request->next_level);
-    if (resident) request->state->evict_spent_spectra(request->next_level);
     ++request->next_level;
-    if (request->next_level > request->state->max_level()) {
+    if (request->next_level > state.max_level()) {
       Response response = std::move(request->response);
-      if (resident) {
-        const fhe::ResidencyStats& rs = request->state->residency_stats();
-        response.transforms_executed = rs.transforms_executed();
-        response.transforms_avoided = static_cast<i64>(3 * response.and_gates) -
-                                      static_cast<i64>(rs.transforms_executed());
+      if (state.residency_enabled()) {
+        const u64 executed = state.residency_stats().transforms_executed();
+        response.transforms_executed = executed;
+        response.transforms_avoided =
+            static_cast<i64>(3 * response.and_gates) - static_cast<i64>(executed);
       }
       response.outputs = request->serialize_outputs();
       complete(*request, std::move(response));
@@ -462,225 +454,20 @@ void Service::retire_round(std::vector<std::unique_ptr<Active>>& active, bool re
   active = std::move(still_running);
 }
 
-void Service::run_round_resident(std::vector<std::unique_ptr<Active>>& active) {
-  // The resident protocol, fused across tenants phase by phase. Faults are
-  // confined to fault slots exactly like the eager round: lane closures
-  // never let an exception cross threads (see run_round).
-  {
-    std::lock_guard lock(mutex_);
-    ++totals_.batches_submitted;
-    totals_.coalesced_requests += active.size();
-  }
-
-  struct SpectrumJob {
-    Active* request = nullptr;
-    u32 wire = 0;
-  };
-
-  // Phase A: forward transforms of operand wires new to the domain.
-  std::vector<SpectrumJob> forwards;
-  for (const auto& request : active) {
-    for (const u32 w : request->state->spectrum_plan(request->next_level)) {
-      forwards.push_back({request.get(), w});
-    }
-  }
-  {
-    std::vector<ssa::SpectrumHandle> slots(forwards.size());
-    std::vector<std::unique_ptr<std::string>> faults(forwards.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(forwards.size());
-    for (std::size_t k = 0; k < forwards.size(); ++k) {
-      auto [request, wire] = forwards[k];
-      futures.push_back(scheduler_.submit(
-          [value = request->state->wire_value(wire), params = request->state->spectrum_params(),
-           slot = &slots[k],
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              *slot = ssa_engine->forward_spectrum(value, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      futures[k].get();
-      auto [request, wire] = forwards[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->install_operand_spectrum(wire, std::move(slots[k]));
-      }
-    }
-  }
-
-  // Phase B: every ready AND gate across all tenants as pointwise products.
-  std::vector<SpectrumJob> gates;
-  for (const auto& request : active) {
-    if (request->failed) continue;
-    for (const u32 id : request->state->wavefront(request->next_level)) {
-      gates.push_back({request.get(), id});
-    }
-  }
-  {
-    std::vector<ssa::SpectrumHandle> slots(gates.size());
-    std::vector<std::unique_ptr<std::string>> faults(gates.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(gates.size());
-    for (std::size_t k = 0; k < gates.size(); ++k) {
-      auto [request, id] = gates[k];
-      const auto [a, b] = request->graph.operands(fhe::Wire{id});
-      futures.push_back(scheduler_.submit(
-          [sa = request->state->operand_spectrum(a.id),
-           sb = request->state->operand_spectrum(b.id),
-           params = request->state->spectrum_params(), slot = &slots[k],
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              *slot = ssa_engine->multiply_spectra(sa, sb, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      futures[k].get();
-      auto [request, id] = gates[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->install_product(id, std::move(slots[k]));
-      }
-    }
-  }
-
-  // Phase C: XOR folds are coordinator-side pointwise additions.
-  for (const auto& request : active) {
-    if (!request->failed) request->state->fold_linear(request->next_level);
-  }
-
-  // Phase D: one inverse per wire whose value leaves the domain.
-  std::vector<SpectrumJob> leaves;
-  for (const auto& request : active) {
-    if (request->failed) continue;
-    for (const u32 id : request->state->materialize_plan(request->next_level)) {
-      leaves.push_back({request.get(), id});
-    }
-  }
-  {
-    std::vector<std::unique_ptr<std::string>> faults(leaves.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(leaves.size());
-    for (std::size_t k = 0; k < leaves.size(); ++k) {
-      auto [request, id] = leaves[k];
-      futures.push_back(scheduler_.submit(
-          [spectrum = request->state->wire_spectrum(id),
-           params = request->state->spectrum_params(),
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              return ssa_engine->materialize_spectrum(*spectrum, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      bigint::BigUInt raw = futures[k].get();
-      auto [request, id] = leaves[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->apply_materialized(id, std::move(raw));
-      }
-    }
-  }
-
-  retire_round(active, /*resident=*/true);
-}
-
 void Service::run_round(std::vector<std::unique_ptr<Active>>& active) {
-  if (scheduler_.lanes_support_spectra()) {
-    run_round_resident(active);
-    return;
-  }
-
-  // Fuse the fronts: every request's next wavefront into ONE scheduler
-  // batch, so independent tenants at the same depth share the round.
-  std::vector<std::pair<Active*, u32>> owners;
-  for (const auto& request : active) {
-    for (const u32 id : request->state->wavefront(request->next_level)) {
-      owners.emplace_back(request.get(), id);
-    }
-  }
-  HEMUL_CHECK_MSG(!owners.empty(), "Service: round with no ready gates");
   {
     std::lock_guard lock(mutex_);
     ++totals_.batches_submitted;
     totals_.coalesced_requests += active.size();
   }
-
-  // A lane exception (engine limits, faulting backend) must fail THIS
-  // request while the coordinator -- and every other tenant -- lives on.
-  // Faults are confined to the lane thread and reported through per-gate
-  // slots (published to the coordinator by the promise/future handoff of
-  // each job) rather than exception_ptr: a rethrown exception's refcounted
-  // what()-string crossing threads is invisible to TSan inside libstdc++
-  // and reads as a race.
-  std::vector<std::unique_ptr<std::string>> faults(owners.size());
-  std::vector<std::future<bigint::BigUInt>> futures;
-  futures.reserve(owners.size());
-  for (std::size_t k = 0; k < owners.size(); ++k) {
-    auto [request, id] = owners[k];
-    backend::MulJob job = request->state->gate_job(id);
-    futures.push_back(scheduler_.submit(
-        [a = std::move(job.first), b = std::move(job.second),
-         fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-          try {
-            return engine.multiply(a, b);
-          } catch (const std::exception& e) {
-            *fault = std::make_unique<std::string>(e.what());
-          } catch (...) {
-            *fault = std::make_unique<std::string>("unknown lane error");
-          }
-          return bigint::BigUInt{};
-        }));
-  }
-  for (std::size_t k = 0; k < futures.size(); ++k) {
-    auto [request, id] = owners[k];
-    bigint::BigUInt product = futures[k].get();
-    if (faults[k] != nullptr) {
-      if (!request->failed) {
-        request->failed = true;
-        request->fail_error = *faults[k];
-      }
-    } else if (!request->failed) {
-      request->state->apply_product(id, std::move(product));
-    }
-  }
-
-  retire_round(active, /*resident=*/false);
+  // Fuse the fronts: every request's next level goes through one
+  // step_levels call, so independent tenants at the same depth share each
+  // phase's scheduler batch. A lane fault fails only its own request.
+  std::vector<fhe::LevelStep> steps;
+  steps.reserve(active.size());
+  for (const auto& request : active) steps.push_back({&*request->state, request->next_level, {}});
+  fhe::step_levels(steps, lanes_);
+  retire_round(active, steps);
 }
 
 void Service::coordinator_loop() {

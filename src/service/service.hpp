@@ -5,6 +5,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/dghv.hpp"
+#include "fhe/evaluator.hpp"
 #include "service/request.hpp"
 
 namespace hemul::core {
@@ -69,11 +71,14 @@ class SessionTableFull : public std::runtime_error {
 /// this class.
 ///
 /// Cross-request batching: a coordinator thread advances every in-flight
-/// request one wavefront at a time and fuses the fronts -- all ready AND
-/// gates across *all* tenants go to the scheduler as ONE batch per round,
-/// so independent requests at the same multiplicative depth share scheduler
-/// batches (and the spectrum cache) instead of being serialized per caller.
-/// stats().batches_submitted < requests whenever tenants overlap.
+/// request one level per round through the same fhe::step_levels driver
+/// fhe::Evaluator uses, and fuses the fronts -- each phase's lane jobs
+/// across *all* tenants go to the scheduler as ONE batch, so independent
+/// requests at the same multiplicative depth share scheduler batches
+/// instead of being serialized per caller. Requests run spectrum-resident
+/// on "ssa" lanes and eager on any other engine. A lane fault fails only
+/// the request it served. stats().batches_submitted < requests whenever
+/// tenants overlap.
 ///
 /// Thread safety: create_session / submit / stats are safe from any
 /// thread. A session's scheme() reference is safe for concurrent
@@ -145,20 +150,18 @@ class Service {
   /// immediately on parse errors, noise veto, or a multiplication-free
   /// circuit. Returns the active state otherwise.
   std::unique_ptr<Active> admit(Pending&& pending);
-  /// Runs one coalesced round over `active`: one scheduler batch holding
-  /// every request's next wavefront. Completed requests are removed.
+  /// Runs one coalesced round over `active`: one fhe::step_levels call
+  /// advancing every request one level. Completed requests are removed.
   void run_round(std::vector<std::unique_ptr<Active>>& active);
-  /// The spectrum-resident round ("ssa" lanes only): forwards, pointwise
-  /// products, coordinator-side XOR folds, then one inverse per wire whose
-  /// value leaves the NTT domain -- fused across all tenants per phase.
-  void run_round_resident(std::vector<std::unique_ptr<Active>>& active);
-  /// Retires finished / failed requests after a round and advances the
-  /// rest one level.
-  void retire_round(std::vector<std::unique_ptr<Active>>& active, bool resident);
+  /// Retires finished / failed requests after a round (steps[k] is
+  /// active[k]'s) and advances the rest one level.
+  void retire_round(std::vector<std::unique_ptr<Active>>& active,
+                    std::span<const fhe::LevelStep> steps);
   void complete(Active& request, Response response);
 
   ServiceOptions options_;
   Scheduler scheduler_;
+  fhe::Lanes lanes_{scheduler_};  ///< round jobs run on the scheduler's lanes
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< pending work or shutdown

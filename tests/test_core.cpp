@@ -11,7 +11,7 @@ using bigint::BigUInt;
 
 TEST(Config, PaperDefaults) {
   const Config config = Config::paper();
-  EXPECT_EQ(config.backend, Backend::kSimulatedHardware);
+  EXPECT_EQ(config.backend_name, "hw");
   EXPECT_EQ(config.hardware.ntt.num_pes, 4u);
   EXPECT_DOUBLE_EQ(config.hardware.clock_ns, 5.0);
   EXPECT_EQ(config.hardware.ntt.plan.describe(), "64*64*16");
@@ -27,7 +27,7 @@ TEST(Config, MismatchDetected) {
 TEST(Accelerator, HardwareAndSoftwareBackendsAgree) {
   Config hw_config = Config::paper();
   Config sw_config = Config::paper();
-  sw_config.backend = Backend::kSoftware;
+  sw_config.backend_name = "ssa";
   Accelerator hw(hw_config);
   Accelerator sw(sw_config);
 
@@ -67,7 +67,7 @@ TEST(Accelerator, NttRoundTripThroughFacade) {
 
 TEST(Accelerator, SoftwareBackendRejectsNttAccess) {
   Config config = Config::paper();
-  config.backend = Backend::kSoftware;
+  config.backend_name = "ssa";
   Accelerator accel(config);
   fp::FpVec data(65536, fp::kZero);
   EXPECT_THROW((void)accel.ntt_forward(data), std::logic_error);

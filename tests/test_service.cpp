@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "backend/registry.hpp"
+#include "bigint/mul.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/serialize.hpp"
@@ -40,6 +43,25 @@ fhe::Bytes concat(const fhe::Bytes& a, const fhe::Bytes& b) {
 u64 decrypt_response(const fhe::Dghv& scheme, const Response& response) {
   const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(response.outputs);
   return fhe::decrypt_int(scheme, fhe::EncryptedInt(outputs.begin(), outputs.end()));
+}
+
+/// Registers "faulty": an engine whose every multiply throws.
+void register_faulty_backend() {
+  backend::Registry::instance().add("faulty", [] {
+    return std::make_shared<backend::FunctionBackend>(
+        [](const bigint::BigUInt&, const bigint::BigUInt&) -> bigint::BigUInt {
+          throw std::runtime_error("injected lane fault");
+        },
+        "faulty");
+  });
+}
+
+Request and_request(fhe::Dghv& scheme, bool a, bool b) {
+  Request request;
+  request.spec.kind = CircuitKind::kAnd;
+  request.inputs = concat(fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(a)}),
+                          fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(b)}));
+  return request;
 }
 
 // --- end-to-end builtin circuits -------------------------------------------
@@ -344,13 +366,7 @@ TEST(ServiceTest, LaneExceptionFailsOneRequestNotTheService) {
   // A backend that throws mid-execution must surface as kInternalError on
   // the offending request while the coordinator -- and other tenants --
   // keep serving.
-  backend::Registry::instance().add("faulty", [] {
-    return std::make_shared<backend::FunctionBackend>(
-        [](const bigint::BigUInt&, const bigint::BigUInt&) -> bigint::BigUInt {
-          throw std::runtime_error("injected lane fault");
-        },
-        "faulty");
-  });
+  register_faulty_backend();
 
   ServiceOptions options;
   options.config.backend_name = "faulty";
@@ -384,6 +400,85 @@ TEST(ServiceTest, LaneExceptionFailsOneRequestNotTheService) {
   const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(alive.outputs);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(scheme.decrypt(outputs[0]));
+}
+
+TEST(ServiceTest, LaneFaultFailsOnlyItsRequestWithinOneCoalescedRound) {
+  // Two tenants share one round; the lane faults only on the deep tenant's
+  // operands. The deep request fails, its toy neighbour in the same batch
+  // completes.
+  constexpr std::size_t kToyGammaBits = 4096;
+  backend::Registry::instance().add("narrow", [] {
+    return std::make_shared<backend::FunctionBackend>(
+        [](const bigint::BigUInt& a, const bigint::BigUInt& b) -> bigint::BigUInt {
+          if (a.bit_length() > kToyGammaBits || b.bit_length() > kToyGammaBits) {
+            throw std::runtime_error("operand wider than the narrow lane");
+          }
+          return bigint::mul_karatsuba(a, b);
+        },
+        "narrow");
+  });
+
+  ServiceOptions options;
+  options.config.backend_name = "narrow";
+  options.config.num_workers = 1;
+  options.admission_window_ms = 250.0;
+  Service service(options);
+  const SessionId toy = service.create_session(DghvParams::toy(), 71);
+  const SessionId deep = service.create_session(DghvParams::deep(), 72);
+  Request toy_and = and_request(service.scheme(toy), true, true);
+  Request deep_and = and_request(service.scheme(deep), true, true);
+
+  const ServiceStats before = service.stats();
+  auto toy_future = service.submit(toy, std::move(toy_and));
+  auto deep_future = service.submit(deep, std::move(deep_and));
+  const Response toy_response = toy_future.get();
+  const Response deep_response = deep_future.get();
+
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.batches_submitted, before.batches_submitted + 1);
+  EXPECT_EQ(after.coalesced_requests, before.coalesced_requests + 2);
+
+  EXPECT_EQ(deep_response.status, ResponseStatus::kInternalError);
+  EXPECT_NE(deep_response.error.find("operand wider than the narrow lane"), std::string::npos)
+      << deep_response.error;
+  ASSERT_TRUE(toy_response.ok()) << toy_response.error;
+  const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(toy_response.outputs);
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_TRUE(service.scheme(toy).decrypt(outputs[0]));
+  EXPECT_EQ(after.internal_errors, 1u);
+  EXPECT_EQ(after.completed, 1u);
+}
+
+TEST(ServiceTest, EvaluatorOnFaultingLanesThrowsAndLeavesTheSchedulerUsable) {
+  // In-process evaluation on scheduler lanes shares the Service's fault
+  // path: the lane's message surfaces as an exception, and the scheduler
+  // has no job left behind.
+  register_faulty_backend();
+  Config config;
+  config.backend_name = "faulty";
+  config.num_workers = 2;
+  Scheduler scheduler(config);
+
+  fhe::Dghv scheme(DghvParams::toy(), 73);
+  fhe::Graph graph(scheme);
+  const fhe::Wire a = graph.input(scheme.encrypt(true));
+  const fhe::Wire b = graph.input(scheme.encrypt(true));
+  const std::vector<fhe::Wire> outputs = {graph.gate_and(a, b), graph.gate_and(a, a)};
+
+  fhe::Evaluator evaluator(scheduler);
+  try {
+    (void)evaluator.evaluate(graph, outputs);
+    ADD_FAILURE() << "evaluation on faulting lanes must throw";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("injected lane fault"), std::string::npos) << e.what();
+  }
+
+  scheduler.wait_idle();
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.completed, stats.submitted);
+  const bigint::BigUInt constant =
+      scheduler.submit([](backend::MultiplierBackend&) { return bigint::BigUInt(42); }).get();
+  EXPECT_EQ(constant, bigint::BigUInt(42));
 }
 
 // --- concurrency (the TSan cell runs this suite) ---------------------------
