@@ -6,6 +6,7 @@
 #include "backend/classical.hpp"
 #include "backend/hw_backend.hpp"
 #include "backend/ssa_backend.hpp"
+#include "bigint/div.hpp"
 #include "bigint/mul.hpp"
 #include "ssa/multiply.hpp"
 
@@ -52,6 +53,10 @@ class AutoBackend final : public MultiplierBackend {
   ClassicalBackend classical_;
   SsaBackend ssa_;
 };
+
+// Division's Barrett branch (bigint/div.hpp) starts where both of its
+// reduction products, q * mu and q * m, are wide enough for the SSA path.
+static_assert(64 * (bigint::kBarrettThresholdLimbs - 1) >= kSsaDispatchBits);
 
 /// bigint dispatch hook: the function-pointer seam cannot capture state, so
 /// it re-implements the auto policy with the registry's building blocks.

@@ -152,4 +152,13 @@ void BigUInt::trim() noexcept {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
 }
 
+u64 hash_limbs(const BigUInt& x) noexcept {
+  u64 h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const u64 limb : x.limbs()) {
+    h ^= limb;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace hemul::bigint

@@ -88,7 +88,8 @@ class BigUInt {
   /// Multiplication through the size-adaptive dispatcher (see mul.hpp).
   friend BigUInt operator*(const BigUInt& a, const BigUInt& b);
 
-  /// Knuth Algorithm D division (see div.hpp). Divisor must be nonzero.
+  /// Division through the size-adaptive dispatcher (see div.hpp). Divisor
+  /// must be nonzero.
   friend BigUInt operator/(const BigUInt& a, const BigUInt& b);
   friend BigUInt operator%(const BigUInt& a, const BigUInt& b);
 
@@ -122,7 +123,12 @@ struct DivModResult {
   BigUInt remainder;
 };
 
-/// Quotient and remainder in one pass. Divisor must be nonzero.
+/// Quotient and remainder in one pass (see div.hpp for the method
+/// dispatch). Divisor must be nonzero.
 DivModResult divmod(const BigUInt& a, const BigUInt& b);
+
+/// FNV-1a over the limb vector: the key hash of the value-keyed caches
+/// (equal values hash equally; callers compare values on a hit).
+[[nodiscard]] u64 hash_limbs(const BigUInt& x) noexcept;
 
 }  // namespace hemul::bigint

@@ -1,10 +1,108 @@
 #include "bigint/div.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
+#include <vector>
 
+#include "bigint/barrett.hpp"
 #include "util/check.hpp"
 
 namespace hemul::bigint {
+
+namespace {
+
+/// The Barrett reducers behind large divisions, keyed by modulus value.
+/// The hash covers the limbs and an exact compare guards every hit, so
+/// collisions cost a probe, never correctness. A reducer is built lazily,
+/// by the first division that needs it, outside the cache lock. At most
+/// kReciprocalCacheCapacity entries are kept, the least recently used
+/// going first; reducers are held by shared_ptr, so an evicted one stays
+/// alive for the divisions still using it.
+class ReciprocalCache {
+ public:
+  [[nodiscard]] std::shared_ptr<const BarrettReducer> get(const BigUInt& modulus) {
+    const u64 hash = hash_limbs(modulus);
+    std::shared_ptr<Entry> entry;
+    {
+      const std::shared_lock lock(mutex_);
+      entry = find(hash, modulus);
+    }
+    if (entry == nullptr) {
+      const std::unique_lock lock(mutex_);
+      entry = find(hash, modulus);
+      if (entry == nullptr) entry = insert(hash, modulus);
+    }
+    // Building under the entry's own mutex makes later arrivals wait for
+    // the reducer instead of building it again; if the build throws, the
+    // next arrival tries afresh.
+    std::shared_ptr<const BarrettReducer> reducer;
+    bool built_here = false;
+    {
+      const std::lock_guard lock(entry->build_mutex);
+      if (entry->reducer == nullptr) {
+        entry->reducer = std::make_shared<const BarrettReducer>(entry->modulus);
+        built_here = true;
+      }
+      reducer = entry->reducer;
+    }
+    ++(built_here ? misses_ : hits_);
+    entry->last_use = clock_++;
+    return reducer;
+  }
+
+  [[nodiscard]] ReciprocalCacheStats stats() const {
+    const std::shared_lock lock(mutex_);
+    return {hits_, misses_, entries_.size()};
+  }
+
+ private:
+  struct Entry {
+    Entry(u64 h, BigUInt m) : hash(h), modulus(std::move(m)) {}
+    const u64 hash;
+    const BigUInt modulus;
+    std::mutex build_mutex;
+    std::shared_ptr<const BarrettReducer> reducer;  ///< guarded by build_mutex
+    std::atomic<u64> last_use{0};
+  };
+
+  std::shared_ptr<Entry> find(u64 hash, const BigUInt& modulus) const {
+    for (const std::shared_ptr<Entry>& entry : entries_) {
+      if (entry->hash == hash && entry->modulus == modulus) return entry;
+    }
+    return nullptr;
+  }
+
+  std::shared_ptr<Entry> insert(u64 hash, const BigUInt& modulus) {
+    if (entries_.size() == kReciprocalCacheCapacity) {
+      const auto older = [](const std::shared_ptr<Entry>& a, const std::shared_ptr<Entry>& b) {
+        return a->last_use < b->last_use;
+      };
+      entries_.erase(std::min_element(entries_.begin(), entries_.end(), older));
+    }
+    entries_.push_back(std::make_shared<Entry>(hash, modulus));
+    entries_.back()->last_use = clock_++;
+    return entries_.back();
+  }
+
+  mutable std::shared_mutex mutex_;
+  std::vector<std::shared_ptr<Entry>> entries_;
+  std::atomic<u64> clock_{0};
+  std::atomic<u64> hits_{0};
+  std::atomic<u64> misses_{0};
+};
+
+ReciprocalCache& reciprocals() {
+  static ReciprocalCache cache;
+  return cache;
+}
+
+}  // namespace
+
+ReciprocalCacheStats reciprocal_cache_stats() { return reciprocals().stats(); }
 
 DivSmallResult divmod_small(const BigUInt& dividend, u64 divisor) {
   if (divisor == 0) throw std::domain_error("division by zero");
@@ -98,11 +196,22 @@ DivModResult divmod_knuth(const BigUInt& dividend, const BigUInt& divisor) {
   return {BigUInt::from_limbs(std::move(q)), std::move(rem)};
 }
 
-DivModResult divmod(const BigUInt& a, const BigUInt& b) { return divmod_knuth(a, b); }
+DivModResult divmod(const BigUInt& a, const BigUInt& b) {
+  // Barrett needs a long divisor, a long quotient and a < m^2. Bit lengths
+  // settle a >= m^2 without the cache when a has more bits than m^2 can;
+  // otherwise the cached m^2 decides.
+  const std::size_t n = b.limb_count();
+  if (n >= kBarrettThresholdLimbs && a.limb_count() >= n + kBarrettThresholdLimbs &&
+      a.bit_length() <= 2 * b.bit_length()) {
+    const std::shared_ptr<const BarrettReducer> reducer = reciprocals().get(b);
+    if (a < reducer->modulus_squared()) return reducer->divmod(a);
+  }
+  return divmod_knuth(a, b);
+}
 
-BigUInt operator/(const BigUInt& a, const BigUInt& b) { return divmod_knuth(a, b).quotient; }
+BigUInt operator/(const BigUInt& a, const BigUInt& b) { return divmod(a, b).quotient; }
 
-BigUInt operator%(const BigUInt& a, const BigUInt& b) { return divmod_knuth(a, b).remainder; }
+BigUInt operator%(const BigUInt& a, const BigUInt& b) { return divmod(a, b).remainder; }
 
 CenteredResidue mod_centered(const BigUInt& a, const BigUInt& m) {
   BigUInt r = a % m;

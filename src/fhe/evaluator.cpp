@@ -93,9 +93,13 @@ backend::MulJob EvalState::gate_job(u32 id) const {
   return {values_[a.id].value, values_[b.id].value};
 }
 
+const bigint::BigUInt& EvalState::modulus() const noexcept {
+  return graph_->scheme().public_key().x0;
+}
+
 void EvalState::apply_product(u32 id, bigint::BigUInt product) {
-  values_[id] = {std::move(product) % graph_->scheme().public_key().x0,
-                 graph_->predicted_noise_bits(Wire{id})};
+  HEMUL_CHECK_MSG(product < modulus(), "EvalState: gate product not reduced modulo x0");
+  values_[id] = {std::move(product), graph_->predicted_noise_bits(Wire{id})};
 }
 
 void EvalState::sweep_linear(unsigned level) {
@@ -328,10 +332,10 @@ ssa::SpectrumHandle EvalState::wire_spectrum(u32 id) const {
   return *handle;
 }
 
-void EvalState::apply_materialized(u32 id, bigint::BigUInt raw) {
+void EvalState::apply_materialized(u32 id, bigint::BigUInt value) {
+  HEMUL_CHECK_MSG(value < modulus(), "EvalState: materialized wire not reduced modulo x0");
   ++rstats_.inverse_transforms;
-  values_[id] = {std::move(raw) % graph_->scheme().public_key().x0,
-                 graph_->predicted_noise_bits(Wire{id})};
+  values_[id] = {std::move(value), graph_->predicted_noise_bits(Wire{id})};
 }
 
 void EvalState::evict_spent_spectra(unsigned level) {
@@ -470,23 +474,26 @@ backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes) 
     if (!step.fault && step.state->residency_enabled()) step.state->fold_linear(step.level);
   }
 
-  // Resident phase 4: one inverse per wire whose value leaves the domain.
+  // Resident phase 4: one inverse per wire whose value leaves the domain,
+  // reduced modulo x0 by the same lane job.
   const std::vector<LaneJob> leaves = collect(
       true, [](const EvalState& state, unsigned level) { return state.materialize_plan(level); });
-  std::vector<bigint::BigUInt> raw = run_jobs<bigint::BigUInt>(
+  std::vector<bigint::BigUInt> materialized = run_jobs<bigint::BigUInt>(
       lanes, steps, leaves, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
         const EvalState& state = state_of(job);
         return spectrum_lane(engine).materialize_spectrum(*state.wire_spectrum(job.wire),
-                                                          state.spectrum_params());
+                                                          state.spectrum_params()) %
+               state.modulus();
       });
   for (std::size_t k = 0; k < leaves.size(); ++k) {
     if (healthy(leaves[k])) {
-      state_of(leaves[k]).apply_materialized(leaves[k].wire, std::move(raw[k]));
+      state_of(leaves[k]).apply_materialized(leaves[k].wire, std::move(materialized[k]));
     }
   }
 
-  // Eager states: one multiply per AND. Inline, the wavefront goes through
-  // the engine's multiply_batch (spectrum cache, hw cycle accounting).
+  // Eager states: one multiply per AND, reduced modulo x0 by the lane job.
+  // Inline, the wavefront goes through the engine's multiply_batch
+  // (spectrum cache, hw cycle accounting) and the caller reduces.
   const std::vector<LaneJob> gates = collect(false, wavefront);
   backend::BatchStats batch;
   std::vector<bigint::BigUInt> multiplied;
@@ -495,12 +502,16 @@ backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes) 
     jobs.reserve(gates.size());
     for (const LaneJob& gate : gates) jobs.push_back(state_of(gate).gate_job(gate.wire));
     if (!jobs.empty()) multiplied = lanes.engine()->multiply_batch(jobs, &batch);
+    for (std::size_t k = 0; k < gates.size(); ++k) {
+      multiplied[k] = std::move(multiplied[k]) % state_of(gates[k]).modulus();
+    }
   } else {
     multiplied = run_jobs<bigint::BigUInt>(
         lanes, steps, gates, [&](const LaneJob& job, backend::MultiplierBackend& engine) {
           const EvalState& state = state_of(job);
           const auto [a, b] = state.graph().operands(Wire{job.wire});
-          return engine.multiply(state.wire_value(a.id), state.wire_value(b.id));
+          return engine.multiply(state.wire_value(a.id), state.wire_value(b.id)) %
+                 state.modulus();
         });
   }
   for (std::size_t k = 0; k < gates.size(); ++k) {

@@ -109,17 +109,18 @@ struct EvalOptions {
 /// The stepping core of wavefront evaluation, shared by every executor of
 /// a recorded Graph: dead-node elimination from the requested outputs,
 /// per-depth wavefront grouping, the pre-execution noise audit, XOR/input
-/// sweeps and AND-product completion (reduction modulo x0 + noise
-/// annotation). step_levels() advances instances one level at a time:
-/// fhe::Evaluator steps one instance to completion in a single call;
+/// sweeps and AND-product completion (noise annotation of products already
+/// reduced modulo x0). step_levels() advances instances one level at a
+/// time: fhe::Evaluator steps one instance to completion in a single call;
 /// core::Service steps many per coalesced round. Keeping the rules here is
 /// what guarantees served results stay bit-exact against in-process
 /// evaluation.
 ///
 /// Eager protocol per level L = 1..max_level(): multiply each gate_job()
-/// of wavefront(L) on any engine, hand every raw product back through
-/// apply_product(), then sweep_linear(L). Level 0 (inputs and depth-0
-/// XORs) is swept in the constructor.
+/// of wavefront(L) on any engine, reduce the product with `% modulus()`
+/// where it was computed, hand it back through apply_product(), then
+/// sweep_linear(L). Level 0 (inputs and depth-0 XORs) is swept in the
+/// constructor.
 class EvalState {
  public:
   /// Validates the output wires, eliminates dead nodes, levels the live
@@ -144,8 +145,12 @@ class EvalState {
   [[nodiscard]] const std::vector<u32>& wavefront(unsigned level) const;
   /// The operand pair of a wavefront gate, materialized for an engine.
   [[nodiscard]] backend::MulJob gate_job(u32 id) const;
-  /// Completes gate `id` with its raw product: reduces modulo the
-  /// scheme's x0 and annotates the analytic noise estimate.
+  /// The scheme's public modulus x0, which every installed value is
+  /// reduced by.
+  [[nodiscard]] const bigint::BigUInt& modulus() const noexcept;
+  /// Completes gate `id` with its product already reduced modulo x0
+  /// (checked): installs it with the analytic noise estimate. No
+  /// multiplication or division happens here.
   void apply_product(u32 id, bigint::BigUInt product);
   /// Evaluates the live inputs/XOR additions at one depth (call after the
   /// level's AND products are applied; the constructor sweeps level 0).
@@ -165,7 +170,7 @@ class EvalState {
   //   3. fold_linear(L): XOR gates over in-domain products become pointwise
   //      spectrum additions (lazy coefficients, bound-tracked);
   //   4. materialize every wire of materialize_plan(L) (one inverse each),
-  //      apply_materialized();
+  //      reduce it modulo x0, apply_materialized();
   //   5. sweep_linear(L) for the remaining eager XORs;
   //   6. evict_spent_spectra(L).
   // Results are bit-exact against the eager protocol: spectrum sums stand
@@ -203,9 +208,10 @@ class EvalState {
   /// The product/sum spectrum standing for wire `id`.
   [[nodiscard]] ssa::SpectrumHandle wire_spectrum(u32 id) const;
 
-  /// Completes a materialization with the raw integer the spectrum stood
-  /// for: reduces modulo x0 and annotates the analytic noise estimate.
-  void apply_materialized(u32 id, bigint::BigUInt raw);
+  /// Completes a materialization with the integer the spectrum stood for,
+  /// already reduced modulo x0 (checked): installs it with the analytic
+  /// noise estimate.
+  void apply_materialized(u32 id, bigint::BigUInt value);
 
   /// Drops every resident spectrum whose last consumer was this level
   /// (single-use operands leave after the wavefront that consumed them).
@@ -285,6 +291,13 @@ struct LevelStep {
 /// fold_linear() and the inverses of materialize_plan(); eager states run
 /// one multiply per AND; every healthy state is then swept
 /// (sweep_linear, evict_spent_spectra).
+///
+/// Products and materialized wires are reduced modulo x0 (`%`, which runs
+/// a cached Barrett reduction for paper-size moduli, see bigint/div.hpp)
+/// inside the lane job that computed them, or on the calling thread right
+/// after multiply_batch inline; the coordinator only installs values. The
+/// reduction's products go through bigint's dispatch hook, not the lane
+/// engine, so lane and backend transform counters do not see them.
 ///
 /// On scheduler lanes a job's exception is caught inside the lane and its
 /// message lands in the step's fault slot, so the other steps of the batch

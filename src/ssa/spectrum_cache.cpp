@@ -4,25 +4,11 @@
 
 namespace hemul::ssa {
 
-namespace {
-
-/// FNV-1a over the limb vector.
-u64 operand_hash(const bigint::BigUInt& operand) noexcept {
-  u64 h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const u64 limb : operand.limbs()) {
-    h ^= limb;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 u64 ConcurrentSpectrumCache::key_hash(const bigint::BigUInt& operand,
                                       const SsaParams& params) noexcept {
   // Fold the packing geometry in so equal operands under different
   // parameterizations land in different buckets.
-  u64 h = operand_hash(operand);
+  u64 h = bigint::hash_limbs(operand);
   h ^= static_cast<u64>(params.coeff_bits) * 0x9E3779B97F4A7C15ULL;
   h ^= params.transform_size * 0xC2B2AE3D27D4EB4FULL;
   return h;
@@ -92,14 +78,14 @@ BatchSpectrumProvider::BatchSpectrumProvider(
     TransformFn forward)
     : forward_(std::move(forward)), params_(params) {
   for (const auto& [a, b] : jobs) {
-    ++occurrences_[operand_hash(a)];
-    ++occurrences_[operand_hash(b)];
+    ++occurrences_[bigint::hash_limbs(a)];
+    ++occurrences_[bigint::hash_limbs(b)];
   }
 }
 
 const fp::FpVec& BatchSpectrumProvider::get(const bigint::BigUInt& operand,
                                             fp::FpVec& scratch) {
-  const auto it = occurrences_.find(operand_hash(operand));
+  const auto it = occurrences_.find(bigint::hash_limbs(operand));
   const bool reused = it != occurrences_.end() && it->second > 1;
   if (!reused) {
     ++forward_transforms_;

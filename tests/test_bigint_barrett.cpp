@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
+#include "backend/registry.hpp"
 #include "bigint/barrett.hpp"
+#include "bigint/div.hpp"
 #include "bigint/mul.hpp"
-#include "ssa/multiply.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::bigint {
@@ -91,16 +96,81 @@ TEST(Barrett, ModPowLarge) {
   EXPECT_EQ(red.mod_pow(a, BigUInt{16}), expected);
 }
 
-TEST(Barrett, PluggableMultiplierBackend) {
+TEST(Barrett, DefaultMultiplierReachesSsaAboveTheDispatchPoint) {
+  // The registry installs bigint's dispatch hook; from kSsaDispatchBits up
+  // the reducer's mul_auto products run on the SSA/NTT multiplier.
+  (void)backend::Registry::instance();
+  ASSERT_NE(mul_dispatch(), nullptr);
   util::Rng rng(9);
-  const BigUInt m = BigUInt::random_bits(rng, 2000);
-  BarrettReducer red(m);
-  red.set_multiplier([](const BigUInt& a, const BigUInt& b) { return ssa::mul_ssa(a, b); });
+  const BigUInt m = BigUInt::random_bits(rng, backend::kSsaDispatchBits + 1000);
+  const BarrettReducer red(m);
   const BigUInt a = BigUInt::random_below(rng, m);
   const BigUInt b = BigUInt::random_below(rng, m);
-  EXPECT_EQ(red.mod_mul(a, b), mul_auto(a, b) % m);
+  EXPECT_EQ(red.mod_mul(a, b), divmod_knuth(mul_auto(a, b), m).remainder);
   // mod_mul = 1 product + 2 reduction multiplications.
   EXPECT_EQ(red.multiplications_used(), 3u);
+}
+
+TEST(Barrett, DivmodReturnsTheQuotientToo) {
+  util::Rng rng(13);
+  const BigUInt m = BigUInt::random_bits(rng, 700);
+  const BarrettReducer red(m);
+  EXPECT_EQ(red.modulus_squared(), mul_schoolbook(m, m));
+  for (const BigUInt& x : {BigUInt{}, m - BigUInt{1}, m, mul_auto(m, m) - BigUInt{1},
+                           BigUInt::random_below(rng, mul_auto(m, m))}) {
+    const DivModResult expected = divmod_knuth(x, m);
+    const DivModResult got = red.divmod(x);
+    EXPECT_EQ(got.quotient, expected.quotient);
+    EXPECT_EQ(got.remainder, expected.remainder);
+  }
+  EXPECT_THROW((void)red.divmod(mul_auto(m, m)), std::logic_error);
+}
+
+TEST(Barrett, ConcurrentDivisionsShareOneReducerPerModulus) {
+  // Four threads divide at once through the division cache, at the
+  // smallest size that takes the Barrett branch: threads 0 and 1 share one
+  // modulus (and so one reducer and its counter), threads 2 and 3 have
+  // their own.
+  (void)backend::Registry::instance();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  util::Rng rng(21);
+  std::vector<BigUInt> moduli;
+  for (int i = 0; i < 3; ++i) {
+    BigUInt m = BigUInt::random_bits(rng, 64 * kBarrettThresholdLimbs);
+    if (!m.is_odd()) m += BigUInt{1};
+    moduli.push_back(std::move(m));
+  }
+  const auto modulus_of = [&](int t) -> const BigUInt& { return moduli[t < 2 ? 0 : t - 1]; };
+
+  std::vector<std::vector<BigUInt>> dividends(kThreads);
+  std::vector<std::vector<BigUInt>> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    const BigUInt& m = modulus_of(t);
+    for (int i = 0; i < kPerThread; ++i) {
+      dividends[t].push_back(
+          mul_auto(BigUInt::random_below(rng, m), BigUInt::random_below(rng, m)));
+      expected[t].push_back(divmod_knuth(dividends[t].back(), m).remainder);
+    }
+  }
+
+  const ReciprocalCacheStats before = reciprocal_cache_stats();
+  std::vector<std::vector<BigUInt>> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const BigUInt& x : dividends[t]) results[t].push_back(x % modulus_of(t));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(results[t], expected[t]) << "thread " << t;
+  const ReciprocalCacheStats after = reciprocal_cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 3u) << "each modulus's reducer is built exactly once";
+  EXPECT_EQ(after.hits - before.hits, static_cast<u64>(kThreads * kPerThread) - 3);
+  EXPECT_LE(after.entries, kReciprocalCacheCapacity);
 }
 
 TEST(Barrett, MuIsPrecomputedDivision) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "backend/registry.hpp"
 #include "bigint/biguint.hpp"
 #include "bigint/div.hpp"
 #include "bigint/mul.hpp"
@@ -129,6 +134,145 @@ TEST(ModCentered, ReconstructsResidue) {
     twice <<= 1;
     EXPECT_LE(twice, m);
   }
+}
+
+// --- division dispatch: Knuth vs cached Barrett ------------------------------
+
+/// Installs the backend registry's multiplication hook, so Barrett's
+/// products run where they do in the library's users: SSA from
+/// kSsaDispatchBits up.
+void install_backend_dispatch() {
+  (void)backend::Registry::instance();
+  ASSERT_NE(mul_dispatch(), nullptr);
+}
+
+/// A random odd modulus with exactly `limbs` limbs (top bit set).
+BigUInt odd_modulus(util::Rng& rng, std::size_t limbs) {
+  BigUInt m = BigUInt::random_bits(rng, 64 * limbs);
+  if (!m.is_odd()) m += BigUInt{1};
+  return m;
+}
+
+/// `%`, `/` and divmod all agree with Knuth Algorithm D on x / m.
+void expect_matches_knuth(const BigUInt& x, const BigUInt& m, const std::string& what) {
+  const DivModResult expected = divmod_knuth(x, m);
+  EXPECT_EQ(x % m, expected.remainder) << what;
+  EXPECT_EQ(x / m, expected.quotient) << what;
+  const DivModResult got = divmod(x, m);
+  EXPECT_EQ(got.quotient, expected.quotient) << what;
+  EXPECT_EQ(got.remainder, expected.remainder) << what;
+}
+
+struct ModulusSize {
+  const char* name;
+  std::size_t gamma_bits;  ///< the DGHV parameter set's x0 size
+};
+
+class DivDispatchSweep : public ::testing::TestWithParam<ModulusSize> {};
+
+TEST_P(DivDispatchSweep, EveryOperatorMatchesKnuth) {
+  install_backend_dispatch();
+  const auto [name, gamma] = GetParam();
+  util::Rng rng(gamma);
+  const BigUInt x0 = odd_modulus(rng, gamma / 64);
+  const BigUInt one{1};
+  const BigUInt k = BigUInt::random_below(rng, x0);  // a long quotient
+  const BigUInt a = BigUInt::random_below(rng, x0);
+  const BigUInt b = BigUInt::random_below(rng, x0);
+  const std::vector<std::pair<const char*, BigUInt>> dividends = {
+      {"0", BigUInt{}},
+      {"x0-1", x0 - one},
+      {"(x0-1)^2", mul_auto(x0 - one, x0 - one)},
+      {"k*x0", mul_auto(k, x0)},
+      {"k*x0-1", mul_auto(k, x0) - one},
+      {"x0*2^11", x0 << 11},       // an encryption before its reduction
+      {"a*b", mul_auto(a, b)},     // a gate product
+      {"x0^2", mul_auto(x0, x0)},  // >= m^2: Knuth fallback
+      {"below x0", BigUInt::random_below(rng, x0)},
+  };
+
+  const ReciprocalCacheStats before = reciprocal_cache_stats();
+  for (const auto& [label, x] : dividends) {
+    expect_matches_knuth(x, x0, std::string(name) + ": " + label);
+  }
+  // Large moduli build their reducer once, however many divisions use it.
+  const bool barrett = x0.limb_count() >= kBarrettThresholdLimbs;
+  EXPECT_EQ(reciprocal_cache_stats().misses - before.misses, barrett ? 1u : 0u) << name;
+}
+
+// The DGHV parameter sets' x0 sizes (fhe::DghvParams toy / deep / medium /
+// small_paper).
+INSTANTIATE_TEST_SUITE_P(DghvModuli, DivDispatchSweep,
+                         ::testing::Values(ModulusSize{"toy", 4096}, ModulusSize{"deep", 32768},
+                                           ModulusSize{"medium", 65536},
+                                           ModulusSize{"paper", 786432}),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST(DivDispatch, OnlyLongQuotientsBelowTheSquareTouchTheCache) {
+  install_backend_dispatch();
+  util::Rng rng(77);
+  const std::size_t t = kBarrettThresholdLimbs;
+  const BigUInt narrow = odd_modulus(rng, t - 1);
+  const BigUInt m = odd_modulus(rng, t);
+  const BigUInt other = odd_modulus(rng, t);
+
+  const ReciprocalCacheStats start = reciprocal_cache_stats();
+  const auto untouched = [&](const char* what) {
+    const ReciprocalCacheStats now = reciprocal_cache_stats();
+    EXPECT_EQ(now.hits, start.hits) << what;
+    EXPECT_EQ(now.misses, start.misses) << what;
+  };
+  // Sub-threshold divisor, even with a full-length product.
+  expect_matches_knuth(
+      mul_auto(BigUInt::random_below(rng, narrow), BigUInt::random_below(rng, narrow)), narrow,
+      "sub-threshold");
+  untouched("sub-threshold divisor");
+  // Short quotients: an encryption, a ciphertext sum, the longest short one.
+  expect_matches_knuth(m << 11, m, "encrypt-shaped");
+  expect_matches_knuth(BigUInt::random_below(rng, m) + BigUInt::random_below(rng, m), m, "sum");
+  expect_matches_knuth(BigUInt::random_bits(rng, 64 * (2 * t - 1)), m, "short quotient");
+  untouched("short quotient");
+  // A dividend with more bits than m^2 can have.
+  expect_matches_knuth(mul_auto(m, m) << 2, m, ">= m^2");
+  untouched(">= m^2");
+
+  // Gate products: each modulus's reducer is built once, then reused.
+  for (const BigUInt* modulus : {&m, &other, &m, &other, &m}) {
+    const BigUInt x = mul_auto(BigUInt::random_below(rng, *modulus),
+                               BigUInt::random_below(rng, *modulus));
+    expect_matches_knuth(x, *modulus, "gate product");
+  }
+  const ReciprocalCacheStats end = reciprocal_cache_stats();
+  // expect_matches_knuth divides three times: 15 lookups, 2 builds.
+  EXPECT_EQ(end.misses - start.misses, 2u);
+  EXPECT_EQ(end.hits - start.hits, 13u);
+  EXPECT_LE(end.entries, kReciprocalCacheCapacity);
+}
+
+TEST(DivDispatch, CacheStopsGrowingAtItsCapacity) {
+  install_backend_dispatch();
+  util::Rng rng(78);
+  const ReciprocalCacheStats start = reciprocal_cache_stats();
+  std::vector<BigUInt> moduli;
+  for (std::size_t i = 0; i < kReciprocalCacheCapacity + 2; ++i) {
+    moduli.push_back(odd_modulus(rng, kBarrettThresholdLimbs));
+    const BigUInt x = BigUInt::random_below(rng, mul_auto(moduli.back(), moduli.back()));
+    EXPECT_EQ(x % moduli.back(), divmod_knuth(x, moduli.back()).remainder) << i;
+    EXPECT_LE(reciprocal_cache_stats().entries, kReciprocalCacheCapacity) << i;
+  }
+  const ReciprocalCacheStats full = reciprocal_cache_stats();
+  EXPECT_EQ(full.misses - start.misses, kReciprocalCacheCapacity + 2);
+  EXPECT_EQ(full.entries, kReciprocalCacheCapacity);
+
+  // Least recently used goes first: the newest modulus is still cached,
+  // the oldest was evicted and is built again.
+  const BigUInt x = mul_auto(moduli.back() - BigUInt{1}, moduli.back() - BigUInt{1});
+  EXPECT_EQ(x % moduli.back(), divmod_knuth(x, moduli.back()).remainder);
+  EXPECT_EQ(reciprocal_cache_stats().misses, full.misses);
+  const BigUInt y = mul_auto(moduli.front() - BigUInt{1}, moduli.front() - BigUInt{1});
+  EXPECT_EQ(y % moduli.front(), divmod_knuth(y, moduli.front()).remainder);
+  EXPECT_EQ(reciprocal_cache_stats().misses, full.misses + 1);
+  EXPECT_EQ(reciprocal_cache_stats().entries, kReciprocalCacheCapacity);
 }
 
 TEST(DivDecimal, LargeRoundTrip) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "backend/registry.hpp"
+#include "bigint/div.hpp"
 #include "bigint/mul.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
@@ -694,6 +696,157 @@ TEST(ServiceTest, SessionTableEvictsLeastRecentlyUsedWhenFull) {
   Request late;
   late.spec.kind = CircuitKind::kAnd;
   EXPECT_THROW((void)service.submit(b, std::move(late)), std::invalid_argument);
+}
+
+// --- reduction modulo x0 above the Barrett threshold -----------------------
+
+/// Parameters whose x0 is one limb above bigint::kBarrettThresholdLimbs, so
+/// every gate's `% x0` takes the cached Barrett branch (the built-in
+/// parameter sets are either far below it or paper-size). Small tau and
+/// eta keep keygen cheap.
+DghvParams barrett_params() {
+  DghvParams params;
+  params.lambda = 16;
+  params.rho = 16;
+  params.eta = 1024;
+  params.gamma = 64 * (bigint::kBarrettThresholdLimbs + 1);
+  params.tau = 8;
+  return params;
+}
+
+/// A graph request over inputs a, b, c with outputs g = a AND b,
+/// g XOR c and g AND c (two levels: a reduced product feeds a product),
+/// plus the same outputs computed gate by gate with Dghv::multiply/add.
+struct BarrettCase {
+  fhe::Graph graph;
+  std::vector<fhe::Wire> outputs;
+  std::vector<Ciphertext> expected;
+  std::vector<bool> plain;
+  Request request;
+
+  BarrettCase(fhe::Dghv& scheme, bool a, bool b, bool c) : graph(scheme) {
+    const Ciphertext ca = scheme.encrypt(a);
+    const Ciphertext cb = scheme.encrypt(b);
+    const Ciphertext cc = scheme.encrypt(c);
+    const fhe::Wire wa = graph.input(ca);
+    const fhe::Wire wb = graph.input(cb);
+    const fhe::Wire wc = graph.input(cc);
+    const fhe::Wire g = graph.gate_and(wa, wb);
+    outputs = {g, graph.gate_xor(g, wc), graph.gate_and(g, wc)};
+    const Ciphertext product = scheme.multiply(ca, cb);
+    expected = {product, scheme.add(product, cc), scheme.multiply(product, cc)};
+    plain = {a && b, (a && b) != c, a && b && c};
+    request.spec.kind = CircuitKind::kGraph;
+    request.graph = fhe::encode_graph(fhe::GraphTopology::capture(graph, outputs));
+    request.inputs = fhe::encode_ciphertexts(std::vector<Ciphertext>{ca, cb, cc});
+  }
+
+  void check(const fhe::Dghv& scheme, const std::vector<Ciphertext>& got,
+             const std::string& where) const {
+    ASSERT_EQ(got.size(), expected.size()) << where;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got[i].value, expected[i].value) << where << " output " << i;
+      EXPECT_EQ(scheme.decrypt(got[i]), plain[i]) << where << " output " << i;
+    }
+  }
+};
+
+TEST(ServiceTest, AboveTheBarrettThresholdRoundsMatchDghvGateByGate) {
+  Service service(ssa_options(2, /*window_ms=*/250.0));
+  const SessionId s1 = service.create_session(barrett_params(), 8101);
+  const SessionId s2 = service.create_session(barrett_params(), 8102);
+  ASSERT_GE(service.scheme(s1).public_key().x0.limb_count(), bigint::kBarrettThresholdLimbs);
+  BarrettCase case1(service.scheme(s1), true, true, false);
+  BarrettCase case2(service.scheme(s2), true, false, true);
+
+  const ServiceStats before = service.stats();
+  const bigint::ReciprocalCacheStats cache_before = bigint::reciprocal_cache_stats();
+  auto f1 = service.submit(s1, std::move(case1.request));
+  auto f2 = service.submit(s2, std::move(case2.request));
+  const Response r1 = f1.get();
+  const Response r2 = f2.get();
+  ASSERT_TRUE(r1.ok()) << r1.error;
+  ASSERT_TRUE(r2.ok()) << r2.error;
+  case1.check(service.scheme(s1), fhe::decode_ciphertexts(r1.outputs), "session 1");
+  case2.check(service.scheme(s2), fhe::decode_ciphertexts(r2.outputs), "session 2");
+
+  // Both requests shared each of the two level rounds.
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.batches_submitted - before.batches_submitted, 2u);
+  EXPECT_EQ(after.coalesced_requests - before.coalesced_requests, 4u);
+  // The lanes reduced through the cache: both reducers already existed
+  // (Dghv::multiply built them for the reference), so only hits.
+  const bigint::ReciprocalCacheStats cache_after = bigint::reciprocal_cache_stats();
+  EXPECT_EQ(cache_after.misses, cache_before.misses);
+  EXPECT_GT(cache_after.hits, cache_before.hits);
+}
+
+TEST(ServiceTest, AboveTheBarrettThresholdInlineEvaluatorMatchesDghv) {
+  fhe::Dghv scheme(barrett_params(), 8103);
+  const BarrettCase reference(scheme, true, true, true);
+  for (const char* name : {"auto", "ssa"}) {  // eager, then spectrum-resident
+    fhe::Evaluator evaluator(backend::make_backend(name));
+    fhe::EvalReport report;
+    const std::vector<Ciphertext> got =
+        evaluator.evaluate(reference.graph, reference.outputs, &report);
+    EXPECT_EQ(report.spectrum_resident, std::string(name) == "ssa") << name;
+    reference.check(scheme, got, name);
+  }
+}
+
+/// Throws from bigint's multiplication hook whenever an operand is the
+/// poisoned modulus -- i.e. inside that modulus's Barrett reduction
+/// (building its reducer squares it, reducing multiplies by it) -- and
+/// delegates everything else to the hook it replaced.
+std::atomic<const bigint::BigUInt*> g_poisoned_modulus{nullptr};
+std::atomic<bigint::MulDispatchFn> g_fallback_dispatch{nullptr};
+
+bigint::BigUInt poisoned_dispatch(const bigint::BigUInt& a, const bigint::BigUInt& b) {
+  const bigint::BigUInt* poisoned = g_poisoned_modulus.load();
+  if (poisoned != nullptr && (a == *poisoned || b == *poisoned)) {
+    throw std::runtime_error("injected reduction fault");
+  }
+  return g_fallback_dispatch.load()(a, b);
+}
+
+TEST(ServiceTest, ReductionFaultOnALaneFailsOnlyItsRequest) {
+  Service service(ssa_options(2, /*window_ms=*/250.0));
+  const SessionId healthy = service.create_session(barrett_params(), 8104);
+  const SessionId doomed = service.create_session(barrett_params(), 8105);
+  Request healthy_and = and_request(service.scheme(healthy), true, true);
+  Request doomed_and = and_request(service.scheme(doomed), true, true);
+
+  const bigint::MulDispatchFn original = bigint::mul_dispatch();
+  ASSERT_NE(original, nullptr);
+  g_fallback_dispatch = original;
+  g_poisoned_modulus = &service.scheme(doomed).public_key().x0;
+  bigint::set_mul_dispatch(&poisoned_dispatch);
+  struct Restore {
+    bigint::MulDispatchFn hook;
+    ~Restore() {
+      bigint::set_mul_dispatch(hook);
+      g_poisoned_modulus = nullptr;
+    }
+  } restore{original};
+
+  const ServiceStats before = service.stats();
+  auto healthy_future = service.submit(healthy, std::move(healthy_and));
+  auto doomed_future = service.submit(doomed, std::move(doomed_and));
+  const Response healthy_response = healthy_future.get();
+  const Response doomed_response = doomed_future.get();
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.batches_submitted, before.batches_submitted + 1);
+  EXPECT_EQ(after.coalesced_requests, before.coalesced_requests + 2);
+
+  EXPECT_EQ(doomed_response.status, ResponseStatus::kInternalError);
+  EXPECT_NE(doomed_response.error.find("injected reduction fault"), std::string::npos)
+      << doomed_response.error;
+  ASSERT_TRUE(healthy_response.ok()) << healthy_response.error;
+  const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(healthy_response.outputs);
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_TRUE(service.scheme(healthy).decrypt(outputs[0]));
+  EXPECT_EQ(after.internal_errors, 1u);
+  EXPECT_EQ(after.completed, 1u);
 }
 
 TEST(ServiceTest, PublicKeyBytesMatchTheSessionKey) {
