@@ -1,9 +1,10 @@
 // Experiment C1: eager gate-at-a-time vs lazy wavefront circuit evaluation,
 // under both word-op lowering strategies.
 //
-// fhe::Circuits evaluates a homomorphic circuit eagerly: every AND gate is
-// one engine invocation issued the moment the circuit code reaches it, so
-// the ripple-carry chain serializes the whole computation. The circuit-graph
+// The eager arm evaluates a homomorphic circuit gate by gate: the lowering
+// templates run over ciphertexts, every AND gate is one engine invocation
+// issued the moment the circuit code reaches it, so the ripple-carry chain
+// serializes the whole computation. The circuit-graph
 // IR (fhe::Graph + fhe::Evaluator) records the same circuit first, levels it
 // by multiplicative depth, and issues each level -- a wavefront of mutually
 // independent AND gates -- as ONE batch across the scheduler's PE lanes,
@@ -36,10 +37,10 @@
 #include <string>
 #include <vector>
 
-#include "backend/registry.hpp"
 #include "backend/ssa_backend.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
+#include "fhe/dghv.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/lowering.hpp"
@@ -67,10 +68,27 @@ fhe::DghvParams bench_params() {
   return p;
 }
 
+/// The eager arm: the lowering templates run one ciphertext gate at a time,
+/// XOR as Dghv::add and AND as one engine multiply reduced modulo x0.
+struct EagerGates {
+  using WireType = fhe::Ciphertext;
+  const fhe::Dghv& scheme;
+  backend::MultiplierBackend& engine;
+  u64 and_gates = 0;
+  fhe::Ciphertext gate_xor(const fhe::Ciphertext& a, const fhe::Ciphertext& b) {
+    return scheme.add(a, b);
+  }
+  fhe::Ciphertext gate_and(const fhe::Ciphertext& a, const fhe::Ciphertext& b) {
+    ++and_gates;
+    return {engine.multiply(a.value, b.value) % scheme.public_key().x0,
+            fhe::NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
+  }
+};
+
 struct CircuitResult {
   std::string name;
   u64 and_gates = 0;       ///< executed by the wavefront evaluator
-  u64 eager_and_gates = 0; ///< executed by the eager facade
+  u64 eager_and_gates = 0; ///< executed by the eager arm
   std::size_t wavefronts = 0;
   std::size_t dead_nodes = 0;
   unsigned predicted_depth = 0;  ///< NoiseModel prediction for this lowering
@@ -166,16 +184,15 @@ int main(int argc, char** argv) {
     fhe::EncryptedInt cx = fhe::encrypt_int(scheme, x, 8);
     fhe::EncryptedInt cy = fhe::encrypt_int(scheme, y, 8);
 
-    // Eager arm: gate-at-a-time through the facade.
-    auto eager_engine = backend::make_backend("ssa");
-    fhe::Circuits eager(scheme, eager_engine, lowering);
+    // Eager arm: gate at a time.
+    backend::SsaBackend eager_engine;
+    EagerGates eager{scheme, eager_engine};
     const auto t0 = Clock::now();
-    const fhe::Circuits::AdderResult eager_sum = eager.add(cx, cy, enc_zero);
+    const fhe::lowering::AddOut<EagerGates> eager_sum =
+        fhe::lowering::lower_add<EagerGates>(eager, cx, cy, enc_zero, lowering);
     r.eager_ms = ms_since(t0);
-    r.eager_and_gates = eager.and_gates_used();
-    if (auto* ssa = dynamic_cast<backend::SsaBackend*>(eager_engine.get())) {
-      r.eager_transforms = ssa->stats().transform_count;
-    }
+    r.eager_and_gates = eager.and_gates;
+    r.eager_transforms = eager_engine.stats().transform_count;
 
     // Wavefront arm: record, level, batch.
     fhe::Graph graph(scheme, lowering);
@@ -218,15 +235,14 @@ int main(int argc, char** argv) {
     fhe::EncryptedInt cx = fhe::encrypt_int(scheme, x, 4);
     fhe::EncryptedInt cy = fhe::encrypt_int(scheme, y, 4);
 
-    auto eager_engine = backend::make_backend("ssa");
-    fhe::Circuits eager(scheme, eager_engine, lowering);
+    backend::SsaBackend eager_engine;
+    EagerGates eager{scheme, eager_engine};
     const auto t0 = Clock::now();
-    const fhe::EncryptedInt eager_prod = eager.multiply(cx, cy, enc_zero);
+    const fhe::EncryptedInt eager_prod =
+        fhe::lowering::lower_multiply<EagerGates>(eager, cx, cy, enc_zero, lowering);
     r.eager_ms = ms_since(t0);
-    r.eager_and_gates = eager.and_gates_used();
-    if (auto* ssa = dynamic_cast<backend::SsaBackend*>(eager_engine.get())) {
-      r.eager_transforms = ssa->stats().transform_count;
-    }
+    r.eager_and_gates = eager.and_gates;
+    r.eager_transforms = eager_engine.stats().transform_count;
 
     fhe::Graph graph(scheme, lowering);
     const std::vector<fhe::Wire> wx = graph.inputs(cx);
@@ -238,7 +254,7 @@ int main(int argc, char** argv) {
     fhe::EvalOptions options;
     // The stacked adders of the 4x4 product exceed any practical noise
     // budget; this bench checks bit-for-bit parity, so run past the veto
-    // the way the eager facade does.
+    // the way the eager arm does.
     options.check_noise = false;
     const auto t1 = Clock::now();
     const std::vector<fhe::Ciphertext> wave =

@@ -16,33 +16,52 @@
 //                                                    predicted noise, lane
 //                                                    utilization (kind: adder,
 //                                                    equals, mul, mux, lt)
-//   hemul_cli [--workers N] service <tenants> <reqs> drive the multi-tenant
-//                                                    core::Service: per-tenant
-//                                                    sessions, serialized
-//                                                    single-multiply requests,
-//                                                    cross-request coalescing
-//                                                    stats
+//   hemul_cli [--workers N] serve [FILE]             play a request stream (below)
+//                                                    from FILE or stdin against
+//                                                    one core::Service; decrypt-
+//                                                    verify every response and
+//                                                    print coalescing stats
+//   hemul_cli [--workers N] service <tenants> <reqs> serve a generated stream:
+//                                                    one toy session per tenant,
+//                                                    single-AND requests
 //   hemul_cli backends                               list registered backends
 //   hemul_cli table1                                 print the Table I comparison
 //   hemul_cli perf [P]                               Section V performance model
 //
 // --backend selects any engine registered in backend::Registry ("hw", "ssa",
-// "classical", "karatsuba", ...; default "hw" — except for `throughput` and
-// `circuit`, which default to the software "ssa" engine). --workers sets the
-// scheduler's PE-lane count (default: one lane per hardware thread).
+// "classical", "karatsuba", ...; default "hw" — except for `throughput`,
+// `circuit`, `serve` and `service`, which default to the software "ssa"
+// engine). --workers sets the scheduler's PE-lane count (default: one lane
+// per hardware thread).
 // --lowering <ripple|carry-save> picks the word-op lowering strategy for
-// `circuit` and `service` (default: ripple).
-// Exit code 0 on success; 2 on usage errors; 3 when `circuit` finds the
-// recorded circuit undecryptable at every built-in parameter set (the
-// result cannot be verified).
+// `circuit`, `serve` and `service` (default: ripple).
+//
+// Request stream grammar (one command per line, '#' starts a comment; a
+// request line may end with a lowering name overriding --lowering):
+//   session <name> <toy|medium|deep> <seed>
+//   request <name> and <x> <y>                 x, y in {0, 1}
+//   request <name> adder <width> <x> <y> [ripple|carry-save]
+//   request <name> equals <width> <x> <y> [...]
+//   request <name> mul <width> <x> <y> [...]
+//   request <name> mux <width> <sel> <x> <y> [...]
+//   request <name> lt <width> <x> <y> [...]
+//
+// Exit code 0 on success; 1 on a wrong result; 2 on usage errors (and
+// malformed streams); 3 when `circuit` finds the recorded circuit
+// undecryptable at every built-in parameter set (the result cannot be
+// verified).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
+#include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +93,7 @@ int usage() {
                "                 mul <hexA> <hexB> |\n"
                "                 random <bits> | batch <n> <bits> | throughput <n> <bits> |\n"
                "                 circuit <adder|equals|mul|mux|lt> [width] |\n"
-               "                 service <tenants> <requests-per-tenant> |\n"
+               "                 serve [FILE] | service <tenants> <requests-per-tenant> |\n"
                "                 fleet <host:port> <tenants> <requests-per-tenant> |\n"
                "                 backends | table1 | perf [P]\n"
                "  --deadline-ms MS  fleet: per-request budget; overdue futures\n"
@@ -83,6 +102,8 @@ int usage() {
                "                    by the server's retry-after hint (default 2)\n");
   return 2;
 }
+
+u64 mask_of(unsigned width) { return width >= 64 ? ~0ULL : (1ULL << width) - 1; }
 
 core::Accelerator make_accelerator(const std::string& backend_name) {
   core::Config config;
@@ -276,17 +297,16 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   }
 
   // Deterministic operands derived from the width.
-  const u64 mask = width >= 64 ? ~0ULL : (1ULL << width) - 1;
-  const u64 x = 0xB5A3C96Du & mask;
-  const u64 y = 0x6D2E84B7u & mask;
+  const u64 x = 0xB5A3C96Du & mask_of(width);
+  const u64 y = 0x6D2E84B7u & mask_of(width);
 
   u64 expected = 0;
   if (kind == "adder") {
-    expected = (x + y) & ((mask << 1) | 1);
+    expected = (x + y) & mask_of(width + 1);
   } else if (kind == "equals") {
     expected = x == y ? 1 : 0;
   } else if (kind == "mul") {
-    expected = (x * y) & ((width * 2 >= 64) ? ~0ULL : (1ULL << (width * 2)) - 1);
+    expected = (x * y) & mask_of(2 * width);
   } else if (kind == "mux") {
     expected = x;
   } else if (kind == "lt") {
@@ -454,73 +474,247 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   return decrypted == expected ? 0 : 1;
 }
 
-int cmd_service(const std::string& backend_name, unsigned workers, unsigned tenants,
-                unsigned requests_per_tenant, fhe::LoweringOptions lowering) {
-  using Clock = std::chrono::steady_clock;
-  if (tenants == 0 || requests_per_tenant == 0) {
-    std::fprintf(stderr, "error: tenants and requests-per-tenant must be >= 1\n");
-    return 2;
+fhe::DghvParams params_by_name(const std::string& name) {
+  if (name == "toy") return fhe::DghvParams::toy();
+  if (name == "medium") return fhe::DghvParams::medium();
+  if (name == "deep") return fhe::DghvParams::deep();
+  throw std::invalid_argument("unknown parameter set: " + name +
+                              " (expected toy|medium|deep)");
+}
+
+void print_stats_json(const core::ServiceStats& stats) {
+  std::printf("{\n"
+              "  \"sessions\": %zu,\n"
+              "  \"submitted\": %llu,\n"
+              "  \"completed\": %llu,\n"
+              "  \"rejected_by_noise\": %llu,\n"
+              "  \"bad_requests\": %llu,\n"
+              "  \"and_gates\": %llu,\n"
+              "  \"wavefronts\": %llu,\n"
+              "  \"batches_submitted\": %llu,\n"
+              "  \"coalescing\": %.3f,\n"
+              "  \"cache_hits\": %llu,\n"
+              "  \"cache_misses\": %llu,\n"
+              "  \"lanes\": [\n",
+              stats.sessions, static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.rejected_by_noise),
+              static_cast<unsigned long long>(stats.bad_requests),
+              static_cast<unsigned long long>(stats.and_gates),
+              static_cast<unsigned long long>(stats.wavefronts),
+              static_cast<unsigned long long>(stats.batches_submitted), stats.coalescing(),
+              static_cast<unsigned long long>(stats.cache_hits),
+              static_cast<unsigned long long>(stats.cache_misses));
+  for (std::size_t i = 0; i < stats.lanes.size(); ++i) {
+    const core::LaneStats& lane = stats.lanes[i];
+    std::printf("    {\"lane\": %u, \"jobs\": %llu, \"busy_ms\": %.3f}%s\n", lane.lane,
+                static_cast<unsigned long long>(lane.jobs), lane.busy_ms,
+                i + 1 < stats.lanes.size() ? "," : "");
   }
+  std::printf("  ]\n}\n");
+}
+
+// Plays a request stream against one core::Service: parse, submit every
+// request asynchronously in stream order (so independent tenants'
+// wavefronts coalesce into shared scheduler batches exactly as they would
+// behind a socket transport), collect, decrypt-verify against the
+// plaintext result, report stats. Every request is encrypted under its
+// session's keys and round-tripped through the framed wire encoding
+// (core::encode_request), so the lowering-strategy byte really crosses the
+// wire. Exit 0 iff every completed request verifies (noise-rejected
+// requests report but do not fail); 1 on a wrong result; 2 on a malformed
+// stream.
+int run_stream(std::istream& in, const std::string& backend_name, unsigned workers,
+               fhe::LoweringOptions lowering) {
+  using Clock = std::chrono::steady_clock;
 
   core::ServiceOptions options;
   options.config.backend_name = backend_name.empty() ? "ssa" : backend_name;
   options.config.num_workers = workers;
-  // Linger briefly at admission so this loop's requests coalesce the way
+  // Linger briefly at admission so the stream's requests coalesce the way
   // concurrent remote tenants would.
   options.admission_window_ms = 2.0;
   core::Service service(options);
 
-  // One key context per tenant, then a synthetic single-multiply workload:
-  // every request is one AND gate, the accelerator's unit of work.
-  std::vector<core::SessionId> sessions;
-  sessions.reserve(tenants);
-  for (unsigned t = 0; t < tenants; ++t) {
-    sessions.push_back(service.create_session(fhe::DghvParams::toy(), 0x5E55 + t));
-  }
-
-  struct Issued {
-    unsigned tenant;
-    bool expected;
+  struct Pending {
+    std::string session;
+    core::CircuitSpec spec;
+    u64 expected = 0;
+    std::size_t line = 0;
     std::future<core::Response> future;
   };
-  std::vector<Issued> issued;
-  issued.reserve(static_cast<std::size_t>(tenants) * requests_per_tenant);
+  std::map<std::string, core::SessionId> sessions;
+  std::vector<Pending> pending;
+  std::optional<Clock::time_point> t0;  // first submission
+  std::string line;
+  std::size_t line_no = 0;
+  try {
+    while (std::getline(in, line)) {
+      ++line_no;
+      const std::size_t hash = line.find('#');
+      if (hash != std::string::npos) line.resize(hash);
+      std::istringstream words(line);
+      std::string command;
+      if (!(words >> command)) continue;  // blank line
 
-  const auto t0 = Clock::now();
-  for (unsigned r = 0; r < requests_per_tenant; ++r) {
-    for (unsigned t = 0; t < tenants; ++t) {
-      fhe::Dghv& scheme = service.scheme(sessions[t]);
-      const bool x = (t + r) % 2 == 0;
-      const bool y = (t * 3 + r) % 3 != 0;
+      if (command == "session") {
+        std::string name, params;
+        u64 seed = 0;
+        if (!(words >> name >> params >> seed)) {
+          std::fprintf(stderr, "error: line %zu: session <name> <params> <seed>\n", line_no);
+          return 2;
+        }
+        sessions[name] = service.create_session(params_by_name(params), seed);
+        std::printf("session %-10s : %s params, id %llu\n", name.c_str(), params.c_str(),
+                    static_cast<unsigned long long>(sessions[name]));
+        continue;
+      }
+      if (command != "request") {
+        std::fprintf(stderr, "error: line %zu: unknown command '%s'\n", line_no,
+                     command.c_str());
+        return 2;
+      }
+
+      std::string name, circuit;
+      if (!(words >> name >> circuit)) {
+        std::fprintf(stderr, "error: line %zu: request <session> <circuit> ...\n", line_no);
+        return 2;
+      }
+      const auto session_it = sessions.find(name);
+      if (session_it == sessions.end()) {
+        std::fprintf(stderr, "error: line %zu: unknown session '%s'\n", line_no, name.c_str());
+        return 2;
+      }
+      fhe::Dghv& scheme = service.scheme(session_it->second);
+      const auto encode_bits = [&scheme](u64 value, unsigned width) {
+        return fhe::encode_ciphertexts(fhe::encrypt_int(scheme, value, width));
+      };
+
+      Pending record;
+      record.session = name;
+      record.line = line_no;
+      const core::CircuitKind kind = core::circuit_kind_from_name(circuit);
+      if (kind == core::CircuitKind::kGraph) {
+        std::fprintf(stderr,
+                     "error: line %zu: 'graph' requests carry a recorded topology and are "
+                     "not expressible in stream mode (use the core::Service API)\n",
+                     line_no);
+        return 2;
+      }
       core::Request request;
-      request.spec = core::CircuitSpec{core::CircuitKind::kAnd, 1, lowering};
-      request.inputs = fhe::encode_ciphertexts(
-          std::vector<fhe::Ciphertext>{scheme.encrypt(x), scheme.encrypt(y)});
-      issued.push_back({t, x && y, service.submit(sessions[t], std::move(request))});
+
+      u64 x = 0, y = 0, sel = 0;
+      unsigned width = 1;
+      if (kind == core::CircuitKind::kAnd) {
+        if (!(words >> x >> y) || x > 1 || y > 1) {
+          std::fprintf(stderr, "error: line %zu: request <s> and <0|1> <0|1>\n", line_no);
+          return 2;
+        }
+        record.expected = x & y;
+        request.inputs = encode_bits(x, 1);
+        const fhe::Bytes rhs = encode_bits(y, 1);
+        request.inputs.insert(request.inputs.end(), rhs.begin(), rhs.end());
+      } else {
+        if (!(words >> width) || width == 0 || width > core::kMaxCircuitWidth) {
+          std::fprintf(stderr, "error: line %zu: width must be in [1, %u]\n", line_no,
+                       core::kMaxCircuitWidth);
+          return 2;
+        }
+        if (kind == core::CircuitKind::kMux) {
+          if (!(words >> sel >> x >> y) || sel > 1) {
+            std::fprintf(stderr, "error: line %zu: request <s> mux <w> <sel> <x> <y>\n",
+                         line_no);
+            return 2;
+          }
+        } else if (!(words >> x >> y)) {
+          std::fprintf(stderr, "error: line %zu: request <s> %s <w> <x> <y>\n", line_no,
+                       circuit.c_str());
+          return 2;
+        }
+        x &= mask_of(width);
+        y &= mask_of(width);
+        switch (kind) {
+          case core::CircuitKind::kAdder:
+            record.expected = (x + y) & mask_of(width + 1);
+            break;
+          case core::CircuitKind::kEquals:
+            record.expected = x == y ? 1 : 0;
+            break;
+          case core::CircuitKind::kMul:
+            record.expected = (x * y) & mask_of(2 * width);
+            break;
+          case core::CircuitKind::kMux:
+            record.expected = sel != 0 ? x : y;
+            break;
+          case core::CircuitKind::kLessThan:
+            record.expected = x < y ? 1 : 0;
+            break;
+          default:
+            return usage();
+        }
+        if (kind == core::CircuitKind::kMux) request.inputs = encode_bits(sel, 1);
+        fhe::Bytes bits = encode_bits(x, width);
+        request.inputs.insert(request.inputs.end(), bits.begin(), bits.end());
+        bits = encode_bits(y, width);
+        request.inputs.insert(request.inputs.end(), bits.begin(), bits.end());
+      }
+
+      // One parse/validate path for kind + width + lowering: the spec. An
+      // optional trailing token on the request line overrides --lowering.
+      std::string per_request(fhe::lowering_strategy_name(lowering.strategy));
+      if (std::string token; words >> token) per_request = token;
+      record.spec = core::CircuitSpec::parse(circuit, width, per_request);
+      request.spec = record.spec;
+
+      if (!t0) t0 = Clock::now();
+      record.future = service.submit(session_it->second,
+                                     core::decode_request(core::encode_request(request)));
+      pending.push_back(std::move(record));
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: line %zu: %s\n", line_no, e.what());
+    return 1;
   }
 
   bool verified = true;
-  for (Issued& item : issued) {
-    const core::Response response = item.future.get();
+  for (Pending& record : pending) {
+    const core::Response response = record.future.get();
+    const std::string kind = record.spec.describe();
+    if (response.status == core::ResponseStatus::kRejectedByNoise) {
+      std::printf("line %-4zu %-10s %-20s: rejected by noise (%s)\n", record.line,
+                  record.session.c_str(), kind.c_str(), response.error.c_str());
+      continue;
+    }
     if (!response.ok()) {
-      std::fprintf(stderr, "request failed: %s\n", response.error.c_str());
+      std::printf("line %-4zu %-10s %-20s: BAD REQUEST (%s)\n", record.line,
+                  record.session.c_str(), kind.c_str(), response.error.c_str());
       verified = false;
       continue;
     }
+    const fhe::Dghv& scheme = service.scheme(sessions.at(record.session));
     const std::vector<fhe::Ciphertext> outputs = fhe::decode_ciphertexts(response.outputs);
-    verified = verified && outputs.size() == 1 &&
-               service.scheme(sessions[item.tenant]).decrypt(outputs[0]) == item.expected;
+    const u64 value = fhe::decrypt_int(scheme, outputs);
+    const bool ok = value == record.expected;
+    verified = verified && ok;
+    std::printf(
+        "line %-4zu %-10s %-20s: %llu (expect %llu) %s  [%llu gates, %u levels, %llu shared "
+        "batches, %.1f ms]\n",
+        record.line, record.session.c_str(), kind.c_str(), static_cast<unsigned long long>(value),
+        static_cast<unsigned long long>(record.expected), ok ? "OK" : "WRONG",
+        static_cast<unsigned long long>(response.and_gates), response.levels,
+        static_cast<unsigned long long>(response.shared_batches),
+        response.queue_ms + response.exec_ms);
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  const double wall_ms =
+      t0 ? std::chrono::duration<double, std::milli>(Clock::now() - *t0).count() : 0.0;
   service.wait_idle();
 
   const core::ServiceStats stats = service.stats();
+  std::printf("\n-- service stats --\n");
+  print_stats_json(stats);
   const u64 requests = stats.submitted;
   std::printf("backend      : %s, %u PE lane(s)\n", options.config.backend_name.c_str(),
               service.scheduler().num_workers());
-  std::printf("tenants      : %u x %u single-multiply request(s)\n", tenants,
-              requests_per_tenant);
   std::printf("wall time    : %.1f ms (%.1f requests/s)\n", wall_ms,
               wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms : 0.0);
   std::printf("batches      : %llu scheduler batch(es) for %llu requests -> %s\n",
@@ -528,25 +722,50 @@ int cmd_service(const std::string& backend_name, unsigned workers, unsigned tena
               static_cast<unsigned long long>(requests),
               stats.batches_submitted < requests ? "coalesced across tenants"
                                                  : "no cross-request sharing");
-  std::printf("coalescing   : %.2f requests/batch mean\n", stats.coalescing());
-  std::printf("cache        : %llu hits, %llu misses (shared across lanes)\n",
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
-  for (const core::LaneStats& lane : stats.lanes) {
-    std::printf("  lane %-2u    : %llu jobs, %.1f ms busy\n", lane.lane,
-                static_cast<unsigned long long>(lane.jobs), lane.busy_ms);
-  }
-  for (const core::SessionId session : sessions) {
+  for (const auto& [name, session] : sessions) {
     const core::TenantStats tenant = service.tenant_stats(session);
-    std::printf("  tenant %-4llu: %llu completed, %llu gates, %llu B in / %llu B out\n",
-                static_cast<unsigned long long>(tenant.session),
-                static_cast<unsigned long long>(tenant.completed),
+    std::printf("  session %-10s: %llu completed, %llu gates, %llu B in / %llu B out\n",
+                name.c_str(), static_cast<unsigned long long>(tenant.completed),
                 static_cast<unsigned long long>(tenant.and_gates),
                 static_cast<unsigned long long>(tenant.bytes_in),
                 static_cast<unsigned long long>(tenant.bytes_out));
   }
   std::printf("verified     : %s\n", verified ? "yes" : "NO");
   return verified ? 0 : 1;
+}
+
+int cmd_serve(const std::string& path, const std::string& backend_name, unsigned workers,
+              fhe::LoweringOptions lowering) {
+  if (path.empty()) return run_stream(std::cin, backend_name, workers, lowering);
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+    return 1;
+  }
+  return run_stream(file, backend_name, workers, lowering);
+}
+
+// A synthetic multi-tenant load as a generated stream: one toy session per
+// tenant, then single-AND requests (the accelerator's unit of work)
+// round-robin across tenants.
+int cmd_service(const std::string& backend_name, unsigned workers, unsigned tenants,
+                unsigned requests_per_tenant, fhe::LoweringOptions lowering) {
+  if (tenants == 0 || requests_per_tenant == 0) {
+    std::fprintf(stderr, "error: tenants and requests-per-tenant must be >= 1\n");
+    return 2;
+  }
+  std::ostringstream stream;
+  for (unsigned t = 0; t < tenants; ++t) {
+    stream << "session t" << t << " toy " << 0x5E55 + t << '\n';
+  }
+  for (unsigned r = 0; r < requests_per_tenant; ++r) {
+    for (unsigned t = 0; t < tenants; ++t) {
+      stream << "request t" << t << " and " << ((t + r) % 2 == 0) << ' '
+             << ((t * 3 + r) % 3 != 0) << '\n';
+    }
+  }
+  std::istringstream in(stream.str());
+  return run_stream(in, backend_name, workers, lowering);
 }
 
 // Drives a remote fleet (a hemul_router or a single hemul_shard -- both
@@ -786,6 +1005,9 @@ int main(int argc, char** argv) {
                                  ? static_cast<unsigned>(std::strtoul(args[2].c_str(), nullptr, 10))
                                  : 4;
       return cmd_circuit(backend_name, workers, intra_op, args[1], width, lowering);
+    }
+    if (cmd == "serve" && (args.size() == 1 || (args.size() == 2 && args[1][0] != '-'))) {
+      return cmd_serve(args.size() == 2 ? args[1] : "", backend_name, workers, lowering);
     }
     if (cmd == "service" && args.size() == 3) {
       return cmd_service(backend_name, workers,

@@ -1,201 +1,6 @@
 #include "fhe/circuits.hpp"
 
-#include <future>
-
-#include "core/scheduler.hpp"
-#include "util/check.hpp"
-
 namespace hemul::fhe {
-
-namespace {
-
-/// Gate-builder adapter over the eager facade: the lowering templates in
-/// fhe/lowering.hpp drive Circuits' own gate calls, so the eager word ops
-/// share one gate structure with Graph recording (bit-exact by
-/// construction) while keeping ciphertext-at-a-time execution and the
-/// facade's gate accounting.
-struct EagerBuilder {
-  using WireType = Ciphertext;
-  const Circuits* circuits;
-  Ciphertext gate_xor(const Ciphertext& a, const Ciphertext& b) const {
-    return circuits->gate_xor(a, b);
-  }
-  Ciphertext gate_and(const Ciphertext& a, const Ciphertext& b) const {
-    return circuits->gate_and(a, b);
-  }
-};
-
-}  // namespace
-
-Evaluator Circuits::make_evaluator() const {
-  if (scheduler_ != nullptr) return Evaluator(*scheduler_);
-  if (engine_ != nullptr) return Evaluator(engine_);
-  return Evaluator();
-}
-
-std::vector<Ciphertext> Circuits::run(const Graph& graph,
-                                      std::span<const Wire> outputs) const {
-  Evaluator evaluator = make_evaluator();
-  EvalOptions options;
-  options.check_noise = false;  // eager semantics: compute, fail at decryption
-  // No report: a report makes the scheduler path drain and snapshot the
-  // whole scheduler per wavefront, which would block on (and misattribute)
-  // unrelated work when the scheduler is shared. The facade's one-shot
-  // graphs execute every recorded AND (inputs are distinct nodes, so CSE
-  // cannot merge gates, and each gate feeds a requested output), so the
-  // recorded count is the executed count.
-  std::vector<Ciphertext> results = evaluator.evaluate(graph, outputs, nullptr, options);
-  and_gates_.fetch_add(graph.and_gates(), std::memory_order_relaxed);
-  return results;
-}
-
-Ciphertext Circuits::gate_xor(const Ciphertext& a, const Ciphertext& b) const {
-  return scheme_->add(a, b);
-}
-
-Ciphertext Circuits::gate_and(const Ciphertext& a, const Ciphertext& b) const {
-  // Hot path of the ripple-carry loops: one dependent gate gains nothing
-  // from graph recording, so skip the one-node graph and its operand
-  // copies and hit the engine directly (the batched entry points below are
-  // the ones that go through the IR).
-  and_gates_.fetch_add(1, std::memory_order_relaxed);
-  if (engine_ != nullptr) {
-    return {engine_->multiply(a.value, b.value) % scheme_->public_key().x0,
-            NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
-  }
-  return scheme_->multiply(a, b);
-}
-
-std::vector<Ciphertext> Circuits::gate_and_batch(
-    std::span<const std::pair<Ciphertext, Ciphertext>> jobs) const {
-  // Every pair becomes its own pair of input nodes, so the whole batch is
-  // one depth-1 wavefront: the scheduler fans it across the PE lanes, the
-  // engine path issues it as one spectrum-caching multiply_batch.
-  Graph graph(*scheme_);
-  std::vector<Wire> wires;
-  wires.reserve(jobs.size());
-  for (const auto& [a, b] : jobs) {
-    wires.push_back(graph.gate_and(graph.input(a), graph.input(b)));
-  }
-  return run(graph, wires);
-}
-
-Ciphertext Circuits::gate_or(const Ciphertext& a, const Ciphertext& b) const {
-  // Only one AND inside: same hot-path reasoning as gate_and above.
-  return gate_xor(gate_xor(a, b), gate_and(a, b));
-}
-
-Ciphertext Circuits::gate_not(const Ciphertext& a, const Ciphertext& one) const {
-  return gate_xor(a, one);
-}
-
-Ciphertext Circuits::gate_maj(const Ciphertext& a, const Ciphertext& b,
-                              const Ciphertext& c) const {
-  // One graph, one wavefront: ab, bc, ca are mutually independent and go
-  // out as a single batch of three.
-  Graph graph(*scheme_);
-  const Wire outputs[] = {graph.gate_maj(graph.input(a), graph.input(b), graph.input(c))};
-  return run(graph, outputs)[0];
-}
-
-Circuits::AdderResult Circuits::add(const EncryptedInt& a, const EncryptedInt& b,
-                                    const Ciphertext& zero) const {
-  return add(a, b, zero, lowering_);
-}
-
-Circuits::AdderResult Circuits::add(const EncryptedInt& a, const EncryptedInt& b,
-                                    const Ciphertext& zero,
-                                    LoweringOptions options) const {
-  EagerBuilder builder{this};
-  lowering::AddOut<EagerBuilder> out = lowering::lower_add(
-      builder, std::span<const Ciphertext>(a), std::span<const Ciphertext>(b), zero,
-      options);
-  return {std::move(out.sum), std::move(out.carry_out)};
-}
-
-Ciphertext Circuits::equals(const EncryptedInt& a, const EncryptedInt& b,
-                            const Ciphertext& one) const {
-  return equals(a, b, one, lowering_);
-}
-
-Ciphertext Circuits::equals(const EncryptedInt& a, const EncryptedInt& b,
-                            const Ciphertext& one, LoweringOptions options) const {
-  EagerBuilder builder{this};
-  return lowering::lower_equals(builder, std::span<const Ciphertext>(a),
-                                std::span<const Ciphertext>(b), one, options);
-}
-
-EncryptedInt Circuits::mux(const Ciphertext& select, const EncryptedInt& when_true,
-                           const EncryptedInt& when_false) const {
-  EagerBuilder builder{this};
-  return lowering::lower_mux(builder, select, std::span<const Ciphertext>(when_true),
-                             std::span<const Ciphertext>(when_false));
-}
-
-Ciphertext Circuits::less_than(const EncryptedInt& a, const EncryptedInt& b,
-                               const Ciphertext& zero, const Ciphertext& one) const {
-  return less_than(a, b, zero, one, lowering_);
-}
-
-Ciphertext Circuits::less_than(const EncryptedInt& a, const EncryptedInt& b,
-                               const Ciphertext& zero, const Ciphertext& one,
-                               LoweringOptions options) const {
-  EagerBuilder builder{this};
-  return lowering::lower_less_than(builder, std::span<const Ciphertext>(a),
-                                   std::span<const Ciphertext>(b), zero, one, options);
-}
-
-EncryptedInt Circuits::multiply(const EncryptedInt& a, const EncryptedInt& b,
-                                const Ciphertext& zero) const {
-  return multiply(a, b, zero, lowering_);
-}
-
-EncryptedInt Circuits::multiply(const EncryptedInt& a, const EncryptedInt& b,
-                                const Ciphertext& zero, LoweringOptions options) const {
-  HEMUL_CHECK_MSG(!a.empty() && !b.empty(), "multiplier needs nonempty inputs");
-  const std::size_t out_width = a.size() + b.size();
-
-  // All a.size()*b.size() partial-product AND gates are mutually
-  // independent; only the row accumulation below is ordered. With a
-  // scheduler installed, every gate fans out across the PE lanes at once
-  // (the shared spectrum cache still transforms each repeated a[i]/b[j]
-  // once); otherwise each row goes out as one serial batch and the
-  // engine's batch cache amortizes b[j]'s forward transform.
-  std::vector<std::vector<Ciphertext>> rows(b.size());
-  if (scheduler_ != nullptr) {
-    // Submit directly (no intermediate MulJob vector): each queued job
-    // holds one copy of its operand pair, so peak queue memory is one
-    // ciphertext pair per in-flight gate. That is O(w^2) ciphertexts for
-    // the full fan-out -- acceptable at circuit word widths; fall back to
-    // the serial per-row path for very wide words on large parameters.
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(a.size() * b.size());
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        futures.push_back(scheduler_->submit_multiply(a[i].value, b[j].value));
-      }
-    }
-    and_gates_.fetch_add(futures.size(), std::memory_order_relaxed);
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      rows[j].reserve(a.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        rows[j].push_back({futures[k++].get() % scheme_->public_key().x0,
-                           NoiseModel::after_mult(a[i].noise_bits, b[j].noise_bits)});
-      }
-    }
-  } else {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      std::vector<std::pair<Ciphertext, Ciphertext>> jobs;
-      jobs.reserve(a.size());
-      for (std::size_t i = 0; i < a.size(); ++i) jobs.emplace_back(a[i], b[j]);
-      rows[j] = gate_and_batch(jobs);
-    }
-  }
-
-  EagerBuilder builder{this};
-  return lowering::accumulate_rows(builder, rows, zero, out_width, options);
-}
 
 EncryptedInt encrypt_int(Dghv& scheme, u64 value, unsigned width) {
   EncryptedInt out;

@@ -1,155 +1,15 @@
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "fhe/dghv.hpp"
-#include "fhe/evaluator.hpp"
-#include "fhe/graph.hpp"
-
-namespace hemul::core {
-class Scheduler;
-}
 
 namespace hemul::fhe {
 
 /// An encrypted little-endian integer: bit i of the plaintext in word[i].
+/// Word-level circuits over these are recorded as an fhe::Graph and run by
+/// an fhe::Evaluator (or served through core::Service).
 using EncryptedInt = std::vector<Ciphertext>;
-
-/// Homomorphic boolean/arithmetic circuits over DGHV ciphertexts -- the
-/// kinds of server-side computations the paper's introduction motivates
-/// (multiparty computation, medical/financial computing, electronic
-/// voting). Every AND gate is one ultralong multiplication on the
-/// accelerator; the circuit classes below track exactly how many.
-///
-/// This class is the *eager* facade of the circuit layer: calls with
-/// independent gates (gate_or, gate_maj, gate_and_batch) record a one-shot
-/// fhe::Graph and evaluate it immediately through the wavefront Evaluator,
-/// issuing those gates as one batch while results stay call-by-call; a
-/// lone gate_and skips the IR and hits the engine directly. To record a
-/// whole circuit and execute it level-by-level across the PE lanes, build
-/// an fhe::Graph directly and run an fhe::Evaluator (or
-/// core::Accelerator::evaluate) on it.
-class Circuits {
- public:
-  /// Evaluates gates on the scheme's own multiplication engine. `lowering`
-  /// is the default strategy of the word-level ops, overridable per call.
-  explicit Circuits(const Dghv& scheme, LoweringOptions lowering = {})
-      : scheme_(&scheme), lowering_(lowering) {}
-
-  /// Evaluates AND gates on an explicit engine instead (any registered
-  /// backend), overriding the scheme's. XOR gates stay additions.
-  Circuits(const Dghv& scheme, std::shared_ptr<backend::MultiplierBackend> engine,
-           LoweringOptions lowering = {})
-      : scheme_(&scheme), lowering_(lowering), engine_(std::move(engine)) {}
-
-  /// Evaluates independent AND gates concurrently on a multi-PE scheduler:
-  /// gate_and_batch submits every pair, and multiply() fans *all* its
-  /// partial-product gates out at once. Serially-dependent gates (the
-  /// carry chains) execute wavefront by wavefront. Non-owning; the
-  /// scheduler must outlive the circuits.
-  Circuits(const Dghv& scheme, core::Scheduler& scheduler, LoweringOptions lowering = {})
-      : scheme_(&scheme), lowering_(lowering), scheduler_(&scheduler) {}
-
-  /// Installs (or, with nullptr, removes) a scheduler for batched gates.
-  void set_scheduler(core::Scheduler* scheduler) noexcept { scheduler_ = scheduler; }
-
-  /// Replaces the multiplication engine -- the one engine-mutation API
-  /// (mirrors Dghv::set_backend; wrap a bare function in
-  /// backend::FunctionBackend). Pass nullptr to fall back to the scheme's
-  /// own engine.
-  void set_backend(std::shared_ptr<backend::MultiplierBackend> engine) noexcept {
-    engine_ = std::move(engine);
-  }
-
-  /// Replaces the default lowering of subsequent word-level ops.
-  void set_lowering(LoweringOptions lowering) noexcept { lowering_ = lowering; }
-
-  [[nodiscard]] LoweringOptions lowering() const noexcept { return lowering_; }
-
-  // --- gates -------------------------------------------------------------
-
-  [[nodiscard]] Ciphertext gate_xor(const Ciphertext& a, const Ciphertext& b) const;
-  [[nodiscard]] Ciphertext gate_and(const Ciphertext& a, const Ciphertext& b) const;
-  /// OR via a ^ b ^ ab (one multiplication).
-  [[nodiscard]] Ciphertext gate_or(const Ciphertext& a, const Ciphertext& b) const;
-  /// NOT via XOR with an encryption of 1.
-  [[nodiscard]] Ciphertext gate_not(const Ciphertext& a, const Ciphertext& one) const;
-  /// 2-of-3 majority: ab ^ bc ^ ca (three multiplications, one wavefront).
-  [[nodiscard]] Ciphertext gate_maj(const Ciphertext& a, const Ciphertext& b,
-                                    const Ciphertext& c) const;
-
-  // --- word-level circuits -------------------------------------------------
-
-  struct AdderResult {
-    EncryptedInt sum;      ///< same width as the inputs
-    Ciphertext carry_out;  ///< the final carry
-  };
-
-  /// Addition of two equal-width encrypted integers: a ripple-carry chain
-  /// (2 multiplications per bit) or, under carry-save lowering, one
-  /// parallel-prefix resolve. The short forms use the facade's default
-  /// LoweringOptions; pass explicit options to override per call.
-  [[nodiscard]] AdderResult add(const EncryptedInt& a, const EncryptedInt& b,
-                                const Ciphertext& zero) const;
-  [[nodiscard]] AdderResult add(const EncryptedInt& a, const EncryptedInt& b,
-                                const Ciphertext& zero, LoweringOptions options) const;
-
-  /// Equality comparator: AND over XNOR of all bit pairs, serially or as
-  /// a balanced tree (width multiplications either way).
-  [[nodiscard]] Ciphertext equals(const EncryptedInt& a, const EncryptedInt& b,
-                                  const Ciphertext& one) const;
-  [[nodiscard]] Ciphertext equals(const EncryptedInt& a, const EncryptedInt& b,
-                                  const Ciphertext& one, LoweringOptions options) const;
-
-  /// Schoolbook product of two encrypted w-bit integers (2w-bit result).
-  /// Each partial-product row ANDs every bit of `a` against the same b[j],
-  /// so rows are issued as one batch: spectrum-caching engines compute
-  /// b[j]'s forward transform once per row instead of once per gate. The
-  /// rows then accumulate through ripple adders or a Wallace tree.
-  [[nodiscard]] EncryptedInt multiply(const EncryptedInt& a, const EncryptedInt& b,
-                                      const Ciphertext& zero) const;
-  [[nodiscard]] EncryptedInt multiply(const EncryptedInt& a, const EncryptedInt& b,
-                                      const Ciphertext& zero, LoweringOptions options) const;
-
-  /// Bitwise select: out = when_false ^ sel * (when_true ^ when_false).
-  [[nodiscard]] EncryptedInt mux(const Ciphertext& select, const EncryptedInt& when_true,
-                                 const EncryptedInt& when_false) const;
-
-  /// Unsigned a < b via the borrow chain (ripple) or a borrow-save prefix
-  /// pass (carry-save).
-  [[nodiscard]] Ciphertext less_than(const EncryptedInt& a, const EncryptedInt& b,
-                                     const Ciphertext& zero, const Ciphertext& one) const;
-  [[nodiscard]] Ciphertext less_than(const EncryptedInt& a, const EncryptedInt& b,
-                                     const Ciphertext& zero, const Ciphertext& one,
-                                     LoweringOptions options) const;
-
-  /// Batched AND: all pairs through the active engine's multiply_batch (or
-  /// fanned out across the scheduler's PE lanes) as one wavefront.
-  [[nodiscard]] std::vector<Ciphertext> gate_and_batch(
-      std::span<const std::pair<Ciphertext, Ciphertext>> jobs) const;
-
-  /// Multiplications (accelerator invocations) issued so far. Thread-safe:
-  /// two threads sharing one Circuits instance never lose counts.
-  [[nodiscard]] u64 and_gates_used() const noexcept {
-    return and_gates_.load(std::memory_order_relaxed);
-  }
-
- private:
-  /// The evaluator matching this facade's execution configuration.
-  [[nodiscard]] Evaluator make_evaluator() const;
-
-  /// Evaluates a recorded one-call graph eagerly (no pre-execution noise
-  /// veto: the facade reproduces compute-then-fail-at-decryption
-  /// semantics) and books its executed AND gates into the counter.
-  std::vector<Ciphertext> run(const Graph& graph, std::span<const Wire> outputs) const;
-
-  const Dghv* scheme_;
-  LoweringOptions lowering_;
-  std::shared_ptr<backend::MultiplierBackend> engine_;  ///< optional override
-  core::Scheduler* scheduler_ = nullptr;  ///< optional concurrent fan-out
-  mutable std::atomic<u64> and_gates_{0};
-};
 
 /// Encrypts an integer bit by bit (width bits, little-endian).
 EncryptedInt encrypt_int(Dghv& scheme, u64 value, unsigned width);

@@ -315,8 +315,10 @@ backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes);
 /// engine inline otherwise. XOR nodes are plain ciphertext additions (or
 /// spectrum folds) evaluated between wavefronts.
 ///
-/// Results are bit-exact against eager fhe::Circuits evaluation: the same
-/// products are taken modulo the same x0, only their grouping differs.
+/// Results are bit-exact against gate-by-gate evaluation of the same
+/// lowering templates (one engine multiply modulo x0 per AND, one
+/// Dghv::add per XOR): the same products are taken modulo the same x0,
+/// only their grouping differs.
 /// A lane fault on the scheduler path throws std::runtime_error carrying
 /// the lane's message.
 class Evaluator {

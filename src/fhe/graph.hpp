@@ -36,8 +36,9 @@ enum class GateOp : unsigned char { kInput, kXor, kAnd };
 ///   - leveled: every wire knows its multiplicative depth, which the
 ///     Evaluator uses to batch independent AND gates into wavefronts.
 ///
-/// Word-level builders mirror fhe::Circuits' eager constructions gate for
-/// gate, so evaluating a graph reproduces the eager results bit for bit.
+/// Word-level builders run the shared lowering templates (fhe/lowering.hpp),
+/// so a graph records exactly the gates the noise predictor and the
+/// plaintext/eager test references see.
 class Graph {
  public:
   /// Gate-builder concept hook: the lowering templates record into a Graph

@@ -28,8 +28,8 @@ enum class LoweringStrategy : u8 {
   kCarrySave = 1,
 };
 
-/// The one public lowering knob, threaded as a Graph/Circuits-level
-/// default and overridable per word-op call.
+/// The one public lowering knob, threaded as a Graph-level default and
+/// overridable per word-op call.
 struct LoweringOptions {
   LoweringStrategy strategy = LoweringStrategy::kRippleCarry;
 
@@ -66,9 +66,10 @@ namespace lowering {
 /// instantiated for every consumer, so the gate structure of a strategy
 /// cannot diverge between them:
 ///   - fhe::Graph          (WireType = Wire)     -- lazy recording
-///   - the eager adapter in circuits.cpp         -- ciphertext-at-a-time
 ///   - DepthSim / NoiseSim in noise.cpp          -- analytic prediction
 ///   - PlainBuilder in the tests                 -- plaintext reference
+///   - EagerGates in the tests and benches       -- gate-by-gate ciphertext
+///                                                  reference
 /// A builder provides:
 ///   using WireType = ...;
 ///   WireType gate_xor(const WireType&, const WireType&);
@@ -270,36 +271,9 @@ WireOf<B> lower_equals(B& g, std::span<const WireOf<B>> a, std::span<const WireO
   return acc;
 }
 
-/// Accumulates the shifted partial-product rows of a multiplier
-/// (rows[j][i] has weight 2^(i+j)) into the 2w-bit product. The rows are
-/// produced by the caller so eager facades can batch or fan out the
-/// partial-product AND gates their own way.
-template <class B>
-std::vector<WireOf<B>> accumulate_rows(B& g,
-                                       const std::vector<std::vector<WireOf<B>>>& rows,
-                                       const WireOf<B>& zero, std::size_t out_width,
-                                       LoweringOptions options) {
-  if (options.strategy == LoweringStrategy::kCarrySave) {
-    std::vector<std::vector<WireOf<B>>> columns(out_width);
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      for (std::size_t i = 0; i < rows[j].size(); ++i) {
-        HEMUL_CHECK_MSG(i + j < out_width, "partial product past the result width");
-        columns[i + j].push_back(rows[j][i]);
-      }
-    }
-    return wallace_reduce<B>(g, std::move(columns), zero);
-  }
-  std::vector<WireOf<B>> acc(out_width, zero);
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    // Row j: (a AND b[j]) shifted by j, ripple-added into the accumulator.
-    std::vector<WireOf<B>> row(out_width, zero);
-    for (std::size_t i = 0; i < rows[j].size(); ++i) row[i + j] = rows[j][i];
-    AddOut<B> added = ripple_add<B>(g, acc, row, zero);
-    acc = std::move(added.sum);  // carry_out is dead: out_width fits the product
-  }
-  return acc;
-}
-
+/// Schoolbook product: the partial-product rows (rows[j][i] = a[i] AND
+/// b[j], weight 2^(i+j)) accumulated into the 2w-bit product by ripple row
+/// adders or a Wallace tree.
 template <class B>
 std::vector<WireOf<B>> lower_multiply(B& g, std::span<const WireOf<B>> a,
                                       std::span<const WireOf<B>> b, const WireOf<B>& zero,
@@ -312,7 +286,23 @@ std::vector<WireOf<B>> lower_multiply(B& g, std::span<const WireOf<B>> a,
     rows[j].reserve(a.size());
     for (std::size_t i = 0; i < a.size(); ++i) rows[j].push_back(g.gate_and(a[i], b[j]));
   }
-  return accumulate_rows<B>(g, rows, zero, a.size() + b.size(), options);
+  const std::size_t out_width = a.size() + b.size();
+  if (options.strategy == LoweringStrategy::kCarrySave) {
+    std::vector<std::vector<WireOf<B>>> columns(out_width);
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      for (std::size_t i = 0; i < rows[j].size(); ++i) columns[i + j].push_back(rows[j][i]);
+    }
+    return wallace_reduce<B>(g, std::move(columns), zero);
+  }
+  std::vector<WireOf<B>> acc(out_width, zero);
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    // Row j: (a AND b[j]) shifted by j, ripple-added into the accumulator.
+    std::vector<WireOf<B>> row(out_width, zero);
+    for (std::size_t i = 0; i < rows[j].size(); ++i) row[i + j] = rows[j][i];
+    AddOut<B> added = ripple_add<B>(g, acc, row, zero);
+    acc = std::move(added.sum);  // carry_out is dead: out_width fits the product
+  }
+  return acc;
 }
 
 template <class B>

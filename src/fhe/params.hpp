@@ -36,7 +36,7 @@ struct DghvParams {
 
   /// Small-gamma / large-eta setting with a deep noise budget, for
   /// evaluating multi-level circuits (e.g. the word-level multiplier of
-  /// fhe::Circuits) without bootstrapping.
+  /// fhe::Graph) without bootstrapping.
   static DghvParams deep();
 
   /// Consistency checks (eta < gamma, rho < eta, tau >= 1 ...).

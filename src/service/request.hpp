@@ -51,8 +51,8 @@ inline constexpr unsigned kMaxCircuitWidth = 16;
 
 /// The typed circuit selector of a Request: which builtin, at what word
 /// width, lowered how. One parse/validate surface shared by the service
-/// coordinator, hemul_cli and hemul_serve, replacing the former
-/// name + width stringly pairing.
+/// coordinator and hemul_cli, replacing the former name + width stringly
+/// pairing.
 struct CircuitSpec {
   CircuitKind kind = CircuitKind::kAnd;
   unsigned width = 1;  ///< word width of the builtin circuits, in [1, 16]

@@ -36,7 +36,6 @@ SsaParams SsaParams::paper() {
   params.coeff_bits = 24;
   params.num_coeffs = 32768;
   params.transform_size = 65536;
-  params.plan = ntt::NttPlan::paper_64k();
   params.validate();
   return params;
 }
@@ -51,7 +50,6 @@ SsaParams SsaParams::for_bits(std::size_t operand_bits, unsigned headroom_bits) 
     params.coeff_bits = m;
     params.num_coeffs = num_coeffs;
     params.transform_size = std::max<u64>(next_pow2(2 * num_coeffs), kMinTransform);
-    params.plan = ntt::NttPlan::pure_radix2(params.transform_size);
     params.validate();
     return params;
   }
@@ -67,7 +65,6 @@ void SsaParams::validate() const {
                   "transform size must be a power of two");
   HEMUL_CHECK_MSG(transform_size >= kMinTransform,
                   "transform size below the smallest four-step split (2 x 2)");
-  HEMUL_CHECK_MSG(plan.size == transform_size, "plan size must match transform size");
   HEMUL_CHECK_MSG(exact(coeff_bits, num_coeffs),
                   "coefficient width too large for exact convolution");
 }

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 
-#include "ntt/plan.hpp"
+#include "util/uint128.hpp"
 
 namespace hemul::ssa {
 
@@ -18,13 +18,10 @@ struct SsaParams {
   std::size_t coeff_bits = 0;  ///< m: bits per polynomial coefficient
   u64 num_coeffs = 0;          ///< operand coefficients (before padding)
   u64 transform_size = 0;      ///< N: NTT length, power of two >= max(4, 2*num_coeffs)
-  /// Stage decomposition of the N-point transform, read by the hw
-  /// performance model. The transforms themselves always run on
-  /// ntt::FourStepNtt.
-  ntt::NttPlan plan;
 
-  /// The paper's configuration: 786,432-bit operands, m = 24, N = 64K,
-  /// plan 64*64*16.
+  /// The paper's configuration: 786,432-bit operands, m = 24, N = 64K.
+  /// (The paper's 64*64*16 stage plan belongs to the hw model:
+  /// hw::AcceleratorConfig::ntt.plan and hw::PerfParams::plan.)
   static SsaParams paper();
 
   /// Chooses the largest exact coefficient width for the given operand size

@@ -8,7 +8,6 @@
 #include "backend/registry.hpp"
 #include "backend/ssa_backend.hpp"
 #include "bigint/mul.hpp"
-#include "fhe/circuits.hpp"
 #include "fhe/dghv.hpp"
 #include "util/rng.hpp"
 
@@ -282,18 +281,6 @@ TEST(SsaBackendStats, CumulativeTransformCountIsCacheAware) {
   (void)plain.multiply(a, b);
   (void)plain.square(a);
   EXPECT_EQ(plain.stats().transform_count, 5u);  // 3 + 2
-}
-
-TEST(Fhe, CircuitsWordMultiplyOnExplicitBackend) {
-  fhe::Dghv scheme(fhe::DghvParams::deep(), 11);
-  fhe::Circuits circuits(scheme, make_backend("classical"));
-  const auto zero = scheme.encrypt(false);
-
-  const fhe::EncryptedInt a = fhe::encrypt_int(scheme, 5, 3);
-  const fhe::EncryptedInt b = fhe::encrypt_int(scheme, 6, 3);
-  const fhe::EncryptedInt product = circuits.multiply(a, b, zero);
-  EXPECT_EQ(fhe::decrypt_int(scheme, product), 30u);
-  EXPECT_GT(circuits.and_gates_used(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "backend/hw_backend.hpp"
@@ -26,6 +25,25 @@ std::shared_ptr<backend::FunctionBackend> counting_engine(std::atomic<u64>& coun
         return a * b;
       },
       "counting");
+}
+
+/// Gate-by-gate eager reference: the lowering templates run one ciphertext
+/// gate at a time, XOR as Dghv::add and AND as one engine multiply reduced
+/// modulo x0 -- the gates a wavefront evaluation must reproduce bit for bit.
+struct EagerGates {
+  using WireType = Ciphertext;
+  const Dghv& scheme;
+  backend::MultiplierBackend& engine;
+  Ciphertext gate_xor(const Ciphertext& a, const Ciphertext& b) { return scheme.add(a, b); }
+  Ciphertext gate_and(const Ciphertext& a, const Ciphertext& b) {
+    return {engine.multiply(a.value, b.value) % scheme.public_key().x0,
+            NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
+  }
+};
+
+/// Evaluates the requested wires of `graph` on the scheme's own engine.
+std::vector<Ciphertext> run(const Graph& graph, std::span<const Wire> outputs) {
+  return Evaluator().evaluate(graph, outputs);
 }
 
 class GraphTest : public ::testing::Test {
@@ -187,28 +205,109 @@ TEST_F(GraphTest, MuxSelectsAndLessThanCompares) {
   }
 }
 
-// --- parity: eager facade vs wavefront evaluator ---------------------------
+TEST_F(GraphTest, AllTwoInputGates) {
+  for (const bool a : {false, true}) {
+    for (const bool b : {false, true}) {
+      Graph graph(scheme_);
+      const Wire wa = graph.input(scheme_.encrypt(a));
+      const Wire wb = graph.input(scheme_.encrypt(b));
+      const Wire one = graph.input(scheme_.encrypt(true));
+      const std::vector<Wire> outputs = {graph.gate_xor(wa, wb), graph.gate_and(wa, wb),
+                                         graph.gate_or(wa, wb), graph.gate_not(wa, one)};
+      const std::vector<Ciphertext> bits = run(graph, outputs);
+      EXPECT_EQ(scheme_.decrypt(bits[0]), a != b) << a << b;
+      EXPECT_EQ(scheme_.decrypt(bits[1]), a && b) << a << b;
+      EXPECT_EQ(scheme_.decrypt(bits[2]), a || b) << a << b;
+      EXPECT_EQ(scheme_.decrypt(bits[3]), !a) << a << b;
+    }
+  }
+}
 
-struct ParityOutputs {
-  std::vector<Ciphertext> values;
-};
+TEST_F(GraphTest, MajorityTruthTable) {
+  for (int bits = 0; bits < 8; ++bits) {
+    const bool a = bits & 1;
+    const bool b = bits & 2;
+    const bool c = bits & 4;
+    Graph graph(scheme_);
+    const Wire wa = graph.input(scheme_.encrypt(a));
+    const Wire wb = graph.input(scheme_.encrypt(b));
+    const Wire wc = graph.input(scheme_.encrypt(c));
+    const Wire outputs[] = {graph.gate_maj(wa, wb, wc)};
+    EXPECT_EQ(scheme_.decrypt(run(graph, outputs)[0]), (a + b + c) >= 2) << bits;
+  }
+}
+
+TEST_F(GraphTest, EncryptDecryptIntRoundTrip) {
+  for (const u64 v : {0ULL, 1ULL, 5ULL, 10ULL, 15ULL}) {
+    EXPECT_EQ(decrypt_int(scheme_, encrypt_int(scheme_, v, 4)), v);
+  }
+  // Width truncates.
+  EXPECT_EQ(decrypt_int(scheme_, encrypt_int(scheme_, 0xFF, 4)), 0xFu);
+}
+
+TEST_F(GraphTest, AdderAndComparatorOverWordPairs) {
+  const Ciphertext zero = scheme_.encrypt(false);
+  const Ciphertext one = scheme_.encrypt(true);
+  for (auto [x, y] : {std::pair{3u, 2u}, {7u, 9u}, {15u, 15u}, {0u, 0u}, {8u, 8u}, {11u, 10u}}) {
+    Graph graph(scheme_);
+    const std::vector<Wire> a = graph.inputs(encrypt_int(scheme_, x, 4));
+    const std::vector<Wire> b = graph.inputs(encrypt_int(scheme_, y, 4));
+    Graph::AddResult sum = graph.add(a, b, graph.input(zero));
+    std::vector<Wire> outputs = std::move(sum.sum);
+    outputs.push_back(sum.carry_out);
+    outputs.push_back(graph.equals(a, b, graph.input(one)));
+    const std::vector<Ciphertext> bits = run(graph, outputs);
+    EXPECT_EQ(decrypt_int(scheme_, EncryptedInt(bits.begin(), bits.end() - 1)), x + y)
+        << x << "+" << y;
+    EXPECT_EQ(scheme_.decrypt(bits.back()), x == y) << x << "==" << y;
+  }
+}
+
+TEST_F(GraphTest, WidthMismatchRejected) {
+  Graph graph(scheme_);
+  const std::vector<Wire> a = graph.inputs(encrypt_int(scheme_, 1, 4));
+  const std::vector<Wire> b = graph.inputs(encrypt_int(scheme_, 1, 3));
+  const Wire zero = graph.input(scheme_.encrypt(false));
+  const Wire one = graph.input(scheme_.encrypt(true));
+  EXPECT_THROW((void)graph.add(a, b, zero), std::logic_error);
+  EXPECT_THROW((void)graph.equals(a, b, one), std::logic_error);
+}
+
+TEST(GraphDeep, WordMultiplierDecrypts) {
+  // The ripple multiplier stacks row adders, so its multiplicative depth
+  // exceeds the toy noise budget; deep() has eta = 8192 bits of headroom.
+  Dghv scheme(DghvParams::deep(), 88);
+  const Ciphertext zero = scheme.encrypt(false);
+  for (auto [x, y] : {std::pair{3u, 2u}, {3u, 3u}, {0u, 2u}, {1u, 3u}}) {
+    Graph graph(scheme);
+    const std::vector<Wire> a = graph.inputs(encrypt_int(scheme, x, 2));
+    const std::vector<Wire> b = graph.inputs(encrypt_int(scheme, y, 2));
+    const std::vector<Wire> product = graph.multiply(a, b, graph.input(zero));
+    const std::vector<Ciphertext> bits = run(graph, product);
+    EXPECT_EQ(decrypt_int(scheme, EncryptedInt(bits.begin(), bits.end())), x * y) << x << "*" << y;
+  }
+}
+
+// --- parity: gate-by-gate eager reference vs wavefront evaluator ----------
 
 /// The eager reference: adder + equality + majority (and, for fast engines,
-/// the 2x2 word multiplier) through the Circuits facade.
-ParityOutputs eager_reference(Circuits& circuits, const EncryptedInt& cx,
-                              const EncryptedInt& cy, const Ciphertext& zero,
-                              const Ciphertext& one, bool include_multiply) {
-  ParityOutputs out;
-  const Circuits::AdderResult sum = circuits.add(cx, cy, zero);
-  out.values = sum.sum;
-  out.values.push_back(sum.carry_out);
-  out.values.push_back(circuits.equals(cx, cy, one));
-  out.values.push_back(circuits.gate_maj(cx[0], cy[0], cx[1]));
+/// the 2x2 word multiplier), one gate at a time on `engine`.
+std::vector<Ciphertext> eager_reference(const Dghv& scheme, backend::MultiplierBackend& engine,
+                                        const EncryptedInt& cx, const EncryptedInt& cy,
+                                        const Ciphertext& zero, const Ciphertext& one,
+                                        bool include_multiply) {
+  EagerGates g{scheme, engine};
+  const LoweringOptions ripple;
+  lowering::AddOut<EagerGates> sum = lowering::lower_add<EagerGates>(g, cx, cy, zero, ripple);
+  std::vector<Ciphertext> out = std::move(sum.sum);
+  out.push_back(sum.carry_out);
+  out.push_back(lowering::lower_equals<EagerGates>(g, cx, cy, one, ripple));
+  out.push_back(lowering::majority<EagerGates>(g, cx[0], cy[0], cx[1]));
   if (include_multiply) {
-    const EncryptedInt mx(cx.begin(), cx.begin() + 2);
-    const EncryptedInt my(cy.begin(), cy.begin() + 2);
-    const EncryptedInt prod = circuits.multiply(mx, my, zero);
-    out.values.insert(out.values.end(), prod.begin(), prod.end());
+    const std::span<const Ciphertext> mx(cx.data(), 2);
+    const std::span<const Ciphertext> my(cy.data(), 2);
+    const EncryptedInt prod = lowering::lower_multiply<EagerGates>(g, mx, my, zero, ripple);
+    out.insert(out.end(), prod.begin(), prod.end());
   }
   return out;
 }
@@ -257,8 +356,7 @@ void expect_bit_exact(const std::vector<Ciphertext>& got,
 hw::AcceleratorConfig small_hw_config() {
   hw::AcceleratorConfig config = hw::AcceleratorConfig::paper();
   config.ssa = ssa::SsaParams::for_bits(4096);
-  config.ssa.plan = ntt::NttPlan::from_radices({8, 8, 8});  // N = 512
-  config.ntt.plan = config.ssa.plan;
+  config.ntt.plan = ntt::NttPlan::from_radices({8, 8, 8});  // N = 512
   return config;
 }
 
@@ -281,9 +379,9 @@ TEST(GraphParity, EagerMatchesWavefrontAcrossBackendsAndWorkers) {
 
   for (const std::string& name : backend::Registry::instance().names()) {
     // Eager arm.
-    Circuits circuits(scheme, make_engine(name));
-    const ParityOutputs eager =
-        eager_reference(circuits, cx, cy, zero, one, /*include_multiply=*/true);
+    const auto engine = make_engine(name);
+    const std::vector<Ciphertext> eager =
+        eager_reference(scheme, *engine, cx, cy, zero, one, /*include_multiply=*/true);
 
     auto [graph, outputs] =
         graph_reference(scheme, cx, cy, zero, one, /*include_multiply=*/true);
@@ -294,7 +392,7 @@ TEST(GraphParity, EagerMatchesWavefrontAcrossBackendsAndWorkers) {
       EvalReport report;
       const std::vector<Ciphertext> wave =
           evaluator.evaluate(graph, outputs, &report, no_veto);
-      expect_bit_exact(wave, eager.values, name + " engine path");
+      expect_bit_exact(wave, eager, name + " engine path");
       EXPECT_LT(report.wavefront_count(), report.and_gates) << name;
     }
 
@@ -309,8 +407,7 @@ TEST(GraphParity, EagerMatchesWavefrontAcrossBackendsAndWorkers) {
       EvalReport report;
       const std::vector<Ciphertext> wave =
           evaluator.evaluate(graph, outputs, &report, no_veto);
-      expect_bit_exact(wave, eager.values,
-                       name + " scheduler x" + std::to_string(workers));
+      expect_bit_exact(wave, eager, name + " scheduler x" + std::to_string(workers));
       // Spectrum residency engages exactly on "ssa" lanes and must never
       // change results (checked above) -- only the transform economy.
       EXPECT_EQ(report.spectrum_resident, name == "ssa")
@@ -483,7 +580,7 @@ TEST(GraphNoise, MaxMultDepthIsTightAndVetoedBeforeExecution) {
   EXPECT_LE(failure_depth, depth + 16) << "squarings past the budget must eventually fail";
 }
 
-// --- integration with the facade and the core layer ------------------------
+// --- integration with the core layer ----------------------------------------
 
 TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
   Dghv scheme(DghvParams::toy(), 5150);
@@ -507,23 +604,6 @@ TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
   EXPECT_TRUE(report.decryptable);
   EncryptedInt enc_sum(results.begin(), results.begin() + 4);
   EXPECT_EQ(decrypt_int(scheme, enc_sum) | (scheme.decrypt(results[4]) ? 16u : 0u), 14u);
-}
-
-TEST(GraphFacade, AndGateCounterIsThreadSafe) {
-  Dghv scheme(DghvParams::toy(), 31);
-  Circuits circuits(scheme, backend::make_backend("classical"));
-  const Ciphertext ca = scheme.encrypt(true);
-  const Ciphertext cb = scheme.encrypt(false);
-
-  constexpr unsigned kPerThread = 16;
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      for (unsigned i = 0; i < kPerThread; ++i) (void)circuits.gate_and(ca, cb);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(circuits.and_gates_used(), 2 * kPerThread);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
@@ -15,6 +16,7 @@
 #include "fhe/graph.hpp"
 #include "fhe/lowering.hpp"
 #include "fhe/noise.hpp"
+#include "ntt/plan.hpp"
 
 namespace hemul::fhe {
 namespace {
@@ -53,6 +55,20 @@ u64 from_bits(const std::vector<PlainWire>& bits) {
   }
   return value;
 }
+
+/// Gate-by-gate eager reference: the lowering templates run one ciphertext
+/// gate at a time, XOR as Dghv::add and AND as one engine multiply reduced
+/// modulo x0 -- the gates a wavefront evaluation must reproduce bit for bit.
+struct EagerGates {
+  using WireType = Ciphertext;
+  const Dghv& scheme;
+  backend::MultiplierBackend& engine;
+  Ciphertext gate_xor(const Ciphertext& a, const Ciphertext& b) { return scheme.add(a, b); }
+  Ciphertext gate_and(const Ciphertext& a, const Ciphertext& b) {
+    return {engine.multiply(a.value, b.value) % scheme.public_key().x0,
+            NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
+  }
+};
 
 u64 mask_of(unsigned width) { return width >= 64 ? ~u64{0} : (u64{1} << width) - 1; }
 
@@ -254,6 +270,19 @@ DghvParams parity_params() {
   return p;
 }
 
+/// The engine a parity arm runs on. "hw" is a downsized simulated
+/// accelerator (1024-point pipeline, plan 16*8*8) that multiplies
+/// parity_params()'s 8192-bit ciphertexts exactly, so the arm takes
+/// milliseconds instead of simulating the 64K-point paper machine per gate
+/// (HwAccelerator.PaperMultiplicationBitExact covers that machine).
+std::shared_ptr<backend::MultiplierBackend> parity_engine(const std::string& name) {
+  if (name != "hw") return backend::make_backend(name);
+  hw::AcceleratorConfig config = hw::AcceleratorConfig::paper();
+  config.ssa = ssa::SsaParams::for_bits(parity_params().gamma);
+  config.ntt.plan = ntt::NttPlan::from_radices({16, 8, 8});  // N = 1024
+  return std::make_shared<backend::HwBackend>(config);
+}
+
 TEST(LoweringParity, EagerAndWavefrontAreBitExactUnderBothStrategies) {
   const DghvParams params = parity_params();
   Dghv scheme(params, 0x10E1);
@@ -271,12 +300,14 @@ TEST(LoweringParity, EagerAndWavefrontAreBitExactUnderBothStrategies) {
     const EncryptedInt cx = encrypt_int(scheme, x, width);
     const EncryptedInt cy = encrypt_int(scheme, y, width);
 
-    // Eager facade on the scheme's own engine.
-    Circuits eager(scheme, options);
-    Circuits::AdderResult eager_sum = eager.add(cx, cy, enc_zero);
+    // Gate-by-gate on the scheme's own engine.
+    EagerGates eager{scheme, *scheme.engine()};
+    lowering::AddOut<EagerGates> eager_sum =
+        lowering::lower_add<EagerGates>(eager, cx, cy, enc_zero, options);
     std::vector<Ciphertext> eager_out = std::move(eager_sum.sum);
     eager_out.push_back(eager_sum.carry_out);
-    eager_out.push_back(eager.less_than(cx, cy, enc_zero, enc_one));
+    eager_out.push_back(
+        lowering::lower_less_than<EagerGates>(eager, cx, cy, enc_zero, enc_one, options));
 
     // Graph + wavefront evaluator over the scheduler.
     Graph graph(scheme, options);
@@ -304,10 +335,13 @@ TEST(LoweringParity, StrategiesDecryptIdenticallyOnEveryBackend) {
   const DghvParams params = parity_params();
   const unsigned width = 4;
   const u64 x = 0xD, y = 0x5;
+  // A 2-bit word multiply stays inside the noise budget under both
+  // lowerings (a 3-bit ripple multiply would not).
+  const u64 mx = 0x3, my = 0x2;
 
   for (const std::string& name : backend::Registry::instance().names()) {
-    const auto probe = backend::make_backend(name);
-    const backend::BackendLimits limits = probe->limits();
+    const std::shared_ptr<backend::MultiplierBackend> engine = parity_engine(name);
+    const backend::BackendLimits limits = engine->limits();
     if (limits.max_operand_bits != 0 && limits.max_operand_bits < params.gamma) {
       continue;  // engine cannot hold a gamma-bit ciphertext
     }
@@ -316,22 +350,37 @@ TEST(LoweringParity, StrategiesDecryptIdenticallyOnEveryBackend) {
     const Ciphertext enc_one = scheme.encrypt(true);
     const EncryptedInt cx = encrypt_int(scheme, x, width);
     const EncryptedInt cy = encrypt_int(scheme, y, width);
+    const EncryptedInt cmx = encrypt_int(scheme, mx, 2);
+    const EncryptedInt cmy = encrypt_int(scheme, my, 2);
 
     u64 sums[2] = {0, 0};
     bool lts[2] = {false, false};
+    u64 products[2] = {0, 0};
     int slot = 0;
     for (const LoweringOptions options : {kRipple, kCarrySave}) {
-      Circuits circuits(scheme, backend::make_backend(name), options);
-      Circuits::AdderResult r = circuits.add(cx, cy, enc_zero);
-      sums[slot] = decrypt_int(scheme, r.sum) |
-                   (scheme.decrypt(r.carry_out) ? u64{1} << width : 0);
-      lts[slot] = scheme.decrypt(circuits.less_than(cx, cy, enc_zero, enc_one));
+      Graph graph(scheme, options);
+      const std::vector<Wire> wx = graph.inputs(cx);
+      const std::vector<Wire> wy = graph.inputs(cy);
+      const Wire zero = graph.input(enc_zero);
+      Graph::AddResult sum = graph.add(wx, wy, zero);
+      std::vector<Wire> outputs = std::move(sum.sum);
+      outputs.push_back(sum.carry_out);
+      outputs.push_back(graph.less_than(wx, wy, zero, graph.input(enc_one)));
+      const std::vector<Wire> product = graph.multiply(graph.inputs(cmx), graph.inputs(cmy), zero);
+      outputs.insert(outputs.end(), product.begin(), product.end());
+
+      const std::vector<Ciphertext> wave = Evaluator(engine).evaluate(graph, outputs);
+      sums[slot] = decrypt_int(scheme, EncryptedInt(wave.begin(), wave.begin() + width + 1));
+      lts[slot] = scheme.decrypt(wave[width + 1]);
+      products[slot] = decrypt_int(scheme, EncryptedInt(wave.begin() + width + 2, wave.end()));
       ++slot;
     }
     EXPECT_EQ(sums[0], sums[1]) << "backend " << name;
     EXPECT_EQ(sums[0], x + y) << "backend " << name;
     EXPECT_EQ(lts[0], lts[1]) << "backend " << name;
     EXPECT_EQ(lts[0], x < y) << "backend " << name;
+    EXPECT_EQ(products[0], products[1]) << "backend " << name;
+    EXPECT_EQ(products[0], mx * my) << "backend " << name;
   }
 }
 
@@ -348,28 +397,44 @@ TEST(LoweringParity, StrategiesDecryptIdenticallyAcrossWorkerCounts) {
   params.eta = static_cast<std::size_t>(worst) + 32;
   params.gamma = std::max<std::size_t>(params.gamma, 4 * params.eta);
 
-  for (const unsigned workers : {1u, 4u}) {
-    core::Config config;
-    config.backend_name = "ssa";
-    config.num_workers = workers;
-    core::Scheduler scheduler(config);
+  // Resident ("ssa") and eager ("classical") lanes, each against a
+  // gate-by-gate reference on a classical engine.
+  const auto reference_engine = backend::make_backend("classical");
+  for (const std::string lanes : {"ssa", "classical"}) {
+    for (const unsigned workers : {1u, 4u}) {
+      core::Config config;
+      config.backend_name = lanes;
+      config.num_workers = workers;
+      core::Scheduler scheduler(config);
 
-    Dghv scheme(params, 0x60D0 + workers);
-    const Ciphertext enc_zero = scheme.encrypt(false);
-    u64 products[2] = {0, 0};
-    int slot = 0;
-    for (const LoweringOptions options : {kRipple, kCarrySave}) {
-      Graph graph(scheme, options);
-      const std::vector<Wire> wx = graph.inputs(encrypt_int(scheme, x, width));
-      const std::vector<Wire> wy = graph.inputs(encrypt_int(scheme, y, width));
-      const std::vector<Wire> outputs = graph.multiply(wx, wy, graph.input(enc_zero));
+      Dghv scheme(params, 0x60D0 + workers);
+      const Ciphertext enc_zero = scheme.encrypt(false);
+      const EncryptedInt cx = encrypt_int(scheme, x, width);
+      const EncryptedInt cy = encrypt_int(scheme, y, width);
+      u64 products[2] = {0, 0};
+      int slot = 0;
+      for (const LoweringOptions options : {kRipple, kCarrySave}) {
+        const std::string arm = lanes + " x" + std::to_string(workers) + " " +
+                                std::string(lowering_strategy_name(options.strategy));
+        Graph graph(scheme, options);
+        const std::vector<Wire> outputs =
+            graph.multiply(graph.inputs(cx), graph.inputs(cy), graph.input(enc_zero));
 
-      Evaluator evaluator(scheduler);
-      const std::vector<Ciphertext> wave = evaluator.evaluate(graph, outputs);
-      products[slot++] = decrypt_int(scheme, EncryptedInt(wave.begin(), wave.end()));
+        Evaluator evaluator(scheduler);
+        const std::vector<Ciphertext> wave = evaluator.evaluate(graph, outputs);
+        products[slot++] = decrypt_int(scheme, EncryptedInt(wave.begin(), wave.end()));
+
+        EagerGates eager{scheme, *reference_engine};
+        const EncryptedInt expected =
+            lowering::lower_multiply<EagerGates>(eager, cx, cy, enc_zero, options);
+        ASSERT_EQ(wave.size(), expected.size()) << arm;
+        for (std::size_t i = 0; i < wave.size(); ++i) {
+          EXPECT_EQ(wave[i].value, expected[i].value) << arm << " bit " << i;
+        }
+      }
+      EXPECT_EQ(products[0], products[1]) << lanes << " x" << workers;
+      EXPECT_EQ(products[0], x * y) << lanes << " x" << workers;
     }
-    EXPECT_EQ(products[0], products[1]) << workers << " workers";
-    EXPECT_EQ(products[0], x * y) << workers << " workers";
   }
 }
 

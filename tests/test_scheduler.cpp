@@ -11,8 +11,6 @@
 #include "bigint/mul.hpp"
 #include "core/accelerator.hpp"
 #include "core/scheduler.hpp"
-#include "fhe/circuits.hpp"
-#include "fhe/dghv.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::core {
@@ -310,36 +308,6 @@ TEST(Accelerator, SubmitApiMatchesSynchronousMultiply) {
   EXPECT_EQ(futures[0].get(), expected);
   EXPECT_EQ(futures[1].get(), expected);
   EXPECT_EQ(futures[2].get(), bigint::mul_schoolbook(a, a));
-}
-
-TEST(Circuits, WordMultiplyFansOutThroughScheduler) {
-  fhe::Dghv scheme(fhe::DghvParams::deep(), 11);
-  const auto zero = scheme.encrypt(false);
-  const fhe::EncryptedInt a = fhe::encrypt_int(scheme, 5, 3);
-  const fhe::EncryptedInt b = fhe::encrypt_int(scheme, 6, 3);
-
-  // Serial reference on the same explicit engine.
-  fhe::Circuits serial(scheme, backend::make_backend("classical"));
-  const fhe::EncryptedInt expected = serial.multiply(a, b, zero);
-
-  Scheduler scheduler(config_for("classical", 3));
-  fhe::Circuits concurrent(scheme, scheduler);
-  const fhe::EncryptedInt product = concurrent.multiply(a, b, zero);
-
-  EXPECT_EQ(fhe::decrypt_int(scheme, product), 30u);
-  EXPECT_EQ(concurrent.and_gates_used(), serial.and_gates_used());
-  ASSERT_EQ(product.size(), expected.size());
-  for (std::size_t i = 0; i < product.size(); ++i) {
-    EXPECT_EQ(product[i].value, expected[i].value) << "bit " << i;
-  }
-
-  // gate_and_batch also routes through the scheduler.
-  const std::vector<std::pair<fhe::Ciphertext, fhe::Ciphertext>> pairs = {
-      {a[0], b[0]}, {a[1], b[1]}};
-  const std::vector<fhe::Ciphertext> anded = concurrent.gate_and_batch(pairs);
-  ASSERT_EQ(anded.size(), 2u);
-  EXPECT_EQ(scheme.decrypt(anded[0]), scheme.decrypt(a[0]) && scheme.decrypt(b[0]));
-  EXPECT_EQ(scheme.decrypt(anded[1]), scheme.decrypt(a[1]) && scheme.decrypt(b[1]));
 }
 
 }  // namespace

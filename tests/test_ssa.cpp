@@ -23,7 +23,6 @@ TEST(SsaParams, PaperConfiguration) {
   EXPECT_EQ(p.coeff_bits, 24u);
   EXPECT_EQ(p.num_coeffs, 32768u);
   EXPECT_EQ(p.transform_size, 65536u);
-  EXPECT_EQ(p.plan.describe(), "64*64*16");
   EXPECT_EQ(p.max_operand_bits(), 786432u);
 }
 
@@ -118,7 +117,6 @@ TEST(SsaParams, ForBitsClampsTinyOperandsToTheSmallestFourStepSplit) {
   }
   SsaParams p = SsaParams::for_bits(1);
   p.transform_size = 2;
-  p.plan = ntt::NttPlan::pure_radix2(2);
   EXPECT_THROW(p.validate(), std::logic_error);
 }
 
@@ -315,7 +313,6 @@ TEST(SpectrumCacheKeying, GeometriesNeverShareSpectra) {
   const SsaParams narrower = SsaParams::for_bits(1024, 12);  // smaller m
   SsaParams longer = base;
   longer.transform_size = 2 * base.transform_size;
-  longer.plan = ntt::NttPlan::pure_radix2(longer.transform_size);
   ASSERT_NE(narrower.coeff_bits, base.coeff_bits);
   ASSERT_EQ(narrower.transform_size, base.transform_size);
   ASSERT_NO_THROW(longer.validate());
