@@ -16,9 +16,15 @@ using bigint::BigUInt;
 
 namespace {
 
+/// The one size rule of the auto policy: SSA when the shorter operand
+/// reaches the crossover too.
+bool ssa_pays(std::size_t a_bits, std::size_t b_bits) {
+  return std::min(a_bits, b_bits) >= kSsaDispatchBits;
+}
+
 /// The "auto" policy: classical dispatch below the SSA advantage point,
-/// NTT above it. Batches route through whichever engine fits the largest
-/// operand, so FHE-scale batches get spectrum caching.
+/// NTT above it. A batch routes through SSA when any of its jobs would, so
+/// FHE-scale batches get spectrum caching.
 class AutoBackend final : public MultiplierBackend {
  public:
   [[nodiscard]] std::string name() const override { return "auto"; }
@@ -30,22 +36,21 @@ class AutoBackend final : public MultiplierBackend {
   }
 
   [[nodiscard]] BigUInt multiply(const BigUInt& a, const BigUInt& b) override {
-    return std::max(a.bit_length(), b.bit_length()) >= kSsaDispatchBits
-               ? ssa_.multiply(a, b)
-               : classical_.multiply(a, b);
+    return ssa_pays(a.bit_length(), b.bit_length()) ? ssa_.multiply(a, b)
+                                                    : classical_.multiply(a, b);
   }
 
   [[nodiscard]] BigUInt square(const BigUInt& a) override {
-    return a.bit_length() >= kSsaDispatchBits ? ssa_.square(a) : classical_.multiply(a, a);
+    return ssa_pays(a.bit_length(), a.bit_length()) ? ssa_.square(a)
+                                                    : classical_.multiply(a, a);
   }
 
   std::vector<BigUInt> multiply_batch(std::span<const MulJob> jobs,
                                       BatchStats* stats) override {
-    std::size_t max_bits = 0;
-    for (const MulJob& job : jobs) {
-      max_bits = std::max({max_bits, job.first.bit_length(), job.second.bit_length()});
-    }
-    if (max_bits >= kSsaDispatchBits) return ssa_.multiply_batch(jobs, stats);
+    const bool ssa = std::any_of(jobs.begin(), jobs.end(), [](const MulJob& job) {
+      return ssa_pays(job.first.bit_length(), job.second.bit_length());
+    });
+    if (ssa) return ssa_.multiply_batch(jobs, stats);
     return classical_.multiply_batch(jobs, stats);
   }
 
@@ -54,17 +59,29 @@ class AutoBackend final : public MultiplierBackend {
   SsaBackend ssa_;
 };
 
-// Division's Barrett branch (bigint/div.hpp) starts where both of its
-// reduction products, q * mu and q * m, are wide enough for the SSA path.
+// Division's Barrett branch (bigint/div.hpp) starts where both operands of
+// both reduction products, q * mu_lo and q * m, have at least
+// 64 * (kBarrettThresholdLimbs - 1) + 1 bits: wide enough for the SSA path.
 static_assert(64 * (bigint::kBarrettThresholdLimbs - 1) >= kSsaDispatchBits);
 
-/// bigint dispatch hook: the function-pointer seam cannot capture state, so
-/// it re-implements the auto policy with the registry's building blocks.
+/// bigint dispatch hooks: the function-pointer seam cannot capture state,
+/// so they re-implement the auto policy with the registry's building
+/// blocks.
 BigUInt auto_dispatch(const BigUInt& a, const BigUInt& b) {
-  if (std::max(a.bit_length(), b.bit_length()) >= kSsaDispatchBits) {
-    return ssa::mul_ssa(a, b);
-  }
+  if (ssa_pays(a.bit_length(), b.bit_length())) return ssa::mul_ssa(a, b);
   return bigint::mul_auto_classical(a, b);
+}
+
+/// A spectrum at the geometry both operands fit, when their product would
+/// run on SSA; a plain prepared operand otherwise.
+std::unique_ptr<const bigint::PreparedOperand> auto_prepare(BigUInt operand,
+                                                            std::size_t other_bits) {
+  const std::size_t bits = operand.bit_length();
+  if (!ssa_pays(bits, other_bits)) {
+    return std::make_unique<const bigint::PreparedOperand>(std::move(operand));
+  }
+  const ssa::SsaParams params = ssa::SsaParams::for_bits(std::max(bits, other_bits));
+  return std::make_unique<const ssa::PreparedSpectrum>(std::move(operand), params);
 }
 
 /// Forces registry construction (and thus hook installation) during static
@@ -93,6 +110,7 @@ Registry::Registry() {
   factories_["auto"] = [] { return std::make_shared<AutoBackend>(); };
 
   bigint::set_mul_dispatch(&auto_dispatch);
+  bigint::set_prepare_dispatch(&auto_prepare);
 }
 
 Registry& Registry::instance() {

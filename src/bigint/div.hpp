@@ -15,21 +15,35 @@ namespace hemul::bigint {
 // Both methods return the same quotient and remainder.
 
 /// Divisor and quotient size (limbs) from which division runs through a
-/// cached Barrett reducer: the first size whose reduction products reach
-/// the SSA dispatch point (backend::kSsaDispatchBits = 100,000 bits).
-/// Measured per 2n-limb dividend on x86-64 (Release, AVX-512), Knuth vs
-/// Barrett: 512 limbs 0.7 vs 1.0 ms and 1,536 limbs 7.0 vs 5.9 ms, with
-/// the products still on Toom-3; 1,600 limbs 7.6 vs 0.7 ms and 12,288
-/// limbs (the paper's 786,432-bit x0) 459 vs 9.6 ms, on SSA.
-inline constexpr std::size_t kBarrettThresholdLimbs = 1600;
+/// cached Barrett reducer: the first size whose reduction products have
+/// both operands past the SSA dispatch point (backend::kSsaDispatchBits =
+/// 16,000 bits; a static_assert in backend/registry.cpp ties the two).
+/// Measured on x86-64 (Release, AVX-512), `x % m` for a gate product
+/// x < m^2, Knuth vs a reducer built beforehand (bench E4,
+/// bench_mult_crossover; products on SSA from 16,000 bits up):
+///
+///   | m (bits)        | limbs  | Knuth    | Barrett  |
+///   |-----------------|--------|----------|----------|
+///   | 4,096 (toy)     | 64     | 0.008 ms | 0.012 ms |
+///   | 12,288          | 192    | 0.057 ms | 0.085 ms |
+///   | 16,384          | 256    | 0.100 ms | 0.067 ms |
+///   | 32,768 (deep)   | 512    | 0.38 ms  | 0.13 ms  |
+///   | 65,536 (medium) | 1,024  | 1.48 ms  | 0.30 ms  |
+///   | 786,432 (paper) | 12,288 | 229 ms   | 3.3 ms   |
+///
+/// (Below 16,000 bits the reducer's products are classical, which is why
+/// 192 limbs still favours Knuth.)
+inline constexpr std::size_t kBarrettThresholdLimbs = 256;
 
 /// Moduli whose reducers the division cache keeps at once (least recently
-/// used out first). A reducer holds m, mu and m^2: ~400 KB at paper size.
+/// used out first). A reducer holds m, mu_lo, m^2 and, from the SSA
+/// dispatch point up, the spectra of m and mu_lo: ~1.4 MB at paper size.
 inline constexpr std::size_t kReciprocalCacheCapacity = 16;
 
 /// Counters of the division's reducer cache. A miss builds a reducer (one
-/// Knuth division for mu plus one squaring); every modulus is built once
-/// while it stays cached, however many threads reduce by it.
+/// Knuth division for mu, one squaring and two forward transforms); every
+/// modulus is built once while it stays cached, however many threads
+/// reduce by it.
 struct ReciprocalCacheStats {
   u64 hits = 0;             ///< lookups that found their modulus cached
   u64 misses = 0;           ///< reducers built

@@ -212,14 +212,36 @@ BigUInt mul_toom3(const BigUInt& a, const BigUInt& b) {
 }
 
 namespace {
+
 std::atomic<MulDispatchFn> g_mul_dispatch{nullptr};
+std::atomic<PrepareDispatchFn> g_prepare_dispatch{nullptr};
+
+/// Karatsuba or Toom-3 by the longer operand, for operands of similar
+/// length.
+BigUInt mul_balanced(const BigUInt& a, const BigUInt& b) {
+  if (std::max(a.limb_count(), b.limb_count()) <= kToom3ThresholdLimbs) {
+    return mul_karatsuba(a, b);
+  }
+  return mul_toom3(a, b);
+}
+
 }  // namespace
 
 BigUInt mul_auto_classical(const BigUInt& a, const BigUInt& b) {
-  const std::size_t n = std::max(a.limb_count(), b.limb_count());
-  if (n <= kKaratsubaThresholdLimbs) return mul_schoolbook(a, b);
-  if (n <= kToom3ThresholdLimbs) return mul_karatsuba(a, b);
-  return mul_toom3(a, b);
+  const bool a_longer = a.limb_count() >= b.limb_count();
+  const BigUInt& longer = a_longer ? a : b;
+  const BigUInt& shorter = a_longer ? b : a;
+  const std::size_t n = shorter.limb_count();
+  if (n <= kKaratsubaThresholdLimbs) return mul_schoolbook(shorter, longer);
+  if (longer.limb_count() < 2 * n) return mul_balanced(a, b);
+
+  // Splitting algorithms would recurse on the longer operand's size;
+  // blocks as long as the shorter one keep every product balanced.
+  std::vector<u64> acc(longer.limb_count() + n + 1, 0);
+  for (std::size_t offset = 0; offset < longer.limb_count(); offset += n) {
+    add_shifted(acc, mul_balanced(slice(longer, offset, n), shorter), offset);
+  }
+  return BigUInt::from_limbs(std::move(acc));
 }
 
 BigUInt mul_auto(const BigUInt& a, const BigUInt& b) {
@@ -235,6 +257,19 @@ void set_mul_dispatch(MulDispatchFn hook) noexcept {
 
 MulDispatchFn mul_dispatch() noexcept {
   return g_mul_dispatch.load(std::memory_order_acquire);
+}
+
+BigUInt PreparedOperand::multiply(const BigUInt& other) const { return mul_auto(value_, other); }
+
+std::unique_ptr<const PreparedOperand> prepare_operand(BigUInt operand, std::size_t other_bits) {
+  if (const PrepareDispatchFn hook = g_prepare_dispatch.load(std::memory_order_acquire)) {
+    return hook(std::move(operand), other_bits);
+  }
+  return std::make_unique<const PreparedOperand>(std::move(operand));
+}
+
+void set_prepare_dispatch(PrepareDispatchFn hook) noexcept {
+  g_prepare_dispatch.store(hook, std::memory_order_release);
 }
 
 BigUInt operator*(const BigUInt& a, const BigUInt& b) { return mul_auto(a, b); }

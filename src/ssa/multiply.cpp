@@ -76,4 +76,36 @@ BigUInt square(const BigUInt& a, const SsaParams& params, SsaStats* stats) {
   return out;
 }
 
+PreparedSpectrum::PreparedSpectrum(BigUInt value, const SsaParams& params)
+    : bigint::PreparedOperand(std::move(value)), params_(params) {
+  pack_into(this->value(), params_, spectrum_);
+  // The transform swaps its result into place from the scratch buffer; a
+  // local one keeps the spectrum exactly transform_size long.
+  fp::FpVec scratch;
+  ntt::shared_four_step(params_.transform_size).forward_spectrum(spectrum_, scratch);
+}
+
+void PreparedSpectrum::multiply_into(BigUInt& out, const BigUInt& other, Workspace& ws,
+                                     SsaStats* stats) const {
+  if (value().is_zero() || other.is_zero()) {
+    bigint::MutableAccess::limbs(out).clear();
+    return;
+  }
+
+  pack_into(other, params_, ws.pack_a);
+  const ntt::FourStepNtt& engine = ntt::shared_four_step(params_.transform_size);
+  ntt::FourStepStats tiles;
+  engine.forward_spectrum(ws.pack_a, ws.tile_scratch, ws.tile_executor, &tiles);
+  engine.convolve_from_spectra(ws.pack_b, ws.pack_a, spectrum_, ws.tile_scratch,
+                               ws.tile_executor, &tiles);
+  book(stats, params_, 2, tiles);  // one forward + one inverse
+  carry_recover_into(ws.pack_b, params_.coeff_bits, out);
+}
+
+BigUInt PreparedSpectrum::multiply(const BigUInt& other) const {
+  BigUInt out;
+  multiply_into(out, other, thread_workspace());
+  return out;
+}
+
 }  // namespace hemul::ssa

@@ -1,6 +1,8 @@
 #pragma once
 
 #include "bigint/biguint.hpp"
+#include "bigint/mul.hpp"
+#include "fp/fp64.hpp"
 #include "ssa/params.hpp"
 #include "ssa/workspace.hpp"
 
@@ -60,5 +62,33 @@ void square_into(bigint::BigUInt& out, const bigint::BigUInt& a, const SsaParams
 /// Allocating wrapper over square_into (thread-local workspace).
 bigint::BigUInt square(const bigint::BigUInt& a, const SsaParams& params,
                        SsaStats* stats = nullptr);
+
+/// An operand prepared for many products at one geometry: the SSA
+/// implementation of bigint::PreparedOperand, which the backend registry
+/// builds for products it would run on SSA. The operand's forward spectrum
+/// is computed once, by the constructor, so a product by it transforms only
+/// the other operand: one forward, one pointwise product and one inverse
+/// (transform_count 2, not 3). Immutable, so one instance may serve many
+/// threads, each in its own workspace.
+class PreparedSpectrum final : public bigint::PreparedOperand {
+ public:
+  /// Requires value.bit_length() <= params.max_operand_bits().
+  PreparedSpectrum(bigint::BigUInt value, const SsaParams& params);
+
+  /// out = value() * other, for other.bit_length() <= params().max_operand_bits(),
+  /// in the given workspace: allocation-free once the workspace and out are
+  /// warm (out may alias other).
+  void multiply_into(bigint::BigUInt& out, const bigint::BigUInt& other, Workspace& workspace,
+                     SsaStats* stats = nullptr) const;
+
+  /// Allocating wrapper over multiply_into (thread-local workspace).
+  [[nodiscard]] bigint::BigUInt multiply(const bigint::BigUInt& other) const override;
+
+  [[nodiscard]] const SsaParams& params() const noexcept { return params_; }
+
+ private:
+  SsaParams params_;
+  fp::FpVec spectrum_;  ///< forward spectrum of value(), four-step engine order
+};
 
 }  // namespace hemul::ssa

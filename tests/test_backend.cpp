@@ -224,6 +224,43 @@ TEST(Dispatch, OperatorStarRoutesThroughInstalledHook) {
   bigint::set_mul_dispatch(previous);
 }
 
+TEST(Dispatch, ShortTimesLongProductsAreBitExact) {
+  // The auto policy runs SSA only when the shorter operand reaches
+  // kSsaDispatchBits too; below it the classical dispatcher's blocks take
+  // the product. Both sides of that rule must stay bit-exact.
+  util::Rng rng(0x5107);
+  const auto automatic = make_backend("auto");
+  const BigUInt longer = BigUInt::random_bits(rng, 64 * 12264);
+  for (const std::size_t short_bits :
+       {std::size_t{64}, std::size_t{64 * 25}, kSsaDispatchBits - 1, kSsaDispatchBits}) {
+    const BigUInt shorter = BigUInt::random_bits(rng, short_bits);
+    const BigUInt expected = bigint::mul_schoolbook(shorter, longer);
+    EXPECT_EQ(shorter * longer, expected) << short_bits << " bits";
+    EXPECT_EQ(longer * shorter, expected) << short_bits << " bits";
+    EXPECT_EQ(automatic->multiply(shorter, longer), expected) << short_bits << " bits";
+  }
+}
+
+TEST(Dispatch, PreparedOperandsKeepSpectraOnlyWhereSsaRuns) {
+  util::Rng rng(0x9E9);
+  const std::size_t wide = 2 * kSsaDispatchBits;
+  const BigUInt value = BigUInt::random_bits(rng, wide);
+  const BigUInt other = BigUInt::random_bits(rng, wide);
+
+  const auto spectral = bigint::prepare_operand(value, wide);
+  const auto* spectrum = dynamic_cast<const ssa::PreparedSpectrum*>(spectral.get());
+  ASSERT_NE(spectrum, nullptr);
+  EXPECT_EQ(spectrum->params().transform_size, ssa::SsaParams::for_bits(wide).transform_size);
+  EXPECT_EQ(spectral->multiply(other), bigint::mul_schoolbook(value, other));
+  EXPECT_EQ(spectral->multiply(BigUInt{}), BigUInt{});
+
+  // A narrow partner keeps the product classical: no spectrum.
+  const auto plain = bigint::prepare_operand(value, kSsaDispatchBits - 1);
+  EXPECT_EQ(dynamic_cast<const ssa::PreparedSpectrum*>(plain.get()), nullptr);
+  const BigUInt narrow = BigUInt::random_bits(rng, kSsaDispatchBits - 1);
+  EXPECT_EQ(plain->multiply(narrow), bigint::mul_schoolbook(value, narrow));
+}
+
 TEST(Fhe, DghvRunsOnExplicitBackends) {
   for (const char* name : {"classical", "ssa"}) {
     fhe::Dghv scheme(fhe::DghvParams::toy(), 7, make_backend(name));

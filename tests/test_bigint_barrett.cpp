@@ -8,6 +8,8 @@
 #include "bigint/barrett.hpp"
 #include "bigint/div.hpp"
 #include "bigint/mul.hpp"
+#include "ssa/multiply.hpp"
+#include "ssa/params.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::bigint {
@@ -173,10 +175,74 @@ TEST(Barrett, ConcurrentDivisionsShareOneReducerPerModulus) {
   EXPECT_LE(after.entries, kReciprocalCacheCapacity);
 }
 
-TEST(Barrett, MuIsPrecomputedDivision) {
+TEST(Barrett, MuLowIsThePrecomputedDivisionLessTwoToTheL) {
   const BigUInt m = BigUInt::from_dec("123456789123456789");
+  const std::size_t bits = m.bit_length();
   const BarrettReducer red(m);
-  EXPECT_EQ(red.mu(), BigUInt::pow2(128) / m);
+  EXPECT_EQ(red.prepared_mu_low().value(), BigUInt::pow2(2 * bits) / m - BigUInt::pow2(bits));
+  EXPECT_EQ(red.prepared_modulus().value(), m);
+
+  // m = 2^(L-1) is the one modulus with mu = 2^(L+1); mu_lo is capped
+  // below 2^L so both products stay L bits wide, and reduce stays exact.
+  const BarrettReducer pow2(BigUInt::pow2(40));
+  EXPECT_EQ(pow2.prepared_mu_low().value(), BigUInt::pow2(41) - BigUInt{1});
+  for (const BigUInt& x : {BigUInt::pow2(80) - BigUInt{1}, BigUInt::pow2(79) + BigUInt{12345},
+                           BigUInt::pow2(40)}) {
+    const DivModResult got = pow2.divmod(x);
+    EXPECT_EQ(got.quotient, x >> 40);
+    EXPECT_EQ(got.remainder, x - ((x >> 40) << 40));
+  }
+}
+
+TEST(Barrett, ReduceMatchesKnuthOnEdgeDividends) {
+  // Moduli whose bit length is not a multiple of 64 (an x0 of gamma - 1
+  // bits, the smallest size of the division's Barrett branch) and ones on
+  // either side of the SSA dispatch point. reduce() checks internally that
+  // the quotient estimate needs at most 3 corrections and throws otherwise.
+  (void)backend::Registry::instance();
+  util::Rng rng(31);
+  for (const std::size_t bits : {std::size_t{1000}, 64 * (kBarrettThresholdLimbs - 1) + 1,
+                                 std::size_t{32767}, std::size_t{65535}}) {
+    BigUInt m = BigUInt::random_bits(rng, bits);  // top bit set
+    if (!m.is_odd()) m += BigUInt{1};
+    ASSERT_EQ(m.bit_length(), bits);
+    const BarrettReducer red(m);
+    const BigUInt one{1};
+    const BigUInt k = BigUInt::random_below(rng, m);
+    for (const BigUInt& x : {BigUInt{}, mul_auto(m - one, m - one), mul_auto(k, m),
+                             mul_auto(k, m) - one, mul_auto(m, m) - one,
+                             BigUInt::random_below(rng, mul_auto(m, m))}) {
+      const DivModResult expected = divmod_knuth(x, m);
+      const DivModResult got = red.divmod(x);
+      EXPECT_EQ(got.quotient, expected.quotient) << bits << " bits";
+      EXPECT_EQ(got.remainder, expected.remainder) << bits << " bits";
+      EXPECT_EQ(red.reduce(x), expected.remainder) << bits << " bits";
+    }
+  }
+}
+
+TEST(Barrett, PaperSizeProductsRunOnTheGateTransform) {
+  // At gamma = 786,432 both reduction products have 786,432-bit operands,
+  // so both prepared spectra use the gate's own 64K-point transform.
+  (void)backend::Registry::instance();
+  constexpr std::size_t kGamma = 786432;
+  util::Rng rng(kGamma);
+  BigUInt m = BigUInt::random_bits(rng, kGamma);
+  if (!m.is_odd()) m += BigUInt{1};
+  const BarrettReducer red(m);
+
+  const u64 gate_transform = ssa::SsaParams::for_bits(kGamma).transform_size;
+  EXPECT_EQ(gate_transform, 65536u);
+  for (const PreparedOperand* prepared : {&red.prepared_modulus(), &red.prepared_mu_low()}) {
+    const auto* spectrum = dynamic_cast<const ssa::PreparedSpectrum*>(prepared);
+    ASSERT_NE(spectrum, nullptr);
+    EXPECT_EQ(spectrum->params().transform_size, gate_transform);
+  }
+
+  const BigUInt x = mul_auto(BigUInt::random_below(rng, m), BigUInt::random_below(rng, m));
+  const DivModResult got = red.divmod(x);
+  EXPECT_EQ(mul_auto(got.quotient, m) + got.remainder, x);
+  EXPECT_LT(got.remainder, m);
 }
 
 }  // namespace

@@ -165,14 +165,15 @@ void expect_matches_knuth(const BigUInt& x, const BigUInt& m, const std::string&
 
 struct ModulusSize {
   const char* name;
-  std::size_t gamma_bits;  ///< the DGHV parameter set's x0 size
+  std::size_t gamma_bits;      ///< the DGHV parameter set's x0 size
+  std::size_t reducers_built;  ///< Barrett reducers the sweep builds
 };
 
 class DivDispatchSweep : public ::testing::TestWithParam<ModulusSize> {};
 
 TEST_P(DivDispatchSweep, EveryOperatorMatchesKnuth) {
   install_backend_dispatch();
-  const auto [name, gamma] = GetParam();
+  const auto [name, gamma, reducers_built] = GetParam();
   util::Rng rng(gamma);
   const BigUInt x0 = odd_modulus(rng, gamma / 64);
   const BigUInt one{1};
@@ -195,17 +196,19 @@ TEST_P(DivDispatchSweep, EveryOperatorMatchesKnuth) {
   for (const auto& [label, x] : dividends) {
     expect_matches_knuth(x, x0, std::string(name) + ": " + label);
   }
-  // Large moduli build their reducer once, however many divisions use it.
-  const bool barrett = x0.limb_count() >= kBarrettThresholdLimbs;
-  EXPECT_EQ(reciprocal_cache_stats().misses - before.misses, barrett ? 1u : 0u) << name;
+  // From deep up, the modulus builds its reducer once, however many
+  // divisions use it; toy stays on Knuth.
+  EXPECT_EQ(x0.limb_count() >= kBarrettThresholdLimbs, reducers_built == 1) << name;
+  EXPECT_EQ(reciprocal_cache_stats().misses - before.misses, reducers_built) << name;
 }
 
 // The DGHV parameter sets' x0 sizes (fhe::DghvParams toy / deep / medium /
 // small_paper).
 INSTANTIATE_TEST_SUITE_P(DghvModuli, DivDispatchSweep,
-                         ::testing::Values(ModulusSize{"toy", 4096}, ModulusSize{"deep", 32768},
-                                           ModulusSize{"medium", 65536},
-                                           ModulusSize{"paper", 786432}),
+                         ::testing::Values(ModulusSize{"toy", 4096, 0},
+                                           ModulusSize{"deep", 32768, 1},
+                                           ModulusSize{"medium", 65536, 1},
+                                           ModulusSize{"paper", 786432, 1}),
                          [](const auto& info) { return std::string(info.param.name); });
 
 TEST(DivDispatch, OnlyLongQuotientsBelowTheSquareTouchTheCache) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bigint/biguint.hpp"
 #include "bigint/mul.hpp"
 #include "util/rng.hpp"
@@ -81,6 +84,28 @@ TEST(MulAlgorithms, ThresholdBoundaries) {
     const BigUInt a = BigUInt::random_bits(rng, limbs * 64);
     const BigUInt b = BigUInt::random_bits(rng, limbs * 64);
     EXPECT_EQ(mul_auto(a, b), mul_schoolbook(a, b)) << limbs << " limbs";
+  }
+}
+
+TEST(MulAlgorithms, ShortTimesLongShapes) {
+  // The classical dispatcher picks its algorithm from the shorter operand:
+  // schoolbook up to kKaratsubaThresholdLimbs, otherwise blocks of the long
+  // operand as long as the short one (keygen's q_i * p is 12,264 x 25).
+  util::Rng rng(29);
+  for (const std::size_t long_limbs : {512u, 12264u}) {
+    std::vector<u64> limbs(long_limbs);
+    for (u64& limb : limbs) limb = rng.next() | 1;
+    // Zero blocks in the middle: their products must add nothing.
+    std::fill(limbs.begin() + 100, limbs.begin() + 300, 0);
+    const BigUInt longer = BigUInt::from_limbs(std::move(limbs));
+    for (const std::size_t short_limbs : {1u, 4u, 25u, 64u}) {
+      const BigUInt shorter = BigUInt::random_bits(rng, 64 * short_limbs);
+      const BigUInt expected = mul_schoolbook(shorter, longer);
+      EXPECT_EQ(mul_auto_classical(shorter, longer), expected)
+          << short_limbs << " x " << long_limbs << " limbs";
+      EXPECT_EQ(mul_auto_classical(longer, shorter), expected)
+          << long_limbs << " x " << short_limbs << " limbs";
+    }
   }
 }
 

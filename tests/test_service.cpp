@@ -795,8 +795,9 @@ TEST(ServiceTest, AboveTheBarrettThresholdInlineEvaluatorMatchesDghv) {
 }
 
 /// Throws from bigint's multiplication hook whenever an operand is the
-/// poisoned modulus -- i.e. inside that modulus's Barrett reduction
-/// (building its reducer squares it, reducing multiplies by it) -- and
+/// poisoned modulus -- i.e. inside that modulus's Barrett reduction, whose
+/// first use on a lane builds the reducer and squares the modulus (reducing
+/// then multiplies by its prepared spectrum, past this hook) -- and
 /// delegates everything else to the hook it replaced.
 std::atomic<const bigint::BigUInt*> g_poisoned_modulus{nullptr};
 std::atomic<bigint::MulDispatchFn> g_fallback_dispatch{nullptr};

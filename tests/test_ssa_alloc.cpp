@@ -232,5 +232,39 @@ TEST_F(SsaAllocationAudit, CacheHitMultiplyCachedIsAllocationFreeModuloProduct) 
   EXPECT_LE(allocs, 1u);
 }
 
+TEST_F(SsaAllocationAudit, ProductByAPreparedOperandRunsTwoTransformsAllocationFree) {
+  // A prepared operand keeps its forward spectrum: a product by it runs one
+  // forward and one inverse, and once the workspace and the product are
+  // warm it allocates nothing; the allocating wrapper only pays for the
+  // product it returns.
+  util::Rng rng(6);
+  const std::size_t bits = 20000;
+  const BigUInt a = BigUInt::random_bits(rng, bits);
+  const BigUInt b = BigUInt::random_bits(rng, bits);
+  const SsaParams params = SsaParams::for_bits(bits);
+  const PreparedSpectrum prepared(a, params);
+  const BigUInt expected = bigint::mul_schoolbook(a, b);
+
+  Workspace workspace;
+  BigUInt product;
+  SsaStats stats;
+  prepared.multiply_into(product, b, workspace, &stats);  // warm-up
+  EXPECT_EQ(product, expected);
+  EXPECT_EQ(stats.transform_count, 2u);
+  EXPECT_EQ(stats.pointwise_muls, params.transform_size);
+
+  stats = {};
+  const u64 allocs = allocations_in([&] { prepared.multiply_into(product, b, workspace, &stats); });
+  EXPECT_EQ(product, expected);
+  EXPECT_EQ(stats.transform_count, 2u);
+  EXPECT_EQ(allocs, 0u);
+
+  (void)prepared.multiply(b);  // warms this thread's workspace
+  BigUInt returned;
+  const u64 wrapper_allocs = allocations_in([&] { returned = prepared.multiply(b); });
+  EXPECT_EQ(returned, expected);
+  EXPECT_LE(wrapper_allocs, 1u);
+}
+
 }  // namespace
 }  // namespace hemul::ssa
