@@ -1,16 +1,18 @@
 // Experiment E8 (supporting): software NTT throughput and operation
 // counts. Establishes the software baseline the simulated accelerator is
 // compared against, shows the relative cost of the paper's mixed-radix
-// staging vs. the iterative radix-2 sweep vs. the four-step vector-parallel
-// engine every SSA product runs on, and verifies the three transforms
-// bit-exactly against each other on every run.
+// staging vs. the four-step vector-parallel engine every SSA product runs
+// on, and verifies the two transforms bit-exactly against each other on
+// every run.
 //
 // Three classes of output feed the CI bench-regression gate:
 //   * deterministic op counts (shift vs. DSP multiplications per plan) and
 //     intra-op tile counts (groups / tiles per scheduler multiply) --
 //     exact facts of the decomposition and the tiling geometry, hard-gated;
-//   * the four-step headline: the 64K convolve must stay >= 1.3x faster
-//     than the monolithic radix-2 sweep on one lane (hard-gated bool);
+//   * the four-step headline: the balanced 64K convolve must stay >= 1.3x
+//     faster than the same engine split 2 x 32K, whose 32K-point
+//     sub-transforms run only two lanes wide -- the scalar monolithic sweep
+//     four-step replaced (hard-gated bool, one lane);
 //   * wall-clock figures (sweep timings, per-call multiply cost) -- runner
 //     dependent, warn-only.
 //
@@ -26,9 +28,8 @@
 
 #include "bigint/mul.hpp"
 #include "core/scheduler.hpp"
-#include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
+#include "ntt/mixed_radix.hpp"
 #include "ssa/multiply.hpp"
 #include "util/rng.hpp"
 
@@ -52,10 +53,10 @@ double time_ms(int iters, F&& f) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count() / iters;
 }
 
-/// One size of the radix-2 vs four-step serial sweep.
+/// One size of the 2 x n/2 vs balanced four-step serial sweep.
 struct SweepPoint {
   u64 n = 0;
-  double radix2_ms = 0.0;
+  double split_ms = 0.0;
   double four_step_ms = 0.0;
   double speedup = 0.0;
   bool bit_exact = false;
@@ -94,27 +95,22 @@ int main(int argc, char** argv) {
               quick ? " (quick)" : "");
 
   // --- deterministic op counts of the paper's 64K plan (hard-gated) ------
-  const ntt::NttContext& paper = ntt::shared_context(ntt::NttPlan::paper_64k());
-  ntt::NttScratch scratch;
+  const ntt::MixedRadixNtt& paper = ntt::shared_mixed_radix(ntt::NttPlan::paper_64k());
   const fp::FpVec data64k = random_vec(65536);
-  fp::FpVec out64k;
   ntt::NttOpCounts counts;
-  paper.forward(data64k, out64k, scratch, &counts);
+  const fp::FpVec out64k = paper.forward(data64k, &counts);
   std::printf("paper plan 64*64*16 forward: %llu shift muls, %llu DSP muls, %llu adds\n",
               static_cast<unsigned long long>(counts.shift_muls),
               static_cast<unsigned long long>(counts.generic_muls),
               static_cast<unsigned long long>(counts.additions));
 
-  // --- parity: the natural-order 64K forwards of the three transforms ----
-  // The paper plan (NttContext), the monolithic radix-2 sweep and the
-  // four-step engine SSA runs on must agree on the same data.
-  const ntt::Radix2Ntt& radix2_64k = ntt::shared_radix2(65536);
-  fp::FpVec via_radix2 = data64k;
-  radix2_64k.forward(via_radix2);
+  // --- parity: the natural-order 64K forwards of the two transforms ------
+  // The paper plan and the four-step engine SSA runs on must agree on the
+  // same data.
   fp::FpVec via_four_step = data64k;
   fp::FpVec four_step_scratch;
   ntt::shared_four_step(65536).forward(via_four_step, four_step_scratch);
-  bool bit_exact = out64k == via_radix2 && out64k == via_four_step;
+  bool bit_exact = out64k == via_four_step;
 
   // ... and end to end: ssa::multiply against Karatsuba.
   const std::size_t mul_bits = quick ? 49152 : 196608;
@@ -123,28 +119,16 @@ int main(int argc, char** argv) {
   const bigint::BigUInt b = bigint::BigUInt::random_bits(rng, mul_bits);
   const ssa::SsaParams mul_params = ssa::SsaParams::for_bits(mul_bits);
   bit_exact = bit_exact && ssa::multiply(a, b, mul_params) == bigint::mul_karatsuba(a, b);
-  std::printf("parity (paper plan vs radix-2 vs four-step forward; ssa vs karatsuba): %s\n\n",
+  std::printf("parity (paper plan vs four-step forward; ssa vs karatsuba): %s\n\n",
               bit_exact ? "bit-exact" : "MISMATCH");
 
   // --- throughput (warn-only; already warm from the parity section) ------
   const int iters_small = quick ? 40 : 400;
   const int iters_large = quick ? 3 : 30;
 
-  const u64 conv_n = mul_params.transform_size;
-  const ntt::Radix2Ntt& conv_engine = ntt::shared_radix2(conv_n);
-  fp::FpVec ca = random_vec(conv_n);
-  fp::FpVec cb = random_vec(conv_n + 1);
-  cb.pop_back();  // distinct seed material, same length
-  const double convolve_ms =
-      time_ms(iters_small, [&] { conv_engine.convolve_into(ca, cb); });
-
   fp::FpVec spec64k;
   const double mixed_forward_ms =
-      time_ms(iters_large, [&] { paper.forward(data64k, spec64k, scratch); });
-  fp::FpVec r2data = data64k;
-  const double radix2_forward_ms = time_ms(iters_large, [&] {
-    radix2_64k.forward_spectrum(r2data);
-  });
+      time_ms(iters_large, [&] { spec64k = paper.forward(data64k); });
 
   ssa::Workspace& ws = ssa::thread_workspace();
   bigint::BigUInt product;
@@ -152,19 +136,17 @@ int main(int argc, char** argv) {
     ssa::multiply_into(product, a, b, mul_params, ws);
   });
 
-  std::printf("radix-2 convolve (n=%llu)     : %8.3f ms\n",
-              static_cast<unsigned long long>(conv_n), convolve_ms);
-  std::printf("radix-2 forward 64K (spectral): %8.3f ms\n", radix2_forward_ms);
   std::printf("mixed-radix forward 64K       : %8.3f ms\n", mixed_forward_ms);
   std::printf("ssa multiply (%zu bits)     : %8.3f ms\n\n", mul_bits, multiply_ms);
 
   // --- four-step scaling sweep: 4K -> 64K, serial, one lane --------------
-  // Headline gate: the 64K cyclic convolution (the paper's workload shape)
-  // must stay >= 1.3x faster than the monolithic radix-2 sweep.
-  std::printf("four-step vs radix-2 convolve (serial):\n");
+  // Headline gate: the balanced 64K cyclic convolution (the paper's
+  // workload shape) must stay >= 1.3x faster than the 2 x 32K split, whose
+  // two-lane-wide 32K-point sub-transforms are the monolithic sweep.
+  std::printf("balanced four-step vs 2 x n/2 split convolve (serial):\n");
   std::vector<SweepPoint> sweep;
   for (const u64 n : {u64{4096}, u64{8192}, u64{16384}, u64{32768}, u64{65536}}) {
-    const ntt::Radix2Ntt& r2 = ntt::shared_radix2(n);
+    const ntt::FourStepNtt split(2, n / 2);
     const ntt::FourStepNtt& fs = ntt::shared_four_step(n);
     const fp::FpVec base_a = random_vec(n);
     fp::FpVec base_b = random_vec(n + 1);
@@ -177,10 +159,10 @@ int main(int argc, char** argv) {
     fp::FpVec va;
     fp::FpVec vb;
     fp::FpVec tile_scratch;
-    point.radix2_ms = time_ms(iters, [&] {
+    point.split_ms = time_ms(iters, [&] {
       va = base_a;
       vb = base_b;
-      r2.convolve_into(va, vb);
+      split.convolve_into(va, vb, tile_scratch);
     });
     const fp::FpVec reference = va;
     point.four_step_ms = time_ms(iters, [&] {
@@ -188,11 +170,11 @@ int main(int argc, char** argv) {
       vb = base_b;
       fs.convolve_into(va, vb, tile_scratch);
     });
-    point.speedup = point.radix2_ms / point.four_step_ms;
+    point.speedup = point.split_ms / point.four_step_ms;
     point.bit_exact = va == reference;
     bit_exact = bit_exact && point.bit_exact;
-    std::printf("  n=%6llu: radix-2 %8.3f ms  four-step %8.3f ms  speedup %5.2fx  %s\n",
-                static_cast<unsigned long long>(n), point.radix2_ms, point.four_step_ms,
+    std::printf("  n=%6llu: 2 x n/2 %8.3f ms  balanced %8.3f ms  speedup %5.2fx  %s\n",
+                static_cast<unsigned long long>(n), point.split_ms, point.four_step_ms,
                 point.speedup, point.bit_exact ? "bit-exact" : "MISMATCH");
     sweep.push_back(point);
   }
@@ -276,28 +258,25 @@ int main(int argc, char** argv) {
         "{\n  \"bench\": \"ntt_software\",\n  \"quick\": %s,\n  \"bit_exact\": %s,\n"
         "  \"paper_plan\": {\"shift_muls\": %llu, \"generic_muls\": %llu, "
         "\"additions\": %llu},\n"
-        "  \"radix2\": {\"convolve_n\": %llu, \"convolve_ms\": %.3f, "
-        "\"forward_64k_ms\": %.3f},\n"
         "  \"mixed\": {\"forward_64k_ms\": %.3f},\n"
         "  \"multiply\": {\"bits\": %zu, \"per_call_ms\": %.3f},\n",
         quick ? "true" : "false", bit_exact ? "true" : "false",
         static_cast<unsigned long long>(counts.shift_muls),
         static_cast<unsigned long long>(counts.generic_muls),
-        static_cast<unsigned long long>(counts.additions),
-        static_cast<unsigned long long>(conv_n), convolve_ms, radix2_forward_ms,
-        mixed_forward_ms, mul_bits, multiply_ms);
+        static_cast<unsigned long long>(counts.additions), mixed_forward_ms, mul_bits,
+        multiply_ms);
     std::fprintf(out, "  \"four_step\": {\n    \"sweep\": {\n");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const SweepPoint& point = sweep[i];
       std::fprintf(out,
-                   "      \"n%llu\": {\"radix2_ms\": %.3f, \"four_step_ms\": %.3f, "
+                   "      \"n%llu\": {\"split_ms\": %.3f, \"four_step_ms\": %.3f, "
                    "\"speedup\": %.3f}%s\n",
-                   static_cast<unsigned long long>(point.n), point.radix2_ms,
+                   static_cast<unsigned long long>(point.n), point.split_ms,
                    point.four_step_ms, point.speedup, i + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(out,
-                 "    },\n    \"convolve_64k_ms\": %.3f,\n    \"speedup_64k\": %.3f,\n"
-                 "    \"speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  },\n",
+                 "    },\n    \"convolve_64k_ms\": %.3f,\n    \"split_speedup_64k\": %.3f,\n"
+                 "    \"split_speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  },\n",
                  head.four_step_ms, head.speedup, speedup_64k_ok ? "true" : "false",
                  min_sweep_speedup);
     std::fprintf(out,

@@ -45,7 +45,7 @@ int main() {
     params.num_pes = 4;
     const hw::PerfBreakdown b = hw::evaluate_perf(params);
 
-    const ntt::MixedRadixNtt engine(plan);
+    const ntt::MixedRadixNtt& engine = ntt::shared_mixed_radix(plan);
     ntt::NttOpCounts counts;
     (void)engine.forward(data, &counts);
 

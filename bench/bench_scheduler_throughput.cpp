@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     config.num_workers = workers;
     core::Scheduler scheduler(config);
 
-    // Warm the shared radix-2 twiddle tables outside the timed region so
+    // Warm the shared four-step twiddle tables outside the timed region so
     // the first lane count doesn't pay the one-time setup.
     scheduler.submit_multiply(jobs[0].first, jobs[0].second).get();
     scheduler.wait_idle();

@@ -55,7 +55,7 @@ int main() {
               util::hex64(fp::reduce128(sample)).c_str());
 
   std::printf("operation mix of one 64K-point transform (plan 64*64*16):\n");
-  const ntt::MixedRadixNtt engine(ntt::NttPlan::paper_64k());
+  const ntt::MixedRadixNtt& engine = ntt::shared_mixed_radix(ntt::NttPlan::paper_64k());
   fp::FpVec data(65536, fp::kOne);
   ntt::NttOpCounts counts;
   (void)engine.forward(data, &counts);

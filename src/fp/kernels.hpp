@@ -169,47 +169,6 @@ inline void v_store(Fp* ptr, __m512i x) noexcept {
 // ---- array kernels --------------------------------------------------------
 // All take redundant inputs and produce redundant outputs unless stated.
 
-/// One decimation-in-frequency butterfly row over a lo/hi pair of length
-/// `half`: lo' = lo + hi, hi' = (lo - hi) * tw.
-inline void dif_butterflies(Fp* lo, Fp* hi, const Fp* tw, std::size_t half) noexcept {
-  std::size_t k = 0;
-#if HEMUL_FP_AVX512
-  for (; k + 8 <= half; k += 8) {
-    const __m512i u = detail::v_load(lo + k);
-    const __m512i v = detail::v_load(hi + k);
-    const __m512i w = detail::v_load(tw + k);
-    detail::v_store(lo + k, detail::v_add_lazy(u, v));
-    detail::v_store(hi + k, detail::v_mul_lazy(detail::v_sub_lazy(u, v), w));
-  }
-#endif
-  for (; k < half; ++k) {
-    const u64 u = lo[k].value();
-    const u64 v = hi[k].value();
-    lo[k] = Fp::from_canonical(add_lazy(u, v));
-    hi[k] = Fp::from_canonical(mul_lazy(sub_lazy(u, v), tw[k].value()));
-  }
-}
-
-/// One decimation-in-time butterfly row: t = hi * tw, lo' = lo + t,
-/// hi' = lo - t.
-inline void dit_butterflies(Fp* lo, Fp* hi, const Fp* tw, std::size_t half) noexcept {
-  std::size_t k = 0;
-#if HEMUL_FP_AVX512
-  for (; k + 8 <= half; k += 8) {
-    const __m512i u = detail::v_load(lo + k);
-    const __m512i t = detail::v_mul_lazy(detail::v_load(hi + k), detail::v_load(tw + k));
-    detail::v_store(lo + k, detail::v_add_lazy(u, t));
-    detail::v_store(hi + k, detail::v_sub_lazy(u, t));
-  }
-#endif
-  for (; k < half; ++k) {
-    const u64 t = mul_lazy(hi[k].value(), tw[k].value());
-    const u64 u = lo[k].value();
-    lo[k] = Fp::from_canonical(add_lazy(u, t));
-    hi[k] = Fp::from_canonical(sub_lazy(u, t));
-  }
-}
-
 /// Broadcast-twiddle DIF butterfly: lo' = lo + hi, hi' = (lo - hi) * w over
 /// `count` lanes, ONE twiddle for the whole pair. This is the vector-
 /// parallel four-step form: the sub-transforms run over the ROW index of a
@@ -252,25 +211,6 @@ inline void dit_butterflies_bcast(Fp* lo, Fp* hi, Fp w, std::size_t count) noexc
     const u64 u = lo[k].value();
     lo[k] = Fp::from_canonical(add_lazy(u, t));
     hi[k] = Fp::from_canonical(sub_lazy(u, t));
-  }
-}
-
-/// dst[i] = a[i] * b[i] * scale -- the fused pointwise product of a cyclic
-/// convolution with the 1/N factor folded in. dst may alias a or b.
-inline void pointwise_product_scaled(Fp* dst, const Fp* a, const Fp* b, Fp scale,
-                                     std::size_t n) noexcept {
-  std::size_t i = 0;
-#if HEMUL_FP_AVX512
-  const __m512i s = detail::v_bcast(scale.value());
-  for (; i + 8 <= n; i += 8) {
-    const __m512i x = detail::v_load(a + i);
-    const __m512i y = detail::v_load(b + i);
-    detail::v_store(dst + i, detail::v_mul_lazy(detail::v_mul_lazy(x, y), s));
-  }
-#endif
-  for (; i < n; ++i) {
-    dst[i] = Fp::from_canonical(
-        mul_lazy(mul_lazy(a[i].value(), b[i].value()), scale.value()));
   }
 }
 

@@ -123,7 +123,7 @@ FourStepNtt::FourStepNtt(u64 n) : FourStepNtt(balanced_n1(n), n / balanced_n1(n)
 FourStepNtt::FourStepNtt(u64 n1, u64 n2) : n_(n1 * n2), n1_(n1), n2_(n2) {
   HEMUL_CHECK_MSG(is_pow2(n1_) && is_pow2(n2_),
                   "FourStepNtt: n1 and n2 must be powers of two >= 2");
-  // Same root rule as Radix2Ntt, so natural-order results are directly
+  // Same root rule as MixedRadixNtt, so natural-order results are directly
   // comparable across engines.
   root_ = n_ >= 64 ? fp::aligned_root(n_) : fp::primitive_root(n_);
   const Fp inv_root = root_.inv();
@@ -294,7 +294,7 @@ void FourStepNtt::inverse(FpVec& data, FpVec& scratch) const {
 }
 
 const FourStepNtt& shared_four_step(u64 n) {
-  // Same lock-free atomic-list pattern as shared_radix2: immutable nodes,
+  // Same lock-free atomic-list pattern as shared_mixed_radix: immutable nodes,
   // process lifetime, readers never contend.
   struct Node {
     std::unique_ptr<const FourStepNtt> engine;

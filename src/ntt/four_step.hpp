@@ -38,8 +38,8 @@ struct FourStepStats {
 /// order" -- the row-major n2 x n1 layout with eng[m * n1 + j] =
 /// X[bitrev_n2(m) * n1 + bitrev_n1(j)], which the pass structure produces
 /// naturally (no permutation passes at all). That order is distinct from
-/// Radix2Ntt's engine order and from the natural order; it is the one
-/// order every SSA spectrum (and so every spectrum cache entry) is in.
+/// the natural order; it is the one order every SSA spectrum (and so every
+/// spectrum cache entry) is in.
 /// forward()/inverse() provide natural order for golden tests.
 ///
 /// All internal passes run on the redundant representation of
@@ -130,7 +130,8 @@ class FourStepNtt {
 };
 
 /// Process-wide engine cache for the balanced split (mirrors
-/// shared_radix2): lock-free lookup, intentionally process-lifetime nodes.
+/// shared_mixed_radix): lock-free lookup, intentionally process-lifetime
+/// nodes.
 const FourStepNtt& shared_four_step(u64 n);
 
 }  // namespace hemul::ntt

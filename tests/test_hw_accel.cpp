@@ -37,7 +37,7 @@ TEST_P(DistributedVsSoftware, ForwardMatchesMixedRadix) {
   config.plan = ntt::NttPlan::from_radices(param.radices);
   config.num_pes = param.pes;
   DistributedNtt engine(config);
-  const ntt::MixedRadixNtt software(config.plan);
+  const ntt::MixedRadixNtt& software = ntt::shared_mixed_radix(config.plan);
 
   util::Rng rng(param.pes * 100 + param.radices[0]);
   const FpVec data = random_vec(rng, config.plan.size);
@@ -69,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DistributedNtt, Paper64kConfigBitExact) {
   DistributedNtt engine(DistributedNttConfig{});  // 4 PEs, 64*64*16
-  const ntt::MixedRadixNtt software(ntt::NttPlan::paper_64k());
+  const ntt::MixedRadixNtt& software = ntt::shared_mixed_radix(ntt::NttPlan::paper_64k());
   util::Rng rng(42);
   const FpVec data = random_vec(rng, 65536);
   EXPECT_EQ(engine.forward(data), software.forward(data));
@@ -155,7 +155,7 @@ TEST(DistributedNtt, FuzzRandomPlansAndPeCounts) {
     config.num_pes = std::max(1u, pes);
 
     DistributedNtt engine(config);
-    const ntt::MixedRadixNtt software(config.plan);
+    const ntt::MixedRadixNtt& software = ntt::shared_mixed_radix(config.plan);
     FpVec data = random_vec(rng, config.plan.size);
     NttRunReport report;
     EXPECT_EQ(engine.forward(data, &report), software.forward(data))

@@ -1,18 +1,13 @@
-// The iterative NttContext engine and the redundant-representation
-// butterfly kernels: parity against the O(n^2) reference DFT and the
-// independent radix-2 engine across plans and sizes, adversarial values
-// that stress the deferred-reduction paths, plan-cache identity, and the
-// engine-order convolution path.
+// The process-wide mixed-radix plan cache and the redundant-representation
+// kernels every transform runs on: edge-value exactness of the lazy scalar
+// primitives, spectrum accumulation on adversarial redundant inputs, and
+// plan-cache identity and stability.
 
 #include <gtest/gtest.h>
 
 #include "fp/kernels.hpp"
-#include "fp/roots.hpp"
-#include "ntt/context.hpp"
-#include "ntt/convolution.hpp"
+#include "ntt/four_step.hpp"
 #include "ntt/mixed_radix.hpp"
-#include "ntt/radix2.hpp"
-#include "ntt/reference.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::ntt {
@@ -20,12 +15,6 @@ namespace {
 
 using fp::Fp;
 using fp::FpVec;
-
-FpVec random_vec(util::Rng& rng, std::size_t n) {
-  FpVec v(n);
-  for (auto& x : v) x = Fp{rng.next()};
-  return v;
-}
 
 TEST(FpKernels, LazyScalarPrimitivesAreExactAtTheEdges) {
   // The redundant-representation helpers must be exact for EVERY u64
@@ -51,137 +40,6 @@ TEST(FpKernels, LazyScalarPrimitivesAreExactAtTheEdges) {
       EXPECT_EQ(fp::canonical_u64(fp::add_lazy(a, b)), (fa + fb).value()) << a << "+" << b;
       EXPECT_EQ(fp::canonical_u64(fp::sub_lazy(a, b)), (fa - fb).value()) << a << "-" << b;
       EXPECT_EQ(fp::canonical_u64(fp::mul_lazy(a, b)), (fa * fb).value()) << a << "*" << b;
-    }
-  }
-}
-
-TEST(NttContextCache, SamePlanYieldsSameContext) {
-  const NttContext& a = shared_context(NttPlan::from_radices({4, 4}));
-  const NttContext& b = shared_context(NttPlan::from_radices({4, 4}));
-  EXPECT_EQ(&a, &b);
-  // Same size, different staging: distinct contexts.
-  const NttContext& c = shared_context(NttPlan::from_radices({2, 2, 4}));
-  EXPECT_NE(&a, &c);
-  EXPECT_EQ(c.plan().describe(), "2*2*4");
-}
-
-TEST(NttContextCache, FacadeConstructionReusesTheContext) {
-  // MixedRadixNtt is now a facade: constructing it twice must not rebuild
-  // tables (same underlying root/plan objects).
-  const MixedRadixNtt first(NttPlan::paper_64k());
-  const MixedRadixNtt second(NttPlan::paper_64k());
-  EXPECT_EQ(&first.plan(), &second.plan());
-}
-
-struct FuzzCase {
-  std::vector<u32> radices;
-  u64 seed;
-};
-
-class IterativeVsReference : public ::testing::TestWithParam<FuzzCase> {};
-
-TEST_P(IterativeVsReference, ForwardMatchesDirectDftOnRandomSweep) {
-  const auto& param = GetParam();
-  const NttContext& engine = shared_context(NttPlan::from_radices(param.radices));
-  const u64 n = engine.plan().size;
-  util::Rng rng(param.seed);
-  NttScratch scratch;
-  FpVec out;
-  for (int round = 0; round < 4; ++round) {
-    const FpVec data = random_vec(rng, n);
-    engine.forward(data, out, scratch);
-    EXPECT_EQ(out, dft_reference(data, engine.root())) << "round " << round;
-  }
-}
-
-TEST_P(IterativeVsReference, RoundTripsAndMatchesRadix2) {
-  const auto& param = GetParam();
-  const NttContext& engine = shared_context(NttPlan::from_radices(param.radices));
-  const u64 n = engine.plan().size;
-  util::Rng rng(param.seed + 1000);
-  const FpVec data = random_vec(rng, n);
-  NttScratch scratch;
-  FpVec spectrum;
-  FpVec back;
-  engine.forward(data, spectrum, scratch);
-  engine.inverse(spectrum, back, scratch);
-  EXPECT_EQ(back, data);
-  if (n >= 2) {
-    FpVec via_radix2 = data;
-    shared_radix2(n).forward(via_radix2);
-    EXPECT_EQ(spectrum, via_radix2);
-  }
-}
-
-// The satellite sweep: the paper plan (scaled so the O(n^2) reference stays
-// tractable: {64,64,16} is checked against radix-2 separately below), pure
-// radix-2 and uniform radix-4 across sizes, plus ragged mixed plans.
-INSTANTIATE_TEST_SUITE_P(
-    Plans, IterativeVsReference,
-    ::testing::Values(FuzzCase{{2}, 11}, FuzzCase{{4}, 12}, FuzzCase{{2, 2, 2}, 13},
-                      FuzzCase{{2, 2, 2, 2, 2, 2}, 14},          // pure radix-2, n=64
-                      FuzzCase{{2, 2, 2, 2, 2, 2, 2, 2, 2}, 15}, // pure radix-2, n=512
-                      FuzzCase{{4, 4}, 16}, FuzzCase{{4, 4, 4}, 17},
-                      FuzzCase{{4, 4, 4, 4}, 18},                // uniform radix-4, n=256
-                      FuzzCase{{4, 4, 4, 4, 4}, 19},             // uniform radix-4, n=1024
-                      FuzzCase{{64, 16}, 20},                    // paper radices, n=1024
-                      FuzzCase{{16, 64}, 21}, FuzzCase{{8, 2, 32}, 22},
-                      FuzzCase{{128, 4}, 23}));                  // generic (non-shift) DFT root
-
-TEST(IterativeEngine, Paper64kPlanMatchesRadix2AndRoundTrips) {
-  const NttContext& engine = shared_context(NttPlan::paper_64k());
-  util::Rng rng(64);
-  const FpVec data = random_vec(rng, 65536);
-  NttScratch scratch;
-  FpVec spectrum;
-  engine.forward(data, spectrum, scratch);
-
-  FpVec via_radix2 = data;
-  shared_radix2(65536).forward(via_radix2);
-  EXPECT_EQ(spectrum, via_radix2);
-
-  FpVec back;
-  engine.inverse(spectrum, back, scratch);
-  EXPECT_EQ(back, data);
-}
-
-TEST(IterativeEngine, OpCountsMatchTheRecursiveSemantics) {
-  // The counts contract of the old recursive engine, now produced by the
-  // iterative stage loop (guards the hardware-model comparisons).
-  const NttContext& engine = shared_context(NttPlan::paper_64k());
-  util::Rng rng(31);
-  const FpVec data = random_vec(rng, 65536);
-  NttScratch scratch;
-  FpVec out;
-  NttOpCounts counts;
-  engine.forward(data, out, scratch, &counts);
-  EXPECT_EQ(counts.shift_muls, 2u * 64 * 65536 + 16u * 65536);
-  EXPECT_EQ(counts.generic_muls, 15u * 4096 + 16u * 63 * 64);
-}
-
-TEST(IterativeEngine, AdversarialValuesStressDeferredReduction) {
-  // All coefficients at p-1 (and alternating 0 / p-1) maximize every
-  // butterfly sum and subtraction, hammering the redundant representation's
-  // double-wrap fixes in both engines.
-  for (const u64 n : {16ULL, 256ULL, 4096ULL}) {
-    FpVec all_max(n, Fp::from_canonical(fp::kModulus - 1));
-    FpVec alternating(n, fp::kZero);
-    for (u64 i = 0; i < n; i += 2) alternating[i] = Fp::from_canonical(fp::kModulus - 1);
-
-    const NttContext& mixed = shared_context(NttPlan::pure_radix2(n));
-    const Radix2Ntt& radix2 = shared_radix2(n);
-    NttScratch scratch;
-    for (const FpVec& data : {all_max, alternating}) {
-      const FpVec expected = dft_reference(data, radix2.root());
-      FpVec via_mixed;
-      mixed.forward(data, via_mixed, scratch);
-      EXPECT_EQ(via_mixed, expected) << n;
-      FpVec via_radix2 = data;
-      radix2.forward(via_radix2);
-      EXPECT_EQ(via_radix2, expected) << n;
-      FpVec back;
-      mixed.inverse(via_mixed, back, scratch);
-      EXPECT_EQ(back, data) << n;
     }
   }
 }
@@ -215,56 +73,24 @@ TEST(FpKernels, PointwiseAddAccumulatesAdversarialRedundantSpectra) {
   }
 }
 
-TEST(SpectralConvolve, MatchesReferenceConvolutionAcrossSizes) {
-  // The engine-order (bit-reversal-free) convolution path the multiplier
-  // uses, including the odd-log2 sizes the radix-2 sweep must handle.
-  util::Rng rng(77);
-  for (const u64 n : {2ULL, 4ULL, 8ULL, 32ULL, 128ULL, 1024ULL, 2048ULL}) {
-    const FpVec a = random_vec(rng, n);
-    const FpVec b = random_vec(rng, n);
-    const FpVec expected = cyclic_convolve_reference(a, b);
-    const Radix2Ntt& engine = shared_radix2(n);
-
-    FpVec fa = a;
-    FpVec fb = b;
-    engine.convolve_into(fa, fb);
-    EXPECT_EQ(fa, expected) << n;
-
-    // Spectrum API: forward both, combine via convolve_from_spectra.
-    FpVec sa = a;
-    FpVec sb = b;
-    engine.forward_spectrum(sa);
-    engine.forward_spectrum(sb);
-    FpVec out;
-    engine.convolve_from_spectra(out, sa, sb);
-    EXPECT_EQ(out, expected) << n;
-
-    // Spectral round trip.
-    engine.inverse_from_spectrum(sa);
-    EXPECT_EQ(sa, a) << n;
-  }
-}
-
-TEST(SpectralConvolve, SquareMatchesConvolve) {
-  util::Rng rng(78);
-  const FpVec a = random_vec(rng, 512);
-  const Radix2Ntt& engine = shared_radix2(512);
-  FpVec fa = a;
-  FpVec fb = a;
-  engine.convolve_into(fa, fb);
-  FpVec sq = a;
-  engine.convolve_square_into(sq);
-  EXPECT_EQ(sq, fa);
+TEST(MixedRadixCache, SamePlanYieldsSameEngine) {
+  const MixedRadixNtt& a = shared_mixed_radix(NttPlan::from_radices({4, 4}));
+  const MixedRadixNtt& b = shared_mixed_radix(NttPlan::from_radices({4, 4}));
+  EXPECT_EQ(&a, &b);
+  // Same size, different staging: distinct engines.
+  const MixedRadixNtt& c = shared_mixed_radix(NttPlan::from_radices({2, 2, 4}));
+  EXPECT_NE(&a, &c);
+  EXPECT_EQ(c.plan().describe(), "2*2*4");
 }
 
 TEST(SharedCaches, LockFreeLookupsReturnStableReferences) {
-  const Radix2Ntt& r1 = shared_radix2(256);
-  const NttContext& c1 = shared_context(NttPlan::uniform(4, 256));
+  const FourStepNtt& f1 = shared_four_step(256);
+  const MixedRadixNtt& m1 = shared_mixed_radix(NttPlan::uniform(4, 256));
   // Populating other sizes must not move previously returned engines.
-  for (u64 n = 2; n <= 8192; n <<= 1) (void)shared_radix2(n);
-  (void)shared_context(NttPlan::pure_radix2(512));
-  EXPECT_EQ(&r1, &shared_radix2(256));
-  EXPECT_EQ(&c1, &shared_context(NttPlan::uniform(4, 256)));
+  for (u64 n = 4; n <= 8192; n <<= 1) (void)shared_four_step(n);
+  (void)shared_mixed_radix(NttPlan::pure_radix2(512));
+  EXPECT_EQ(&f1, &shared_four_step(256));
+  EXPECT_EQ(&m1, &shared_mixed_radix(NttPlan::uniform(4, 256)));
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 #include <vector>
 
 #include "bigint/mul.hpp"
-#include "ntt/convolution.hpp"
 #include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
+#include "ntt/mixed_radix.hpp"
 #include "ntt/reference.hpp"
 #include "ssa/multiply.hpp"
 #include "ssa/pack.hpp"
@@ -70,19 +69,19 @@ TEST_P(FourStepVsReference, ForwardMatchesDirectDft) {
   EXPECT_EQ(data, expected);
 }
 
-TEST_P(FourStepVsReference, ForwardMatchesRadix2BitExactly) {
-  // Same root hierarchy => directly comparable natural-order spectra.
+TEST_P(FourStepVsReference, ForwardMatchesMixedRadixBitExactly) {
+  // Same root hierarchy => directly comparable natural-order spectra from
+  // the independent mixed-radix engine on its pure radix-2 plan.
   const u64 n = GetParam();
   const FourStepNtt four(n);
-  const Radix2Ntt radix2(n);
-  ASSERT_EQ(four.root(), radix2.root());
+  const MixedRadixNtt& mixed = shared_mixed_radix(NttPlan::pure_radix2(n));
+  ASSERT_EQ(four.root(), mixed.root());
   util::Rng rng(n + 1);
   FpVec a = random_vec(rng, n);
-  FpVec b = a;
+  const FpVec expected = mixed.forward(a);
   FpVec scratch;
   four.forward(a, scratch);
-  radix2.forward(b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, expected);
 }
 
 TEST_P(FourStepVsReference, RoundTrip) {
@@ -151,15 +150,14 @@ TEST_P(FourStepSplits, ForwardMatchesReferenceAndRoundTrips) {
   EXPECT_EQ(data, orig);
 }
 
-TEST_P(FourStepSplits, ConvolveMatchesRadix2) {
+TEST_P(FourStepSplits, ConvolveMatchesReference) {
   const auto [n1, n2] = GetParam();
   const u64 n = n1 * n2;
   const FourStepNtt engine(n1, n2);
-  const Radix2Ntt radix2(n);
   util::Rng rng(n1 * 37 + n2);
   const FpVec a = random_vec(rng, n);
   const FpVec b = random_vec(rng, n);
-  const FpVec expected = radix2.convolve(a, b);
+  const FpVec expected = cyclic_convolve_reference(a, b);
 
   FpVec fa = a, fb = b, scratch;
   engine.convolve_into(fa, fb, scratch);
@@ -175,33 +173,45 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FourStepSplits,
                                            std::pair<u64, u64>{16, 128},
                                            std::pair<u64, u64>{2, 2048}));
 
+TEST(FourStepInputChecks, RejectsBadSizesSplitsAndLengths) {
+  for (const u64 n : {0u, 1u, 2u, 48u}) {
+    EXPECT_THROW(FourStepNtt{n}, std::logic_error) << "n = " << n;
+  }
+  EXPECT_THROW(FourStepNtt(3, 16), std::logic_error);
+  EXPECT_THROW(FourStepNtt(1, 64), std::logic_error);
+
+  const FourStepNtt engine(16);
+  FpVec wrong(8, fp::kZero);
+  FpVec scratch;
+  EXPECT_THROW(engine.forward(wrong, scratch), std::logic_error);
+}
+
 // ---- convolution parity --------------------------------------------------
 
-TEST(FourStepConvolve, MatchesRadix2AcrossSizes) {
+TEST(FourStepConvolve, MatchesReferenceAcrossSizes) {
   for (const u64 n : {16u, 256u, 1024u, 4096u}) {
     const FourStepNtt engine(n);
-    const Radix2Ntt radix2(n);
     util::Rng rng(n + 3);
     const FpVec a = random_vec(rng, n);
     const FpVec b = random_vec(rng, n);
     FpVec fa = a, fb = b, scratch;
     engine.convolve_into(fa, fb, scratch);
-    EXPECT_EQ(fa, radix2.convolve(a, b)) << "n = " << n;
+    EXPECT_EQ(fa, cyclic_convolve_reference(a, b)) << "n = " << n;
   }
 }
 
 TEST(FourStepConvolve, AdversarialMaxValueOperands) {
   for (const u64 n : {1024u, 2048u}) {
     const FourStepNtt engine(n);
-    const Radix2Ntt radix2(n);
     const FpVec a = adversarial_vec(n);
+    const FpVec expected = cyclic_convolve_reference(a, a);
     FpVec fa = a, fb = a, scratch;
     engine.convolve_into(fa, fb, scratch);
-    EXPECT_EQ(fa, radix2.convolve(a, a)) << "n = " << n;
+    EXPECT_EQ(fa, expected) << "n = " << n;
 
     fa = a;
     engine.convolve_square_into(fa, scratch);
-    EXPECT_EQ(fa, radix2.convolve(a, a)) << "square n = " << n;
+    EXPECT_EQ(fa, expected) << "square n = " << n;
   }
 }
 
@@ -265,14 +275,14 @@ TEST(FourStepTiling, TilesPerPassIsDeterministic) {
 /// splits (4-64 points), then larger geometries.
 constexpr std::size_t kSsaBits[] = {1, 26, 27, 100, 416, 417, 1000, 4096, 20000};
 
-/// The product through the monolithic radix-2 convolution (ntt::Radix2Ntt,
-/// natural order), independent of the four-step engine.
-BigUInt radix2_product(const BigUInt& a, const BigUInt& b, const ssa::SsaParams& params) {
-  return ssa::carry_recover(cyclic_convolve(ssa::pack(a, params), ssa::pack(b, params)),
-                            params.coeff_bits);
+/// The product through the O(n^2) reference convolution, independent of
+/// the four-step engine.
+BigUInt reference_product(const BigUInt& a, const BigUInt& b, const ssa::SsaParams& params) {
+  return ssa::carry_recover(
+      cyclic_convolve_reference(ssa::pack(a, params), ssa::pack(b, params)), params.coeff_bits);
 }
 
-TEST(SsaFourStep, MultiplyMatchesMonolithicRadix2) {
+TEST(SsaFourStep, MultiplyMatchesReferenceConvolution) {
   for (const std::size_t bits : kSsaBits) {
     util::Rng rng(bits);
     const BigUInt a = BigUInt::random_bits(rng, bits);
@@ -283,9 +293,9 @@ TEST(SsaFourStep, MultiplyMatchesMonolithicRadix2) {
     ASSERT_GE(engine.n2(), 2u) << bits;
 
     const BigUInt product = ssa::multiply(a, b, params);
-    EXPECT_EQ(product, radix2_product(a, b, params)) << bits;
+    EXPECT_EQ(product, reference_product(a, b, params)) << bits;
     EXPECT_EQ(product, bigint::mul_schoolbook(a, b)) << bits;
-    EXPECT_EQ(ssa::square(a, params), radix2_product(a, a, params)) << bits;
+    EXPECT_EQ(ssa::square(a, params), reference_product(a, a, params)) << bits;
   }
 }
 
