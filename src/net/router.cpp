@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -477,7 +476,9 @@ void Router::handle_create(const fhe::Envelope& request, ServerConnection& conne
 void Router::handle(const fhe::Envelope& request, ServerConnection& connection) {
   switch (request.type) {
     case fhe::MessageType::kCreateSession:
-      handle_create(request, connection);
+      // Blocks on a shard RPC (keygen there): off the reader.
+      connection.run_serial(request,
+                            [this, &connection, request] { handle_create(request, connection); });
       return;
     case fhe::MessageType::kSubmit: {
       {
@@ -490,16 +491,14 @@ void Router::handle(const fhe::Envelope& request, ServerConnection& connection) 
                                       std::to_string(request.session));
         }
       }
-      // The forward runs on its own thread: it may block on retry backoff
-      // or a failover replay, and the reader must stay free to accept more
-      // requests meanwhile. The writer joins it through the future.
-      connection.send_when_ready(
-          request.session, request.request_id,
-          std::async(std::launch::async,
-                     [this, session = request.session, payload = request.payload,
-                      deadline = request.deadline_ms]() mutable {
-                       return forward_submit(session, std::move(payload), deadline);
-                     }));
+      // The forward runs on its own task and posts its own reply: it may
+      // block on retry backoff or a failover replay, and neither the reader
+      // nor any other reply waits for it.
+      connection.respond_async(request.session, request.request_id,
+                               [this, session = request.session, payload = request.payload,
+                                deadline = request.deadline_ms]() mutable {
+                                 return forward_submit(session, std::move(payload), deadline);
+                               });
       return;
     }
     case fhe::MessageType::kPing: {
@@ -509,14 +508,16 @@ void Router::handle(const fhe::Envelope& request, ServerConnection& connection) 
       connection.send_now(std::move(reply));
       return;
     }
-    case fhe::MessageType::kStats: {
-      fhe::Envelope reply;
-      reply.type = fhe::MessageType::kStatsReply;
-      reply.request_id = request.request_id;
-      reply.payload = encode_fleet_stats(fleet_stats());
-      connection.send_now(std::move(reply));
+    case fhe::MessageType::kStats:
+      // Waits on every shard's stats RPC: off the reader too.
+      connection.run_serial(request, [this, &connection, id = request.request_id] {
+        fhe::Envelope reply;
+        reply.type = fhe::MessageType::kStatsReply;
+        reply.request_id = id;
+        reply.payload = encode_fleet_stats(fleet_stats());
+        connection.send_now(std::move(reply));
+      });
       return;
-    }
     case fhe::MessageType::kShutdown: {
       fhe::Envelope reply;
       reply.type = fhe::MessageType::kShutdownAck;

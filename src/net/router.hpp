@@ -28,7 +28,10 @@ struct RetryPolicy {
 /// Fleet front door: speaks the same envelope protocol as a shard, but owns
 /// no Service -- it places sessions on shards by hashing the (router-
 /// assigned) global session id, forwards submits verbatim to the owning
-/// shard, and aggregates per-shard stats into one kStatsReply.
+/// shard, and aggregates per-shard stats into one kStatsReply. Nothing that
+/// waits on a shard runs on a connection's reader: creates and stats run on
+/// the connection's serial worker, each submit forward on a task of its
+/// own that posts its reply the moment the shard answers.
 ///
 /// Placement is deterministic: shard_of(id, n) depends only on the id and
 /// the shard count, so a restarted router with the same shard list hashes
@@ -107,6 +110,8 @@ class Router {
   };
 
   void handle(const fhe::Envelope& request, ServerConnection& connection);
+  /// Places a new session; runs on the connection's serial worker, since it
+  /// waits for the shard's keygen.
   void handle_create(const fhe::Envelope& request, ServerConnection& connection);
   /// The async forward of one submit; never throws -- every failure mode
   /// becomes a Response status.

@@ -6,7 +6,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -16,46 +18,78 @@
 namespace hemul::net {
 
 /// One accepted connection of an EnvelopeServer. Replies leave through a
-/// per-connection FIFO writer thread, so a handler can either answer
-/// immediately (send_now) or hand over a Service future (send_when_ready)
-/// without blocking the reader -- pipelined submits stay outstanding
-/// together, which is what lets the admission window coalesce them.
+/// per-connection writer thread in completion order: its queue holds only
+/// ready replies, so a quick reply never waits behind a long request that
+/// arrived before it. The reader thread only reads and dispatches:
+///   - a reply that is ready at once goes out through send_now;
+///   - a reply another thread produces later goes through respond_later's
+///     Responder -- the shard hands it to the Service as the completion
+///     callback, and the writer thread encodes the Response;
+///   - work that blocks on keygen or on a shard RPC runs on the
+///     connection's serial worker (run_serial), one item at a time in
+///     arrival order, so one thread per connection bounds it;
+///   - the router's forwards run one task each (respond_async).
+/// Pipelined submits therefore stay outstanding together, which is what
+/// lets the admission window coalesce them. Teardown drains the serial
+/// worker, waits for every outstanding Responder and joins the forward
+/// tasks before it stops the writer.
 class ServerConnection {
  public:
+  /// Posts the Response answering one request, exactly once. Cheap and
+  /// non-blocking, so a Service completion may call it on the coordinator.
+  using Responder = std::function<void(core::Response)>;
+
   explicit ServerConnection(Socket socket);
   ~ServerConnection();
 
   ServerConnection(const ServerConnection&) = delete;
   ServerConnection& operator=(const ServerConnection&) = delete;
 
-  /// Queues a ready envelope for writing (FIFO with everything else).
+  /// Queues a ready envelope for writing.
   void send_now(fhe::Envelope envelope);
 
-  /// Queues a response future; the writer thread blocks on it in queue
-  /// order and writes the kResponse envelope when the service completes it.
-  void send_when_ready(u64 session, u64 request_id, std::future<core::Response> response);
+  /// Starts work that answers (session, request_id) later: `start` gets
+  /// the Responder and must arrange for it to be called, unless `start`
+  /// throws -- the exception propagates and no reply is owed.
+  void respond_later(u64 session, u64 request_id,
+                     const std::function<void(Responder)>& start);
+
+  /// Runs `work` on the connection's serial worker, a thread that runs
+  /// while work is queued and exits when the queue is empty.
+  /// If `work` throws, `request` is answered with the kError envelope the
+  /// reader would have sent (see EnvelopeServer).
+  void run_serial(const fhe::Envelope& request, std::function<void()> work);
+
+  /// Computes the Response to (session, request_id) on a task of its own
+  /// and posts it (kInternalError if `work` throws).
+  void respond_async(u64 session, u64 request_id, std::function<core::Response()> work);
 
  private:
   friend class EnvelopeServer;
 
   struct Outgoing {
-    fhe::Envelope ready;
-    bool has_future = false;
-    u64 session = 0;
-    u64 request_id = 0;
-    std::future<core::Response> response;
+    fhe::Envelope envelope;                ///< sent as is, unless...
+    std::optional<core::Response> response;  ///< ...this is set: encoded into it
   };
 
   void writer_loop();
-  /// Stops the writer after it drains the queue, and joins it.
+  void serial_loop();
+  /// Drains the serial worker, waits for the outstanding Responders and
+  /// the forward tasks, then stops the writer after it drains its queue.
   void finish();
 
   Socket socket_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;          ///< writer: queue_ or done_
+  std::condition_variable replies_cv_;  ///< expected_ reached 0
   std::deque<Outgoing> queue_;
+  std::deque<std::function<void()>> serial_;
+  std::vector<std::future<void>> tasks_;  ///< respond_async tasks not yet reaped
+  std::size_t expected_ = 0;  ///< Responders not yet called
   bool done_ = false;
+  bool serial_running_ = false;  ///< serial_worker_ is in its loop
   bool write_failed_ = false;  ///< socket died mid-write; drop the rest
+  std::thread serial_worker_;
   std::thread writer_;
 };
 
@@ -65,6 +99,10 @@ class ServerConnection {
 /// (ShuttingDown -> kShuttingDown, SerializeError -> kBadRequestBytes,
 /// invalid_argument -> kUnknownSession, anything else -> kInternal) so one
 /// hostile or unlucky request never tears the connection down.
+///
+/// Closed connections are reaped as they close: each connection's thread,
+/// on its way out, joins the one that closed before it, so a client that
+/// reconnects in a loop never grows the server.
 class EnvelopeServer {
  public:
   using Handler = std::function<void(const fhe::Envelope&, ServerConnection&)>;
@@ -78,26 +116,43 @@ class EnvelopeServer {
 
   [[nodiscard]] int port() const noexcept { return listener_.port(); }
 
+  /// Connections not yet reaped: the open ones, plus the last one to
+  /// close while its thread finishes.
+  [[nodiscard]] std::size_t connection_count() const;
+
   /// Stops accepting, unblocks every connection and joins all threads.
   /// Idempotent; also run by the destructor.
   void stop();
 
  private:
+  struct Served {
+    std::unique_ptr<ServerConnection> connection;
+    std::thread thread;
+  };
+
   void accept_loop();
-  void serve(ServerConnection& connection);
+  void serve(u64 id, ServerConnection& connection);
+  /// Moves connection `id` out of the open set and joins the connection
+  /// that closed before it.
+  void retire(u64 id);
 
   Listener listener_;
   Handler handler_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<ServerConnection>> connections_;
-  std::vector<std::thread> threads_;
+  mutable std::mutex mutex_;
+  std::condition_variable drained_cv_;  ///< open_ became empty
+  std::unordered_map<u64, Served> open_;
+  std::optional<Served> closed_;  ///< joined by the next to close, or stop()
+  u64 next_id_ = 0;
   bool stopping_ = false;
   std::thread acceptor_;
 };
 
 /// The shard daemon's protocol: one core::Service behind an EnvelopeServer.
 /// Dispatches kCreateSession / kSubmit / kStats / kShutdown (the full
-/// message set a shard speaks; see docs/wire-protocol.md).
+/// message set a shard speaks; see docs/wire-protocol.md). Session creation
+/// (keygen, failover replays) runs on the connection's serial worker and
+/// submits complete through a Service callback, so neither ever holds up
+/// the reader or another request's reply.
 class ShardServer {
  public:
   struct Options {
@@ -112,10 +167,13 @@ class ShardServer {
   explicit ShardServer(core::Service& service);
 
   [[nodiscard]] int port() const noexcept { return server_.port(); }
+  [[nodiscard]] std::size_t connection_count() const { return server_.connection_count(); }
   void stop() { server_.stop(); }
 
  private:
   void handle(const fhe::Envelope& request, ServerConnection& connection);
+  /// kCreateSession, on the connection's serial worker.
+  void create(const fhe::Envelope& request, ServerConnection& connection);
 
   core::Service& service_;
   std::function<void()> on_shutdown_;

@@ -49,7 +49,7 @@ struct Service::Session {
 struct Service::Pending {
   Session* session = nullptr;
   Request request;
-  std::promise<Response> promise;
+  Completion done;
   Clock::time_point submitted_at;
   bool has_deadline = false;
   Clock::time_point expires_at;  ///< admission drops the request past this
@@ -61,7 +61,7 @@ struct Service::Pending {
 /// served results are bit-exact against local evaluation by construction).
 struct Service::Active {
   Session* session = nullptr;
-  std::promise<Response> promise;
+  Completion done;
   Clock::time_point submitted_at;
   Clock::time_point admitted_at;
 
@@ -156,8 +156,18 @@ fhe::Bytes Service::secret_key_bytes(SessionId session) {
 
 std::future<Response> Service::submit(SessionId session, Request request,
                                       double deadline_ms) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  submit(session, std::move(request), deadline_ms,
+         [promise](Response response) { promise->set_value(std::move(response)); });
+  return future;
+}
+
+void Service::submit(SessionId session, Request request, double deadline_ms,
+                     Completion done) {
   Pending pending;
   pending.request = std::move(request);
+  pending.done = std::move(done);
   pending.submitted_at = Clock::now();
   const double budget = deadline_ms > 0 ? deadline_ms : options_.default_deadline_ms;
   if (budget > 0) {
@@ -167,7 +177,6 @@ std::future<Response> Service::submit(SessionId session, Request request,
         std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double, std::milli>(budget));
   }
-  std::future<Response> future = pending.promise.get_future();
   // One lock acquisition covers the session lookup AND the enqueue: the
   // Session* stored in Pending must be pinned (tenant.in_flight bumped)
   // before the lock drops, or LRU eviction could invalidate it in between.
@@ -207,11 +216,10 @@ std::future<Response> Service::submit(SessionId session, Request request,
     }
   }
   if (!accepted) {
-    pending.promise.set_value(std::move(refused));
-    return future;
+    pending.done(std::move(refused));
+    return;
   }
   work_cv_.notify_all();
-  return future;
 }
 
 void Service::wait_idle() {
@@ -295,13 +303,13 @@ void Service::complete(Active& request, Response response) {
     idle = in_flight_ == 0;
   }
   if (idle) idle_cv_.notify_all();
-  request.promise.set_value(std::move(response));
+  request.done(std::move(response));
 }
 
 std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
   auto active = std::make_unique<Active>(pending.session->scheme);
   active->session = pending.session;
-  active->promise = std::move(pending.promise);
+  active->done = std::move(pending.done);
   active->submitted_at = pending.submitted_at;
   active->admitted_at = Clock::now();
 

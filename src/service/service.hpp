@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -67,8 +68,8 @@ class SessionTableFull : public std::runtime_error {
 /// the host-interface shape of Medha/FAB: tenants open sessions (per-tenant
 /// fhe::Dghv key contexts), then submit Requests -- serialized ciphertexts
 /// plus a named or caller-recorded circuit -- and receive their Responses
-/// through futures. Every transport (sockets, RPC) is a thin shim over
-/// this class.
+/// through a completion callback (or a future) as each request finishes.
+/// Every transport (sockets, RPC) is a thin shim over this class.
 ///
 /// Cross-request batching: a coordinator thread advances every in-flight
 /// request one level per round through the same fhe::step_levels driver
@@ -98,13 +99,22 @@ class Service {
   /// session's constant zero/one encryptions (used by builtin circuits).
   SessionId create_session(const fhe::DghvParams& params, u64 seed);
 
-  /// Enqueues one request. The future always yields a Response (malformed
+  /// Receives a request's Response, exactly once. It runs on the
+  /// coordinator thread (or inside submit() for a shed or draining
+  /// refusal), so it must not throw and should only hand the Response on.
+  using Completion = std::function<void(Response)>;
+
+  /// Enqueues one request; `done` receives its Response -- malformed
   /// payloads, noise vetoes and expired deadlines are statuses, not
-  /// exceptions). Throws std::invalid_argument for an unknown session --
-  /// that is a caller bug, not wire data. `deadline_ms` is this request's
-  /// remaining budget (0 = use ServiceOptions::default_deadline_ms; both
-  /// zero = no deadline): if it elapses before admission the request
-  /// completes with ResponseStatus::kExpired instead of executing.
+  /// exceptions. Throws std::invalid_argument for an unknown session (that
+  /// is a caller bug, not wire data; `done` is then never called).
+  /// `deadline_ms` is this request's remaining budget (0 = use
+  /// ServiceOptions::default_deadline_ms; both zero = no deadline): if it
+  /// elapses before admission the request completes with
+  /// ResponseStatus::kExpired instead of executing.
+  void submit(SessionId session, Request request, double deadline_ms, Completion done);
+
+  /// The same, with the Response delivered through a future.
   std::future<Response> submit(SessionId session, Request request,
                                double deadline_ms = 0.0);
 

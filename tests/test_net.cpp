@@ -6,16 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
+#include "fhe/graph.hpp"
 #include "fhe/serialize.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
@@ -54,6 +57,42 @@ core::Request mul_request(fhe::Dghv& scheme, u64 x, u64 y) {
   request.inputs = concat(fhe::encode_ciphertexts(fhe::encrypt_int(scheme, x, 2)),
                           fhe::encode_ciphertexts(fhe::encrypt_int(scheme, y, 2)));
   return request;
+}
+
+/// One AND gate: the shortest request there is.
+core::Request and_request(fhe::Dghv& scheme, bool a, bool b) {
+  core::Request request;
+  request.spec.kind = core::CircuitKind::kAnd;
+  const std::vector<Ciphertext> inputs = {scheme.encrypt(a), scheme.encrypt(b)};
+  request.inputs = fhe::encode_ciphertexts(inputs);
+  return request;
+}
+
+/// `chains` independent AND chains of `depth` levels: each level multiplies
+/// a chain by that chain's own encryption of 1, so the noise grows only
+/// linearly and deep() admits hundreds of levels -- a request that is long
+/// in rounds, not just in gates. Every output decrypts to 1.
+core::Request chain_request(fhe::Dghv& scheme, unsigned chains, unsigned depth) {
+  fhe::Graph graph(scheme);
+  std::vector<Ciphertext> inputs;
+  std::vector<fhe::Wire> outputs;
+  for (unsigned c = 0; c < chains; ++c) {
+    inputs.push_back(scheme.encrypt(true));
+    fhe::Wire wire = graph.input(inputs.back());
+    inputs.push_back(scheme.encrypt(true));
+    const fhe::Wire one = graph.input(inputs.back());
+    for (unsigned level = 0; level < depth; ++level) wire = graph.gate_and(wire, one);
+    outputs.push_back(wire);
+  }
+  core::Request request;
+  request.spec.kind = core::CircuitKind::kGraph;
+  request.graph = fhe::encode_graph(fhe::GraphTopology::capture(graph, outputs));
+  request.inputs = fhe::encode_ciphertexts(inputs);
+  return request;
+}
+
+bool ready(const std::future<core::Response>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 u64 decrypt_response(const fhe::Dghv& scheme, const core::Response& response) {
@@ -436,6 +475,108 @@ TEST(NetTest, ProbeLoopRedialsRestartedShardAndRehomesItsSessions) {
   EXPECT_EQ(decrypt_response(*tenant, response), 4u);
   const FleetStats fleet = client.stats();
   EXPECT_GE(fleet.sessions_rehomed, 1u);
+}
+
+// --- completion order and free readers ---------------------------------------
+
+TEST(NetTest, ShardRepliesInCompletionOrderOnOneConnection) {
+  // One connection carries a long request and, behind it, a single AND of
+  // another tenant and a session create. Both short ones must come back
+  // while the long one is still running: a reply never waits behind an
+  // earlier request. The long request is 4 AND chains of 400 levels at
+  // deep() (a 16-bit multiply would be longer in gates, but the noise
+  // audit refuses it at deep()); the AND rides at most two of its 400
+  // rounds and the create is a deep() keygen of a few ms, so both margins
+  // are far above 20x.
+  core::Service service(ssa_options(1));
+  ShardServer server(service);
+  ShardClient client(loopback(server.port()));
+
+  ShardClient::SessionKeys long_keys = client.create_session(DghvParams::deep(), 31);
+  ShardClient::SessionKeys short_keys = client.create_session(DghvParams::deep(), 32);
+  fhe::Dghv long_tenant(std::move(long_keys.public_key), std::move(long_keys.secret_key), 3);
+  fhe::Dghv short_tenant(std::move(short_keys.public_key), std::move(short_keys.secret_key),
+                         4);
+  constexpr unsigned kChains = 4, kDepth = 400;
+  const core::Request long_request = chain_request(long_tenant, kChains, kDepth);
+  const core::Request short_request = and_request(short_tenant, true, true);
+
+  std::future<core::Response> long_future = client.submit(long_keys.session, long_request);
+  std::future<core::Response> short_future = client.submit(short_keys.session, short_request);
+  const core::Response short_response = short_future.get();
+  EXPECT_FALSE(ready(long_future)) << "the AND reply waited for the long request";
+  const ShardClient::SessionKeys keys = client.create_session(DghvParams::deep(), 33);
+  EXPECT_FALSE(ready(long_future)) << "the create reply waited for the long request";
+
+  ASSERT_TRUE(short_response.ok()) << short_response.error;
+  EXPECT_EQ(decrypt_response(short_tenant, short_response), 1u);
+  const core::Response long_response = long_future.get();
+  ASSERT_TRUE(long_response.ok()) << long_response.error;
+  EXPECT_EQ(long_response.levels, kDepth);
+  for (const Ciphertext& bit : fhe::decode_ciphertexts(long_response.outputs)) {
+    EXPECT_TRUE(long_tenant.decrypt(bit));
+  }
+  EXPECT_NE(keys.session, long_keys.session);
+}
+
+/// While a small_paper() create (its keygen takes ~1 s in a Release build)
+/// is in progress on `client`'s connection, a toy AND sent after it on the
+/// same connection must be answered first: creates never hold the reader.
+/// The create goes out raw, so its future is ready the moment its reply
+/// arrives, not after the client decoded 56 MB of public key.
+void expect_and_overtakes_create(ShardClient& client) {
+  ShardClient::SessionKeys toy_keys = client.create_session(DghvParams::toy(), 41);
+  fhe::Dghv tenant(std::move(toy_keys.public_key), std::move(toy_keys.secret_key), 5);
+  const core::Request request = and_request(tenant, true, false);
+
+  fhe::ByteWriter seed;
+  seed.put_u64(42);
+  const fhe::Bytes payload = concat(fhe::encode_params(DghvParams::small_paper()), seed.take());
+  std::future<fhe::Envelope> big =
+      std::async(std::launch::async, [&] { return client.create_session_raw(payload); });
+  // Let the create's frame reach the wire before the AND's.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const core::Response response = client.submit(toy_keys.session, request).get();
+  EXPECT_EQ(big.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+      << "the AND was answered only after the create";
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(decrypt_response(tenant, response), 0u);
+  const fhe::Envelope created = big.get();
+  EXPECT_EQ(created.type, fhe::MessageType::kSessionCreated);
+  EXPECT_NE(created.session, toy_keys.session);
+}
+
+TEST(NetTest, CreateDoesNotBlockTheShardReader) {
+  core::Service service(ssa_options(1));
+  ShardServer server(service);
+  ShardClient client(loopback(server.port()));
+  expect_and_overtakes_create(client);
+}
+
+TEST(NetTest, CreateDoesNotBlockTheRouterReader) {
+  core::Service service(ssa_options(1));
+  ShardServer shard(service);
+  Router router({loopback(shard.port())});
+  ShardClient client(loopback(router.port()));
+  expect_and_overtakes_create(client);
+}
+
+TEST(NetTest, ClosedConnectionsAreReaped) {
+  core::Service service(ssa_options(1));
+  ShardServer server(service);
+  for (int i = 0; i < 64; ++i) {
+    ShardClient client(loopback(server.port()));
+    client.ping();  // accepted and served before it closes
+  }
+  // Each connection's thread retires it on the way out; only the last one
+  // to close may still be held while its thread ends.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.connection_count() > 1 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(server.connection_count(), 1u);
+  ShardClient client(loopback(server.port()));
+  EXPECT_EQ(client.stats().shards.size(), 1u);
 }
 
 // --- FleetStats codec --------------------------------------------------------

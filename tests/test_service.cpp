@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/registry.hpp"
@@ -664,6 +665,55 @@ TEST(ServiceTest, BoundedQueueShedsWithRetryHintAndNeverExceedsDepth) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(service.tenant_stats(session).shed, static_cast<u64>(kExtra));
   EXPECT_EQ(service.tenant_stats(session).submitted, 1u + kExtra);
+}
+
+TEST(ServiceTest, CompletionCallbackRunsExactlyOnceOnTheCoordinatorOrInsideSubmit) {
+  // The callback is the Service's one completion path: an admitted request
+  // completes on the coordinator thread, a shed one inside submit() itself,
+  // and an unknown session throws without ever calling it.
+  ServiceOptions options = ssa_options(1, /*window_ms=*/150.0);
+  options.max_queue_depth = 1;
+  Service service(options);
+  const SessionId session = service.create_session(DghvParams::toy(), 43);
+  fhe::Dghv& scheme = service.scheme(session);
+  auto make_request = [&] {
+    Request request;
+    request.spec.kind = CircuitKind::kAnd;
+    request.inputs = fhe::encode_ciphertexts(
+        std::vector<Ciphertext>{scheme.encrypt(true), scheme.encrypt(true)});
+    return request;
+  };
+
+  std::atomic<int> admitted_calls{0};
+  std::promise<std::pair<std::thread::id, Response>> admitted;
+  service.submit(session, make_request(), 0.0, [&](Response response) {
+    if (admitted_calls++ == 0) {
+      admitted.set_value({std::this_thread::get_id(), std::move(response)});
+    }
+  });
+
+  int shed_calls = 0;
+  std::thread::id shed_on;
+  service.submit(session, make_request(), 0.0, [&](Response response) {
+    ++shed_calls;
+    shed_on = std::this_thread::get_id();
+    EXPECT_EQ(response.status, ResponseStatus::kOverloaded) << response.error;
+  });
+  EXPECT_EQ(shed_calls, 1) << "the shed refusal completes before submit() returns";
+  EXPECT_EQ(shed_on, std::this_thread::get_id());
+
+  bool unknown_called = false;
+  EXPECT_THROW(service.submit(999, Request{}, 0.0, [&](Response) { unknown_called = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(unknown_called);
+
+  auto [thread, response] = admitted.get_future().get();
+  EXPECT_NE(thread, std::this_thread::get_id());
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(decrypt_response(scheme, response), 1u);
+  service.wait_idle();
+  EXPECT_EQ(admitted_calls.load(), 1);
+  EXPECT_EQ(shed_calls, 1);
 }
 
 // --- LRU session eviction ---------------------------------------------------
