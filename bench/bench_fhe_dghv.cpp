@@ -3,9 +3,24 @@
 // multiplication mapped onto the accelerator. Reports software wall-clock
 // per primitive plus the modeled accelerator time for the gamma-bit
 // ciphertext product.
+//
+// Encryption is timed as the median of 9 trials next to the loop it
+// replaced (each subset-sum term a shifted copy of x_i, added by the former
+// carry loop), run in the same process from a mirror of the scheme's rng:
+// every trial's ciphertexts must be equal bit for bit, and the speedup is
+// the ratio of the medians.
+//
+//   bench_fhe_dghv [--json FILE]
+//
+// Exit 0 iff every decryption checks and every encryption is bit-exact.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "fhe/dghv.hpp"
@@ -15,21 +30,99 @@
 namespace {
 
 using namespace hemul;
+using bigint::BigUInt;
 using Clock = std::chrono::steady_clock;
+
+constexpr int kTrials = 9;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-void run_setting(const char* name, const fhe::DghvParams& params, util::Table& table) {
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// BigUInt::operator+= as it was before it ran through bigint::add_into: a
+/// bounds test and two compares per limb.
+void former_add(std::vector<u64>& acc, std::span<const u64> rhs) {
+  const std::size_t n = std::max(acc.size(), rhs.size());
+  acc.resize(n, 0);
+  u64 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 r = i < rhs.size() ? rhs[i] : 0;
+    const u64 s1 = acc[i] + r;
+    const u64 c1 = s1 < acc[i] ? 1u : 0u;
+    const u64 s2 = s1 + carry;
+    const u64 c2 = s2 < s1 ? 1u : 0u;
+    acc[i] = s2;
+    carry = c1 | c2;
+  }
+  if (carry != 0) acc.push_back(carry);
+}
+
+/// The encryption loop Dghv::encrypt replaced, as it ran: c = m + 2r, then
+/// c += x_i << 1 for each flipped x_i on the former carry loop, then c mod x0.
+BigUInt reference_encrypt(const fhe::PublicKey& pk, util::Rng& rng, bool message) {
+  std::vector<u64> c;
+  if (message) c.push_back(1);
+  former_add(c, (BigUInt::random_bits(rng, pk.params.rho) << 1).limbs());
+  for (const BigUInt& xi : pk.x) {
+    if (rng.flip()) former_add(c, (xi << 1).limbs());
+  }
+  return BigUInt::from_limbs(std::move(c)) % pk.x0;
+}
+
+struct SettingResult {
+  const char* name;
+  std::size_t gamma;
+  double keygen_ms;
+  double encrypt_ms;    // median of the trials
+  double reference_ms;  // median of the trials
+  double decrypt_ms;
+  bool bit_exact;
+  bool ok;
+
+  [[nodiscard]] double speedup() const {
+    return encrypt_ms > 0.0 ? reference_ms / encrypt_ms : 0.0;
+  }
+};
+
+SettingResult run_setting(const char* name, const fhe::DghvParams& params, util::Table& table) {
+  SettingResult result{name, params.gamma, 0, 0, 0, 0, true, true};
   auto t0 = Clock::now();
   fhe::Dghv scheme(params, 7);
-  const double keygen_ms = ms_since(t0);
+  result.keygen_ms = ms_since(t0);
 
-  t0 = Clock::now();
+  // The encryptor and the reference loop each draw from their own rng on
+  // one seed.
+  constexpr u64 kEncryptSeed = 11;
+  fhe::Dghv encryptor(scheme.public_key(), scheme.secret_key(), kEncryptSeed);
+  util::Rng reference_rng(kEncryptSeed);
+  std::vector<double> fast_ms;
+  std::vector<double> reference_ms;
+  for (int trial = -1; trial < kTrials; ++trial) {  // trial -1 warms up
+    const bool m = trial % 2 == 0;
+    t0 = Clock::now();
+    const fhe::Ciphertext c = encryptor.encrypt(m);
+    const double fast = ms_since(t0);
+    t0 = Clock::now();
+    const BigUInt expected = reference_encrypt(scheme.public_key(), reference_rng, m);
+    const double reference = ms_since(t0);
+    result.bit_exact = result.bit_exact && c.value == expected;
+    result.ok = result.ok && scheme.decrypt(c) == m;
+    if (trial >= 0) {
+      fast_ms.push_back(fast);
+      reference_ms.push_back(reference);
+    }
+  }
+  result.encrypt_ms = median(fast_ms);
+  result.reference_ms = median(reference_ms);
+
   const fhe::Ciphertext c1 = scheme.encrypt(true);
   const fhe::Ciphertext c2 = scheme.encrypt(false);
-  const double encrypt_ms = ms_since(t0) / 2.0;
 
   t0 = Clock::now();
   const fhe::Ciphertext cx = scheme.add(c1, c2);
@@ -41,31 +134,82 @@ void run_setting(const char* name, const fhe::DghvParams& params, util::Table& t
 
   t0 = Clock::now();
   const bool d1 = scheme.decrypt(cm);
-  const double decrypt_ms = ms_since(t0);
+  result.decrypt_ms = ms_since(t0);
 
-  const bool ok = scheme.decrypt(c1) && !scheme.decrypt(c2) &&
-                  scheme.decrypt(cx) && !d1;
+  result.ok = result.ok && scheme.decrypt(c1) && !scheme.decrypt(c2) && scheme.decrypt(cx) && !d1;
 
   table.add_row({name, util::with_commas(params.gamma),
-                 util::format_fixed(keygen_ms, 1) + " ms",
-                 util::format_fixed(encrypt_ms, 2) + " ms",
-                 util::format_fixed(add_ms, 3) + " ms",
-                 util::format_fixed(mult_ms, 1) + " ms",
-                 util::format_fixed(decrypt_ms, 2) + " ms", ok ? "ok" : "FAIL"});
+                 util::format_fixed(result.keygen_ms, 1) + " ms",
+                 util::format_fixed(result.encrypt_ms, 2) + " ms",
+                 util::format_fixed(result.reference_ms, 2) + " ms",
+                 util::format_fixed(result.speedup(), 1) + "x",
+                 util::format_fixed(add_ms, 3) + " ms", util::format_fixed(mult_ms, 1) + " ms",
+                 util::format_fixed(result.decrypt_ms, 2) + " ms",
+                 result.ok && result.bit_exact ? "ok" : "FAIL"});
+  return result;
+}
+
+bool write_json(const std::string& path, const std::vector<SettingResult>& results,
+                bool bit_exact) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  const SettingResult& paper = results.back();  // the headline row
+  std::fprintf(out, "{\n  \"bench\": \"fhe_dghv\",\n");
+  std::fprintf(out, "  \"encrypt\": {\"bit_exact\": %s, \"speedup\": %.3f},\n",
+               bit_exact ? "true" : "false", paper.speedup());
+  std::fprintf(out, "  \"settings\": [\n");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const SettingResult& r = results[i];
+    std::fprintf(out, "    {\"name\": \"%s\", \"gamma\": %zu, \"keygen_ms\": %.3f, ", r.name,
+                 r.gamma, r.keygen_ms);
+    std::fprintf(out, "\"encrypt_ms\": %.4f, \"reference_encrypt_ms\": %.4f, ", r.encrypt_ms,
+                 r.reference_ms);
+    std::fprintf(out, "\"decrypt_ms\": %.4f, ", r.decrypt_ms);
+    std::fprintf(out, "\"speedup\": %.3f, \"bit_exact\": %s}%s\n", r.speedup(),
+                 r.bit_exact ? "true" : "false", i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  std::fclose(out);
+  return true;
 }
 
 }  // namespace
 
-int main() {
-  std::printf("E7: DGHV somewhat-homomorphic encryption on top of the multiplier\n");
-  std::printf("(hom-mult = one gamma-bit product; software wall-clock, this host)\n\n");
+int main(int argc, char** argv) {
+  std::string json_path;
+  if (argc == 3 && std::strcmp(argv[1], "--json") == 0) {
+    json_path = argv[2];
+  } else if (argc != 1) {
+    std::fprintf(stderr, "usage: bench_fhe_dghv [--json FILE]\n");
+    return 2;
+  }
 
-  util::Table t({"setting", "gamma (bits)", "keygen", "encrypt", "hom-add", "hom-mult",
-                 "decrypt", "check"});
-  run_setting("toy", fhe::DghvParams::toy(), t);
-  run_setting("medium", fhe::DghvParams::medium(), t);
-  run_setting("small (paper)", fhe::DghvParams::small_paper(), t);
+  std::printf("E7: DGHV somewhat-homomorphic encryption on top of the multiplier\n");
+  std::printf("(encrypt = median of %d trials, reference = the former loop c += x_i << 1;\n",
+              kTrials);
+  std::printf(" hom-mult = one gamma-bit product; software wall-clock, this host)\n\n");
+
+  util::Table t({"setting", "gamma (bits)", "keygen", "encrypt", "reference", "speedup", "hom-add",
+                 "hom-mult", "decrypt", "check"});
+  std::vector<SettingResult> results;
+  results.push_back(run_setting("toy", fhe::DghvParams::toy(), t));
+  results.push_back(run_setting("medium", fhe::DghvParams::medium(), t));
+  results.push_back(run_setting("small (paper)", fhe::DghvParams::small_paper(), t));
   std::printf("%s\n", t.render().c_str());
+
+  bool bit_exact = true;
+  bool ok = true;
+  for (const SettingResult& r : results) {
+    bit_exact = bit_exact && r.bit_exact;
+    ok = ok && r.ok;
+  }
+  std::printf("encrypt bit-exact vs reference : %s\n", bit_exact ? "yes" : "NO");
+  const SettingResult& paper = results.back();
+  std::printf("paper-size encrypt speedup     : %.1fx (%.2f ms -> %.2f ms)\n\n", paper.speedup(),
+              paper.reference_ms, paper.encrypt_ms);
 
   // The accelerator view of one paper-scale homomorphic multiplication.
   core::Accelerator accel;
@@ -89,5 +233,10 @@ int main() {
               scheme.decrypt(product) ? 1 : 0);
   std::printf("\nModeled accelerator speedup over this host's software SSA: %.1fx\n",
               sw_ms * 1000.0 / perf.mult_us());
-  return 0;
+
+  if (!json_path.empty()) {
+    if (!write_json(json_path, results, bit_exact)) return 1;
+    std::printf("json : %s\n", json_path.c_str());
+  }
+  return ok && bit_exact ? 0 : 1;
 }

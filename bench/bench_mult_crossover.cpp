@@ -3,12 +3,15 @@
 // least 100,000 bits"). Times schoolbook, Karatsuba, Toom-3 and SSA across
 // operand sizes and reports where SSA takes the lead; then short x long
 // products (the classical dispatcher's blocks) and `x % x0` by Knuth vs a
-// Barrett reducer at the DGHV moduli. backend::kSsaDispatchBits and
-// bigint::kBarrettThresholdLimbs cite these tables.
+// Barrett reducer at the DGHV moduli. backend::kSsaDispatchBits,
+// bigint::kKaratsubaThresholdLimbs and bigint::kBarrettThresholdLimbs cite
+// these tables.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,21 +29,37 @@ using namespace hemul;
 using bigint::BigUInt;
 using Clock = std::chrono::steady_clock;
 
-double time_one(const std::function<BigUInt()>& fn) {
-  // Adaptive repetitions: aim for ~100 ms of total work, at least one run.
-  int reps = 1;
-  double total_ms = 0;
-  for (;;) {
-    const auto start = Clock::now();
-    for (int i = 0; i < reps; ++i) {
-      const BigUInt r = fn();
-      if (r.is_zero()) std::abort();  // defeat dead-code elimination
-    }
-    total_ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    if (total_ms > 50.0 || reps >= 64) break;
-    reps *= 4;
+using Contestant = std::function<BigUInt()>;
+
+/// Mean ms per call over `reps` back-to-back calls.
+double sample_ms(const Contestant& fn, int reps) {
+  const auto start = Clock::now();
+  for (int i = 0; i < reps; ++i) {
+    const BigUInt r = fn();
+    if (r.is_zero()) std::abort();  // defeat dead-code elimination
   }
-  return total_ms / reps;
+  return std::chrono::duration<double, std::milli>(Clock::now() - start).count() / reps;
+}
+
+/// Times the contestants of one table row, interleaved: each of 31 rounds
+/// runs every contestant once in turn, and each keeps its fastest round.
+/// Interference on a shared host only ever adds time, and alternating
+/// spreads it over all contestants instead of whichever ran during it. A
+/// round repeats a call until it spans ~0.5 ms (one call sets the count).
+std::vector<double> time_interleaved(const std::vector<Contestant>& fns) {
+  constexpr int kRounds = 31;
+  std::vector<int> reps;
+  for (const Contestant& fn : fns) {
+    const double once = std::max(sample_ms(fn, 1), 1e-6);
+    reps.push_back(std::clamp(static_cast<int>(0.5 / once), 1, 4096));
+  }
+  std::vector<double> best(fns.size(), std::numeric_limits<double>::infinity());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      best[i] = std::min(best[i], sample_ms(fns[i], reps[i]));
+    }
+  }
+  return best;
 }
 
 /// The DGHV parameter set (fhe::DghvParams) whose x0 has `bits` bits.
@@ -73,16 +92,20 @@ int main() {
   const auto classical_be = backend::make_backend("classical");
 
   std::size_t ssa_crossover = 0;
-  for (const std::size_t bits : {1024u, 4096u, 8192u, 12288u, 16384u, 24576u, 32768u, 65536u,
-                                 131072u, 262144u, 524288u, 786432u, 1048576u}) {
+  for (const std::size_t bits : {1024u, 2048u, 4096u, 5120u, 8192u, 12288u, 16384u, 24576u, 32768u,
+                                 65536u, 131072u, 262144u, 524288u, 786432u, 1048576u}) {
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
 
-    const double school =
-        bits <= 131072 ? time_one([&] { return school_be->multiply(a, b); }) : -1.0;
-    const double karat = time_one([&] { return karat_be->multiply(a, b); });
-    const double toom = time_one([&] { return toom_be->multiply(a, b); });
-    const double ssa_ms = time_one([&] { return ssa_be->multiply(a, b); });
+    std::vector<Contestant> fns = {[&] { return karat_be->multiply(a, b); },
+                                   [&] { return toom_be->multiply(a, b); },
+                                   [&] { return ssa_be->multiply(a, b); }};
+    if (bits <= 131072) fns.push_back([&] { return school_be->multiply(a, b); });
+    const std::vector<double> ms = time_interleaved(fns);
+    const double karat = ms[0];
+    const double toom = ms[1];
+    const double ssa_ms = ms[2];
+    const double school = bits <= 131072 ? ms[3] : -1.0;
 
     const char* fastest = "SSA";
     double best = ssa_ms;
@@ -101,9 +124,9 @@ int main() {
     if (ssa_crossover == 0 && ssa_ms <= std::min(karat, toom)) ssa_crossover = bits;
 
     t.add_row({util::with_commas(bits),
-               school >= 0 ? util::format_fixed(school, 3) + " ms" : "--",
-               util::format_fixed(karat, 3) + " ms", util::format_fixed(toom, 3) + " ms",
-               util::format_fixed(ssa_ms, 3) + " ms", fastest});
+               school >= 0 ? util::format_fixed(school, 4) + " ms" : "--",
+               util::format_fixed(karat, 4) + " ms", util::format_fixed(toom, 4) + " ms",
+               util::format_fixed(ssa_ms, 4) + " ms", fastest});
   }
   std::printf("%s\n", t.render().c_str());
 
@@ -123,14 +146,17 @@ int main() {
   std::printf("Short x long products (limbs)\n");
   util::Table u({"shape", "schoolbook", "Karatsuba", "Toom-3", "classical", "SSA (NTT)"});
   for (const std::size_t long_limbs : {512u, 1600u, 12264u}) {
-    for (const std::size_t short_limbs : {1u, 4u, 16u, 25u, 64u}) {
+    for (const std::size_t short_limbs : {1u, 4u, 16u, 25u, 41u, 64u, 80u}) {
       const BigUInt a = BigUInt::random_bits(rng, 64 * short_limbs);
       const BigUInt b = BigUInt::random_bits(rng, 64 * long_limbs);
-      const auto ms = [&](const std::shared_ptr<backend::MultiplierBackend>& be) {
-        return util::format_fixed(time_one([&] { return be->multiply(a, b); }), 4) + " ms";
-      };
-      u.add_row({std::to_string(short_limbs) + " x " + util::with_commas(long_limbs),
-                 ms(school_be), ms(karat_be), ms(toom_be), ms(classical_be), ms(ssa_be)});
+      const std::vector<double> ms = time_interleaved(
+          {[&] { return school_be->multiply(a, b); }, [&] { return karat_be->multiply(a, b); },
+           [&] { return toom_be->multiply(a, b); }, [&] { return classical_be->multiply(a, b); },
+           [&] { return ssa_be->multiply(a, b); }});
+      std::vector<std::string> row = {std::to_string(short_limbs) + " x " +
+                                      util::with_commas(long_limbs)};
+      for (const double v : ms) row.push_back(util::format_fixed(v, 4) + " ms");
+      u.add_row(row);
     }
   }
   std::printf("%s\n", u.render().c_str());
@@ -148,10 +174,12 @@ int main() {
     const bigint::BarrettReducer reducer(x0);
     const double build_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - build_start).count();
-    // + 1: time_one rejects a zero result.
-    const double knuth =
-        time_one([&] { return bigint::divmod_knuth(x, x0).remainder + BigUInt{1}; });
-    const double barrett = time_one([&] { return reducer.reduce(x) + BigUInt{1}; });
+    // + 1: a zero result is rejected.
+    const std::vector<double> ms =
+        time_interleaved({[&] { return bigint::divmod_knuth(x, x0).remainder + BigUInt{1}; },
+                          [&] { return reducer.reduce(x) + BigUInt{1}; }});
+    const double knuth = ms[0];
+    const double barrett = ms[1];
     if (reducer.reduce(x) != bigint::divmod_knuth(x, x0).remainder) {
       std::printf("Barrett and Knuth differ at %zu bits\n", bits);
       return 1;

@@ -1,6 +1,5 @@
 #include "bigint/biguint.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -76,19 +75,8 @@ std::strong_ordering operator<=>(const BigUInt& a, const BigUInt& b) noexcept {
 }
 
 BigUInt& BigUInt::operator+=(const BigUInt& rhs) {
-  const std::size_t n = std::max(limbs_.size(), rhs.limbs_.size());
-  limbs_.resize(n, 0);
-  u64 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 r = i < rhs.limbs_.size() ? rhs.limbs_[i] : 0;
-    const u64 s1 = limbs_[i] + r;
-    const u64 c1 = s1 < limbs_[i] ? 1u : 0u;
-    const u64 s2 = s1 + carry;
-    const u64 c2 = s2 < s1 ? 1u : 0u;
-    limbs_[i] = s2;
-    carry = c1 | c2;
-  }
-  if (carry != 0) limbs_.push_back(carry);
+  // rhs is trimmed, so the sum has no zero top limb either.
+  add_into(limbs_, rhs.limbs_, 0);
   return *this;
 }
 
@@ -150,6 +138,26 @@ BigUInt& BigUInt::operator>>=(std::size_t bits) {
 
 void BigUInt::trim() noexcept {
   while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+}
+
+void add_into(std::vector<u64>& acc, std::span<const u64> x, std::size_t limb_offset) {
+  if (x.empty()) return;
+  const std::size_t end = limb_offset + x.size();
+  if (acc.size() < end) acc.resize(end, 0);
+  u64* dst = acc.data() + limb_offset;
+  u64 carry = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const u128 sum = static_cast<u128>(dst[i]) + x[i] + carry;
+    dst[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
+  }
+  for (std::size_t i = end; carry != 0; ++i) {
+    if (i == acc.size()) {
+      acc.push_back(carry);
+      break;
+    }
+    carry = ++acc[i] == 0 ? 1 : 0;
+  }
 }
 
 u64 hash_limbs(const BigUInt& x) noexcept {

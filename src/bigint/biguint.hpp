@@ -127,6 +127,15 @@ struct DivModResult {
 /// dispatch). Divisor must be nonzero.
 DivModResult divmod(const BigUInt& a, const BigUInt& b);
 
+/// acc += x * 2^(64 * limb_offset), in place: the one add-with-carry loop
+/// of the library (BigUInt::operator+=, the Karatsuba, Toom-3 and blocked
+/// products, and DGHV's subset-sum encryption all run through it). `acc` is
+/// a raw little-endian limb buffer; it grows to hold the sum and may end
+/// with zero limbs (adopt it with BigUInt::from_limbs, which trims). A buffer
+/// sized for the sum up front is never reallocated. `x` must not overlap
+/// `acc` unless it is all of `acc` and limb_offset is 0.
+void add_into(std::vector<u64>& acc, std::span<const u64> x, std::size_t limb_offset);
+
 /// FNV-1a over the limb vector: the key hash of the value-keyed caches
 /// (equal values hash equally; callers compare values on a hit).
 [[nodiscard]] u64 hash_limbs(const BigUInt& x) noexcept;

@@ -79,30 +79,6 @@ BigUInt slice(const BigUInt& x, std::size_t offset, std::size_t count) {
                               src.begin() + static_cast<std::ptrdiff_t>(end)});
 }
 
-/// result += x << (64 * limb_offset), without temporary shifting.
-void add_shifted(std::vector<u64>& acc, const BigUInt& x, std::size_t limb_offset) {
-  const auto src = x.limbs();
-  if (src.empty()) return;
-  if (acc.size() < limb_offset + src.size() + 1) acc.resize(limb_offset + src.size() + 1, 0);
-  u64 carry = 0;
-  std::size_t i = 0;
-  for (; i < src.size(); ++i) {
-    u64& dst = acc[limb_offset + i];
-    const u64 s1 = dst + src[i];
-    const u64 c1 = s1 < dst ? 1u : 0u;
-    const u64 s2 = s1 + carry;
-    const u64 c2 = s2 < s1 ? 1u : 0u;
-    dst = s2;
-    carry = c1 | c2;
-  }
-  while (carry != 0) {
-    u64& dst = acc[limb_offset + i];
-    dst += carry;
-    carry = dst == 0 ? 1u : 0u;
-    ++i;
-  }
-}
-
 }  // namespace
 
 BigUInt mul_schoolbook(const BigUInt& a, const BigUInt& b) {
@@ -140,9 +116,9 @@ BigUInt mul_karatsuba(const BigUInt& a, const BigUInt& b) {
   z1 -= z2;
 
   std::vector<u64> acc;
-  add_shifted(acc, z0, 0);
-  add_shifted(acc, z1, half);
-  add_shifted(acc, z2, 2 * half);
+  add_into(acc, z0.limbs(), 0);
+  add_into(acc, z1.limbs(), half);
+  add_into(acc, z2.limbs(), 2 * half);
   return BigUInt::from_limbs(std::move(acc));
 }
 
@@ -203,11 +179,11 @@ BigUInt mul_toom3(const BigUInt& a, const BigUInt& b) {
   HEMUL_CHECK(!c1.negative && !c2.negative && !c3.negative);
 
   std::vector<u64> acc;
-  add_shifted(acc, c0.mag, 0);
-  add_shifted(acc, c1.mag, k);
-  add_shifted(acc, c2.mag, 2 * k);
-  add_shifted(acc, c3.mag, 3 * k);
-  add_shifted(acc, c4.mag, 4 * k);
+  add_into(acc, c0.mag.limbs(), 0);
+  add_into(acc, c1.mag.limbs(), k);
+  add_into(acc, c2.mag.limbs(), 2 * k);
+  add_into(acc, c3.mag.limbs(), 3 * k);
+  add_into(acc, c4.mag.limbs(), 4 * k);
   return BigUInt::from_limbs(std::move(acc));
 }
 
@@ -239,7 +215,7 @@ BigUInt mul_auto_classical(const BigUInt& a, const BigUInt& b) {
   // blocks as long as the shorter one keep every product balanced.
   std::vector<u64> acc(longer.limb_count() + n + 1, 0);
   for (std::size_t offset = 0; offset < longer.limb_count(); offset += n) {
-    add_shifted(acc, mul_balanced(slice(longer, offset, n), shorter), offset);
+    add_into(acc, mul_balanced(slice(longer, offset, n), shorter).limbs(), offset);
   }
   return BigUInt::from_limbs(std::move(acc));
 }

@@ -90,7 +90,13 @@ using PrepareDispatchFn = std::unique_ptr<const PreparedOperand> (*)(BigUInt ope
 void set_prepare_dispatch(PrepareDispatchFn hook) noexcept;
 
 /// Limb-count thresholds of the dispatcher (exposed for the benchmarks).
-inline constexpr std::size_t kKaratsubaThresholdLimbs = 24;
+/// Bench E4 (bench_mult_crossover), run with a threshold of 24: schoolbook
+/// beat Karatsuba in its balanced rows at 32 and 64 limbs, and beat the
+/// classical dispatcher in every short x long row with a 25-, 41- or 64-limb
+/// operand, in each of three runs; at 80 limbs it tied or lost a row.
+/// Keygen's q_i * p (25-limb p at the paper's parameters) is one of those
+/// products.
+inline constexpr std::size_t kKaratsubaThresholdLimbs = 64;
 inline constexpr std::size_t kToom3ThresholdLimbs = 160;
 
 }  // namespace hemul::bigint

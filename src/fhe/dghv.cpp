@@ -49,13 +49,21 @@ Dghv::Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
 }
 
 Ciphertext Dghv::encrypt(bool message) {
-  BigUInt c{message ? 1u : 0u};
-  BigUInt r = BigUInt::random_bits(rng_, pk_.params.rho);
-  c += r << 1;
+  // One buffer holds r + sum x_i: at most tau + 1 terms below x0, so one
+  // spare limb takes the carries and one more the doubling. The rng draws
+  // (r, then one flip per x_i) are those of the textbook loop
+  // `c += xi << 1`, so the ciphertext is the same bit for bit.
+  std::vector<u64> sum(pk_.x0.limb_count() + 2, 0);
+  const BigUInt r = BigUInt::random_bits(rng_, pk_.params.rho);
+  bigint::add_into(sum, r.limbs(), 0);
   for (const BigUInt& xi : pk_.x) {
-    if (rng_.flip()) c += xi << 1;
+    if (rng_.flip()) bigint::add_into(sum, xi.limbs(), 0);
   }
-  return {c % pk_.x0, NoiseModel::fresh(pk_.params)};
+  // c = 2 * (r + sum x_i) + m: the doubling fits in the spare top limb and
+  // leaves bit 0 free for m.
+  bigint::add_into(sum, sum, 0);
+  sum[0] |= message ? 1u : 0u;
+  return {BigUInt::from_limbs(std::move(sum)) % pk_.x0, NoiseModel::fresh(pk_.params)};
 }
 
 bool Dghv::decrypt(const Ciphertext& c) const {

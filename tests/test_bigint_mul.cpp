@@ -72,8 +72,8 @@ TEST_P(MulAlgorithms, UnbalancedOperands) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BitSizes, MulAlgorithms,
-                         ::testing::Values(64, 128, 1000, 1536, 2048, 4096, 8192, 16384,
-                                           20000, 40000));
+                         ::testing::Values(64, 128, 1000, 1536, 2048, 4096, 4160, 5120, 8192,
+                                           16384, 20000, 40000));
 
 TEST(MulAlgorithms, ThresholdBoundaries) {
   // Exercise operand sizes right at the dispatcher thresholds.
@@ -98,7 +98,7 @@ TEST(MulAlgorithms, ShortTimesLongShapes) {
     // Zero blocks in the middle: their products must add nothing.
     std::fill(limbs.begin() + 100, limbs.begin() + 300, 0);
     const BigUInt longer = BigUInt::from_limbs(std::move(limbs));
-    for (const std::size_t short_limbs : {1u, 4u, 25u, 64u}) {
+    for (const std::size_t short_limbs : {1u, 4u, 25u, 64u, 80u, 100u}) {
       const BigUInt shorter = BigUInt::random_bits(rng, 64 * short_limbs);
       const BigUInt expected = mul_schoolbook(shorter, longer);
       EXPECT_EQ(mul_auto_classical(shorter, longer), expected)
@@ -137,7 +137,9 @@ TEST(MulProperties, Associativity) {
 
 TEST(MulEdgeCases, AllOnesPatterns) {
   // Operands of all-ones maximize internal carries in every algorithm.
-  for (const std::size_t bits : {64u, 127u, 1536u, 4096u, 12000u}) {
+  // 4,160 and 5,120 bits (65 and 80 limbs) sit just above
+  // kKaratsubaThresholdLimbs: Karatsuba splits them once, into schoolbook.
+  for (const std::size_t bits : {64u, 127u, 1536u, 4096u, 4160u, 5120u, 12000u}) {
     const BigUInt ones = BigUInt::pow2(bits) - BigUInt{1};
     const BigUInt expected = mul_schoolbook(ones, ones);
     EXPECT_EQ(mul_karatsuba(ones, ones), expected);
@@ -155,6 +157,92 @@ TEST(MulEdgeCases, SparseOperands) {
       BigUInt::pow2(75000) + BigUInt::pow2(40017) + BigUInt::pow2(35000) + BigUInt::pow2(17);
   EXPECT_EQ(mul_toom3(a, b), expected);
   EXPECT_EQ(mul_karatsuba(a, b), expected);
+}
+
+/// Checks add_into(acc, x, offset) against operator+ on a shifted copy, and
+/// against operator- (an independent borrow loop, since operator+ itself
+/// runs through add_into).
+void expect_add_into(std::vector<u64> acc, const std::vector<u64>& x, std::size_t offset) {
+  const BigUInt before = BigUInt::from_limbs(acc);
+  const BigUInt shifted = BigUInt::from_limbs(x) << (64 * offset);
+  const BigUInt expected = before + shifted;
+  add_into(acc, x, offset);
+  const BigUInt got = BigUInt::from_limbs(acc);
+  EXPECT_EQ(got, expected) << x.size() << " limbs at offset " << offset;
+  EXPECT_EQ(got - shifted, before) << x.size() << " limbs at offset " << offset;
+}
+
+std::vector<u64> random_limbs(util::Rng& rng, std::size_t n) {
+  std::vector<u64> limbs(n);
+  for (u64& limb : limbs) limb = rng.next();
+  return limbs;
+}
+
+TEST(AddInto, MatchesShiftedAddAtRandomOffsets) {
+  util::Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t acc_limbs = rng.next() % 40;
+    const std::size_t x_limbs = rng.next() % 40;
+    const std::size_t offset = rng.next() % 24;
+    expect_add_into(random_limbs(rng, acc_limbs), random_limbs(rng, x_limbs), offset);
+  }
+}
+
+TEST(AddInto, EmptyOperandsAndShortAccumulators) {
+  util::Rng rng(43);
+  // An empty operand leaves the buffer exactly as it was, zero limbs and all.
+  std::vector<u64> acc = {5, 0, 0};
+  add_into(acc, {}, 7);
+  EXPECT_EQ(acc, (std::vector<u64>{5, 0, 0}));
+  // An empty accumulator becomes the shifted operand.
+  const std::vector<u64> x = random_limbs(rng, 9);
+  std::vector<u64> empty;
+  add_into(empty, x, 3);
+  ASSERT_EQ(empty.size(), 12u);
+  EXPECT_TRUE(std::all_of(empty.begin(), empty.begin() + 3, [](u64 v) { return v == 0; }));
+  EXPECT_TRUE(std::equal(x.begin(), x.end(), empty.begin() + 3));
+  // Accumulators shorter than the operand, and shorter than its offset.
+  expect_add_into(random_limbs(rng, 2), random_limbs(rng, 17), 0);
+  expect_add_into(random_limbs(rng, 5), random_limbs(rng, 17), 4);
+  expect_add_into(random_limbs(rng, 3), random_limbs(rng, 6), 11);
+}
+
+TEST(AddInto, AllOnesCarryChain) {
+  const u64 ones = ~u64{0};
+  // A carry out of the operand's top limb ripples through every all-ones
+  // limb above it and appends one limb.
+  for (const std::size_t offset : {0u, 1u, 5u}) {
+    std::vector<u64> acc(64, ones);
+    add_into(acc, std::vector<u64>{1}, offset);
+    ASSERT_EQ(acc.size(), 65u) << offset;
+    const BigUInt expected = BigUInt::pow2(64 * 64) + BigUInt::pow2(64 * offset) - BigUInt{1};
+    EXPECT_EQ(BigUInt::from_limbs(acc), expected) << offset;
+    expect_add_into(std::vector<u64>(64, ones), std::vector<u64>(64 - offset, ones), offset);
+    expect_add_into(std::vector<u64>(8, ones), std::vector<u64>(32, ones), offset);
+  }
+  // A spare zero limb takes the carry without growing the buffer.
+  std::vector<u64> sized(33, ones);
+  sized.back() = 0;
+  const u64* data = sized.data();
+  add_into(sized, std::vector<u64>(32, ones), 0);
+  EXPECT_EQ(sized.size(), 33u);
+  EXPECT_EQ(sized.data(), data);
+  EXPECT_EQ(sized.back(), 1u);
+}
+
+TEST(AddInto, OperatorPlusEqualsRunsTheKernel) {
+  util::Rng rng(47);
+  const BigUInt a = BigUInt::random_bits(rng, 3000);
+  BigUInt doubled = a;
+  doubled += doubled;  // the operand is the whole accumulator
+  EXPECT_EQ(doubled, a << 1);
+  BigUInt sum = a;
+  sum += BigUInt{};
+  EXPECT_EQ(sum, a);
+  BigUInt grown{1};
+  grown += BigUInt::pow2(4000) - BigUInt{1};
+  EXPECT_EQ(grown, BigUInt::pow2(4000));
+  EXPECT_EQ(grown.limb_count(), 4000u / 64 + 1);
 }
 
 }  // namespace

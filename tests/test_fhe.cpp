@@ -7,6 +7,8 @@
 namespace hemul::fhe {
 namespace {
 
+using bigint::BigUInt;
+
 TEST(DghvParams, PresetsValidate) {
   EXPECT_NO_THROW(DghvParams::toy().validate());
   EXPECT_NO_THROW(DghvParams::medium().validate());
@@ -157,6 +159,60 @@ TEST(Dghv, DeterministicForSeed) {
   Dghv s2(DghvParams::toy(), 42);
   EXPECT_EQ(s1.public_key().x0, s2.public_key().x0);
   EXPECT_EQ(s1.encrypt(true).value, s2.encrypt(true).value);
+}
+
+/// The textbook subset sum, one term at a time from a mirror of the
+/// scheme's rng: r, then one flip per x_i, then (m + 2r + 2 sum x_i) mod x0.
+BigUInt reference_encrypt(const PublicKey& pk, util::Rng& rng, bool message) {
+  const BigUInt r = BigUInt::random_bits(rng, pk.params.rho);
+  BigUInt sum;
+  for (const BigUInt& xi : pk.x) {
+    if (rng.flip()) sum += xi;
+  }
+  return (BigUInt{message ? 1u : 0u} + (r << 1) + (sum << 1)) % pk.x0;
+}
+
+/// Encrypts `count` alternating bits with Dghv(pk, p, seed) and checks each
+/// against reference_encrypt on Rng(seed). Consecutive encryptions only
+/// agree if both consume the same number of draws.
+void expect_encrypt_matches_formula(const PublicKey& pk, const BigUInt& p, u64 seed, int count) {
+  Dghv scheme(pk, p, seed);
+  util::Rng mirror(seed);
+  for (int i = 0; i < count; ++i) {
+    const bool m = (i % 2) == 0;
+    EXPECT_EQ(scheme.encrypt(m).value, reference_encrypt(pk, mirror, m))
+        << "gamma " << pk.params.gamma << ", seed " << seed << ", encryption " << i;
+  }
+}
+
+TEST(DghvEncrypt, MatchesTheSubsetSumFormula) {
+  for (const DghvParams& params : {DghvParams::toy(), DghvParams::deep(), DghvParams::medium()}) {
+    const Dghv keys(params, 5);
+    for (const u64 seed : {1u, 2u, 99u}) {
+      expect_encrypt_matches_formula(keys.public_key(), keys.secret_key(), seed, 6);
+    }
+  }
+}
+
+TEST(DghvEncrypt, MatchesTheSubsetSumFormulaAtPaperSize) {
+  const Dghv keys(DghvParams::small_paper(), 7);
+  expect_encrypt_matches_formula(keys.public_key(), keys.secret_key(), 1, 2);
+}
+
+TEST(DghvEncrypt, CarryRipplesIntoTheTopLimb) {
+  // p = 2^eta - 1 and q0 = 2^(gamma-eta) - 1 give an x0 whose top limbs are
+  // all ones; with every x_i = x0 - 1 a sum of two terms already carries
+  // out of x0's top limb.
+  PublicKey pk;
+  pk.params = DghvParams::toy();
+  const BigUInt p = BigUInt::pow2(pk.params.eta) - BigUInt{1};
+  const BigUInt q0 = BigUInt::pow2(pk.params.gamma - pk.params.eta) - BigUInt{1};
+  pk.x0 = q0 * p;
+  ASSERT_EQ(pk.x0.bit_length(), pk.params.gamma);
+  ASSERT_EQ(pk.x0.limbs().back(), ~u64{0});
+  pk.x.assign(pk.params.tau, pk.x0 - BigUInt{1});
+  ASSERT_GT((pk.x[0] + pk.x[0]).limb_count(), pk.x0.limb_count());
+  for (const u64 seed : {1u, 2u, 99u}) expect_encrypt_matches_formula(pk, p, seed, 4);
 }
 
 }  // namespace

@@ -173,6 +173,14 @@ TRACKED = {
         Metric("max_requests_per_sec",
                lambda d: _max_over(d["results"], "requests_per_sec"), mode="warn"),
     ],
+    "fhe_dghv.json": [
+        # Dghv::encrypt's in-place subset sum against the loop it replaced,
+        # both drawn from one seed: every trial's ciphertexts must be equal.
+        Metric("encrypt.bit_exact", lambda d: d["encrypt"]["bit_exact"], kind="bool",
+               mode="hard"),
+        # Paper-size median over the former loop's median, same run.
+        Metric("encrypt.speedup", lambda d: d["encrypt"]["speedup"], mode="warn"),
+    ],
     "fleet_throughput.json": [
         # Closed-loop tenants through router + shards on loopback: every
         # decrypted product matched and every shard's completion count
