@@ -8,8 +8,9 @@
 // IR (fhe::Graph + fhe::Evaluator) records the same circuit first, levels it
 // by multiplicative depth, and issues each level -- a wavefront of mutually
 // independent AND gates -- as ONE batch across the scheduler's PE lanes,
-// with the shared spectrum cache amortizing repeated operands (every a[i]
-// and b[j] of a partial-product matrix is transformed once, not w times).
+// with spectrum-resident rounds amortizing repeated operands (every a[i]
+// and b[j] of a partial-product matrix enters the NTT domain once, not w
+// times).
 //
 // Measured circuits (the acceptance workload): the 8-bit adder and the
 // 4-bit schoolbook multiplier, each lowered both ways -- ripple-carry

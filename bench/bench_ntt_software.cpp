@@ -189,9 +189,9 @@ int main(int argc, char** argv) {
 
   // --- intra-op lane scaling: one multiply fanned across PE lanes --------
   // Each arm drives `arm_multiplies` paper-size products through a
-  // scheduler with w workers. Tile accounting is deterministic: a cached
-  // four-step multiply with two fresh operands dispatches 12 tile groups
-  // (2 forwards x 4 passes + pointwise + 3 inverse passes), each split into
+  // scheduler with w workers. Tile accounting is deterministic: a lane's
+  // four-step multiply (convolve_into) dispatches 10 tile groups
+  // (2 forwards x 3 passes + pointwise + 3 inverse passes), each split into
   // FourStepNtt::tiles_per_pass(256, w) tiles at the 64K shape. The lane
   // distribution is timing-dependent; running several multiplies per arm
   // keeps the w=2 fanout flag robust even on a single-CPU host.

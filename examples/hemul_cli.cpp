@@ -261,9 +261,6 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra
   } else if (!intra_op) {
     std::printf("intra-op     : disabled (--no-intra-op)\n");
   }
-  std::printf("cache        : %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses));
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (products[i] != bigint::mul_auto_classical(jobs[i].first, jobs[i].second)) {
@@ -454,9 +451,6 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   } else if (!intra_op) {
     std::printf("intra-op     : disabled (--no-intra-op)\n");
   }
-  std::printf("cache        : %llu hits, %llu misses (shared across lanes)\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses));
 
   fhe::EncryptedInt out_int(results.begin(), results.end());
   const u64 decrypted = fhe::decrypt_int(*scheme, out_int);
@@ -493,8 +487,6 @@ void print_stats_json(const core::ServiceStats& stats) {
               "  \"wavefronts\": %llu,\n"
               "  \"batches_submitted\": %llu,\n"
               "  \"coalescing\": %.3f,\n"
-              "  \"cache_hits\": %llu,\n"
-              "  \"cache_misses\": %llu,\n"
               "  \"lanes\": [\n",
               stats.sessions, static_cast<unsigned long long>(stats.submitted),
               static_cast<unsigned long long>(stats.completed),
@@ -502,9 +494,7 @@ void print_stats_json(const core::ServiceStats& stats) {
               static_cast<unsigned long long>(stats.bad_requests),
               static_cast<unsigned long long>(stats.and_gates),
               static_cast<unsigned long long>(stats.wavefronts),
-              static_cast<unsigned long long>(stats.batches_submitted), stats.coalescing(),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
+              static_cast<unsigned long long>(stats.batches_submitted), stats.coalescing());
   for (std::size_t i = 0; i < stats.lanes.size(); ++i) {
     const core::LaneStats& lane = stats.lanes[i];
     std::printf("    {\"lane\": %u, \"jobs\": %llu, \"busy_ms\": %.3f}%s\n", lane.lane,

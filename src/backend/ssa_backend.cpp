@@ -35,11 +35,7 @@ BigUInt SsaBackend::multiply(const BigUInt& a, const BigUInt& b) {
   const ssa::SsaParams params = params_for(std::max(a.bit_length(), b.bit_length()));
   ssa::SsaStats call_stats;
   BigUInt out;
-  if (shared_cache_ != nullptr) {
-    out = ssa::multiply_cached(a, b, params, *shared_cache_, workspace(), &call_stats);
-  } else {
-    ssa::multiply_into(out, a, b, params, workspace(), &call_stats);
-  }
+  ssa::multiply_into(out, a, b, params, workspace(), &call_stats);
   accumulate(call_stats);
   return out;
 }
@@ -49,11 +45,7 @@ BigUInt SsaBackend::square(const BigUInt& a) {
   const ssa::SsaParams params = params_for(a.bit_length());
   ssa::SsaStats call_stats;
   BigUInt out;
-  if (shared_cache_ != nullptr) {
-    out = ssa::multiply_cached(a, a, params, *shared_cache_, workspace(), &call_stats);
-  } else {
-    ssa::square_into(out, a, params, workspace(), &call_stats);
-  }
+  ssa::square_into(out, a, params, workspace(), &call_stats);
   accumulate(call_stats);
   return out;
 }
@@ -61,7 +53,7 @@ BigUInt SsaBackend::square(const BigUInt& a) {
 ssa::SpectrumHandle SsaBackend::forward_spectrum(const BigUInt& value,
                                                  const ssa::SsaParams& params) {
   const ssa::SpectrumDomain domain(params, workspace());
-  auto spectrum = std::make_shared<ssa::ResidentSpectrum>();
+  auto spectrum = std::make_shared<ssa::Spectrum>();
   domain.enter(*spectrum, value);
   ssa::SsaStats call_stats;
   call_stats.transform_count = 1;
@@ -73,7 +65,7 @@ ssa::SpectrumHandle SsaBackend::multiply_spectra(const ssa::SpectrumHandle& a,
                                                  const ssa::SpectrumHandle& b,
                                                  const ssa::SsaParams& params) {
   const ssa::SpectrumDomain domain(params, workspace());
-  auto product = std::make_shared<ssa::ResidentSpectrum>();
+  auto product = std::make_shared<ssa::Spectrum>();
   domain.multiply(*product, *a, *b);
   ssa::SsaStats call_stats;
   call_stats.pointwise_muls = params.transform_size;
@@ -81,7 +73,7 @@ ssa::SpectrumHandle SsaBackend::multiply_spectra(const ssa::SpectrumHandle& a,
   return product;
 }
 
-BigUInt SsaBackend::materialize_spectrum(const ssa::ResidentSpectrum& spectrum,
+BigUInt SsaBackend::materialize_spectrum(const ssa::Spectrum& spectrum,
                                          const ssa::SsaParams& params) {
   const ssa::SpectrumDomain domain(params, workspace());
   BigUInt out;

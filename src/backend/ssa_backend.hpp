@@ -8,7 +8,6 @@
 #include "ssa/multiply.hpp"
 #include "ssa/params.hpp"
 #include "ssa/resident.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "ssa/workspace.hpp"
 
 namespace hemul::backend {
@@ -38,14 +37,6 @@ class SsaBackend final : public MultiplierBackend {
   std::vector<bigint::BigUInt> multiply_batch(std::span<const MulJob> jobs,
                                               BatchStats* stats = nullptr) override;
 
-  /// Routes the forward transforms of multiply()/square() through a shared
-  /// thread-safe spectrum cache, so instances on different scheduler lanes
-  /// transform a repeated operand once process-wide. multiply_batch keeps
-  /// its batch-scoped provider (its stats stay per-batch exact).
-  void set_shared_cache(std::shared_ptr<ssa::ConcurrentSpectrumCache> cache) {
-    shared_cache_ = std::move(cache);
-  }
-
   /// Dedicated buffer arena for this instance (the scheduler gives each PE
   /// lane its own, so lanes never contend); without one, the calling
   /// thread's arena is used.
@@ -71,14 +62,14 @@ class SsaBackend final : public MultiplierBackend {
 
   /// The exact integer a resident spectrum stands for (inverse + carry
   /// recovery; the spectrum is not consumed).
-  [[nodiscard]] bigint::BigUInt materialize_spectrum(const ssa::ResidentSpectrum& spectrum,
+  [[nodiscard]] bigint::BigUInt materialize_spectrum(const ssa::Spectrum& spectrum,
                                                      const ssa::SsaParams& params);
 
   /// Cumulative transform statistics across this instance's calls.
-  /// transform_count reflects transforms actually executed: cache-hit
-  /// multiplies report fewer than 3 (the satellite fix for the old
-  /// unconditional +3 accounting). Thread-safe (the registry's shared
-  /// "auto" instance is reachable from concurrent sessions).
+  /// transform_count reflects transforms actually executed: 3 per
+  /// multiply, 2 per square, the batch provider's count per batch and one
+  /// per spectrum forward or materialization. Thread-safe (the registry's
+  /// shared "auto" instance is reachable from concurrent sessions).
   [[nodiscard]] ssa::SsaStats stats() const;
 
  private:
@@ -92,7 +83,6 @@ class SsaBackend final : public MultiplierBackend {
   void accumulate(const ssa::SsaStats& call_stats);
 
   std::optional<ssa::SsaParams> fixed_params_;
-  std::shared_ptr<ssa::ConcurrentSpectrumCache> shared_cache_;
   std::shared_ptr<ssa::Workspace> workspace_;
   /// Guards stats_ only: calls themselves need per-instance (or per-lane)
   /// serialization because of the workspace, but the shared "auto"

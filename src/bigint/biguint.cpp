@@ -117,6 +117,16 @@ BigUInt& BigUInt::operator<<=(std::size_t bits) {
   return *this;
 }
 
+BigUInt operator<<(const BigUInt& a, std::size_t bits) {
+  if (a.is_zero() || bits == 0) return a;
+  // Reserve the final size up front so <<= shifts within capacity.
+  BigUInt out;
+  out.limbs_.reserve(a.limbs_.size() + bits / 64 + 1);
+  out.limbs_.assign(a.limbs_.begin(), a.limbs_.end());
+  out <<= bits;
+  return out;
+}
+
 BigUInt& BigUInt::operator>>=(std::size_t bits) {
   if (is_zero() || bits == 0) return *this;
   const std::size_t words = bits / 64;

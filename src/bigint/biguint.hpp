@@ -82,8 +82,12 @@ class BigUInt {
 
   friend BigUInt operator+(BigUInt a, const BigUInt& b) { return a += b; }
   friend BigUInt operator-(BigUInt a, const BigUInt& b) { return a -= b; }
-  friend BigUInt operator<<(BigUInt a, std::size_t bits) { return a <<= bits; }
-  friend BigUInt operator>>(BigUInt a, std::size_t bits) { return a >>= bits; }
+  /// Built once at its final size: one allocation for a nonzero result.
+  friend BigUInt operator<<(const BigUInt& a, std::size_t bits);
+  friend BigUInt operator>>(BigUInt a, std::size_t bits) {
+    a >>= bits;
+    return a;  // by move; `return a >>= bits` would copy the result
+  }
 
   /// Multiplication through the size-adaptive dispatcher (see mul.hpp).
   friend BigUInt operator*(const BigUInt& a, const BigUInt& b);

@@ -43,7 +43,6 @@ struct Scheduler::TileGroup {
 
 Scheduler::Scheduler(Config config) : config_(std::move(config)) {
   config_.validate();
-  cache_ = std::make_shared<ssa::ConcurrentSpectrumCache>();
 
   const unsigned workers = config_.resolved_num_workers();
   lane_backends_.reserve(workers);
@@ -76,14 +75,11 @@ std::shared_ptr<backend::MultiplierBackend> Scheduler::make_lane_backend() {
     return std::make_shared<backend::HwBackend>(config_.hardware);
   }
   if (name == "ssa") {
-    // Adaptive software SSA per lane (the registry engine's semantics);
-    // all lanes share one spectrum cache, keyed by operand *and* packing
-    // geometry, so mixed operand sizes stay exact. Each lane owns a
-    // private buffer arena (the software mirror of a PE's banked SRAM):
-    // steady-state jobs reuse it instead of allocating, and lanes never
-    // contend on buffers.
+    // Adaptive software SSA per lane (the registry engine's semantics).
+    // Each lane owns a private buffer arena (the software mirror of a PE's
+    // banked SRAM): steady-state jobs reuse it instead of allocating, and
+    // lanes never contend on buffers.
     auto ssa = std::make_shared<backend::SsaBackend>();
-    ssa->set_shared_cache(cache_);
     auto workspace = std::make_shared<ssa::Workspace>();
     // Intra-op tiling: the lane's four-step transforms hand their passes
     // to run_tiles, so a lone large multiply fans across idle lanes.
@@ -257,16 +253,13 @@ void Scheduler::wait_idle() {
 }
 
 SchedulerStats Scheduler::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   SchedulerStats snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.lanes = lane_stats_;
-    snapshot.submitted = submitted_;
-    snapshot.completed = completed_;
-    snapshot.tile_groups = tile_groups_;
-    snapshot.tiles_executed = tiles_executed_;
-  }
-  snapshot.cache = cache_->stats();
+  snapshot.lanes = lane_stats_;
+  snapshot.submitted = submitted_;
+  snapshot.completed = completed_;
+  snapshot.tile_groups = tile_groups_;
+  snapshot.tiles_executed = tiles_executed_;
   return snapshot;
 }
 

@@ -13,7 +13,6 @@
 #include "backend/backend.hpp"
 #include "core/config.hpp"
 #include "ntt/tiling.hpp"
-#include "ssa/spectrum_cache.hpp"
 
 namespace hemul::core {
 
@@ -38,9 +37,6 @@ struct SchedulerStats {
   /// (unlike the per-lane tile distribution, which depends on timing).
   u64 tile_groups = 0;
   u64 tiles_executed = 0;
-  /// Shared spectrum cache accounting ("ssa" lanes): hits + misses equals
-  /// the forward-spectrum lookups across all lanes.
-  ssa::ConcurrentSpectrumCache::Stats cache;
 };
 
 /// Concurrent multi-PE execution layer: N worker threads, each owning one
@@ -51,9 +47,8 @@ struct SchedulerStats {
 /// Lane engines follow Config::backend_name:
 ///   - "hw"  -> one simulated accelerator per lane, built from
 ///              config.hardware (per-lane cycle accounting in LaneStats);
-///   - "ssa" -> the adaptive software SSA engine per lane, all lanes
-///              sharing one thread-safe spectrum cache, so a repeated
-///              operand is forward-transformed once process-wide;
+///   - "ssa" -> the adaptive software SSA engine per lane, each with its
+///              own workspace (allocation-free products in steady state);
 ///   - any other registry name -> one fresh instance per lane.
 ///
 /// Results are bit-exact and deterministic regardless of num_workers: jobs
@@ -132,9 +127,6 @@ class Scheduler {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// The spectrum cache shared by the "ssa" lanes.
-  [[nodiscard]] ssa::ConcurrentSpectrumCache& spectrum_cache() noexcept { return *cache_; }
-
  private:
   /// Type-erased unit of work. The runner owns its promise (shared_ptr,
   /// since std::function requires copyable closures) and reports results /
@@ -174,7 +166,6 @@ class Scheduler {
   static u64 drain_tiles(TileGroup& group);
 
   Config config_;
-  std::shared_ptr<ssa::ConcurrentSpectrumCache> cache_;
   std::vector<std::shared_ptr<backend::MultiplierBackend>> lane_backends_;
   IntraOpExecutor tile_exec_{this};
 

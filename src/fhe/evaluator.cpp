@@ -306,7 +306,7 @@ void EvalState::fold_linear(unsigned level) {
     const Wire w{id};
     if (!live_[id] || !folded_[id] || graph_->level(w) != level) continue;
     const auto [a, b] = graph_->operands(w);
-    auto sum = std::make_shared<ssa::ResidentSpectrum>();
+    auto sum = std::make_shared<ssa::Spectrum>();
     domain.accumulate(*sum, *wire_spectrum(a.id));
     domain.accumulate(*sum, *wire_spectrum(b.id));
     ++rstats_.domain_additions;
@@ -567,12 +567,14 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
   const bool resident = state.residency_enabled();
   if (report != nullptr) report->spectrum_resident = resident;
 
-  // Per-wavefront lane/cache numbers on the scheduler path are before/after
-  // deltas of the scheduler-wide stats, and lane stats are booked only
-  // after each future is satisfied (so the delta needs a wait_idle). Both
-  // are observability-only: collect them just when a report was asked for,
-  // so reportless evaluation never blocks on (or misattributes) work other
-  // threads may be running on a shared scheduler.
+  // Per-wavefront lane numbers (lanes used, hw cycles) on the scheduler
+  // path are before/after deltas of the scheduler-wide stats; the cache
+  // numbers come from the batch or residency counters. Lane stats are
+  // booked only after each future is satisfied (so the delta needs a
+  // wait_idle). They are observability-only: collect them just when a
+  // report was asked for, so reportless evaluation never blocks on (or
+  // misattributes) work other threads may be running on a shared
+  // scheduler.
   const bool collect_stats = report != nullptr && scheduler_ != nullptr;
 
   for (unsigned level = 1; level <= state.max_level(); ++level) {
@@ -618,12 +620,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
               after.lanes[lane].hw_cycles - (known ? before.lanes[lane].hw_cycles : 0);
         }
       }
-      if (!resident) {
-        wf.cache_hits = after.cache.hits - before.cache.hits;
-        wf.cache_misses = after.cache.misses - before.cache.misses;
-        wf.batch.jobs = wf.and_gates;
-        wf.batch.spectrum_cache_hits = wf.cache_hits;
-      }
+      if (!resident) wf.batch.jobs = wf.and_gates;
     }
     report->and_gates += wf.and_gates;
     report->wavefronts.push_back(std::move(wf));

@@ -1,7 +1,7 @@
 #include "hw/accel/accelerator.hpp"
 
+#include "ssa/batch.hpp"
 #include "ssa/pack.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "util/check.hpp"
 
 namespace hemul::hw {
@@ -96,7 +96,7 @@ std::vector<BigUInt> HwAccelerator::multiply_batch_cached(
     dst = ntt_.forward(workspace_.pack_a, &fwd);
     fft_engine_cycles += fwd.total_cycles;
   };
-  ssa::BatchSpectrumProvider spectra(operands, config_.ssa, forward);
+  ssa::BatchSpectrumProvider spectra(operands, forward);
 
   for (std::size_t i = 0; i < operands.size(); ++i) {
     FpVec scratch_a;

@@ -136,8 +136,6 @@ core::ServiceStats FleetStats::aggregate() const {
     total.queue_depth += s.queue_depth;
     total.active_requests += s.active_requests;
     total.sessions += s.sessions;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
   }
   return total;
 }
@@ -162,8 +160,8 @@ void write_service_stats(fhe::ByteWriter& w, const core::ServiceStats& s) {
   w.put_u64(s.queue_depth);
   w.put_u64(s.active_requests);
   w.put_u64(s.sessions);
-  w.put_u64(s.cache_hits);
-  w.put_u64(s.cache_misses);
+  w.put_u64(0);  // reserved (formerly the scheduler spectrum cache's hits)
+  w.put_u64(0);  // reserved (formerly its misses)
   w.put_u32(static_cast<u32>(s.lanes.size()));
   for (const core::LaneStats& lane : s.lanes) {
     w.put_u32(lane.lane);
@@ -193,8 +191,8 @@ core::ServiceStats read_service_stats(fhe::ByteReader& r) {
   s.queue_depth = r.get_u64();
   s.active_requests = r.get_u64();
   s.sessions = r.get_u64();
-  s.cache_hits = r.get_u64();
-  s.cache_misses = r.get_u64();
+  (void)r.get_u64();  // two reserved slots, written as 0
+  (void)r.get_u64();
   const u32 lane_count = r.get_u32();
   // Each lane costs at least its fixed 32 encoded bytes; bound before
   // reserving (hostile-count rule of the serialize layer).

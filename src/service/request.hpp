@@ -205,10 +205,7 @@ struct ServiceStats {
   std::size_t queue_depth = 0;      ///< submitted, not yet admitted
   std::size_t active_requests = 0;  ///< admitted, still executing
   std::size_t sessions = 0;
-  /// Shared spectrum-cache and PE-lane accounting of the owned scheduler.
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
-  std::vector<LaneStats> lanes;
+  std::vector<LaneStats> lanes;  ///< PE-lane accounting of the owned scheduler
 
   /// Mean requests sharing one scheduler batch (0 when nothing ran).
   [[nodiscard]] double coalescing() const noexcept {

@@ -234,8 +234,6 @@ ServiceStats Service::stats() const {
   snapshot.queue_depth = pending_.size();
   snapshot.active_requests = in_flight_ - pending_.size();
   snapshot.sessions = sessions_.size();
-  snapshot.cache_hits = sched.cache.hits;
-  snapshot.cache_misses = sched.cache.misses;
   snapshot.lanes = sched.lanes;
   return snapshot;
 }

