@@ -301,11 +301,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.transforms_avoided()), r.transform_reduction());
     }
     for (const fhe::WavefrontStats& wf : r.report.wavefronts) {
-      std::printf("    wave %-4u : %3llu gates, cache %llu hit / %llu miss, %u lane(s), %.1f ms\n",
-                  wf.level, static_cast<unsigned long long>(wf.and_gates),
-                  static_cast<unsigned long long>(wf.cache_hits),
-                  static_cast<unsigned long long>(wf.cache_misses), wf.lanes_used,
-                  wf.wall_ms);
+      std::printf("    wave %-4u : %3llu gates, %u lane(s), %.1f ms\n", wf.level,
+                  static_cast<unsigned long long>(wf.and_gates), wf.lanes_used, wf.wall_ms);
       if (r.report.spectrum_resident) {
         std::printf("                %llu spectra in, %llu inverses out, %llu folds, "
                     "%lld transforms avoided\n",
@@ -370,13 +367,11 @@ int main(int argc, char** argv) {
       for (std::size_t w = 0; w < r.report.wavefronts.size(); ++w) {
         const fhe::WavefrontStats& wf = r.report.wavefronts[w];
         std::fprintf(out,
-                     "       {\"level\": %u, \"gates\": %llu, \"cache_hits\": %llu, "
-                     "\"cache_misses\": %llu, \"lanes_used\": %u, \"wall_ms\": %.3f,\n"
+                     "       {\"level\": %u, \"gates\": %llu, \"lanes_used\": %u, "
+                     "\"wall_ms\": %.3f,\n"
                      "        \"spectra_cached\": %llu, \"inverses_paid\": %llu, "
                      "\"folds\": %llu, \"transforms_avoided\": %lld}%s\n",
-                     wf.level, static_cast<unsigned long long>(wf.and_gates),
-                     static_cast<unsigned long long>(wf.cache_hits),
-                     static_cast<unsigned long long>(wf.cache_misses), wf.lanes_used,
+                     wf.level, static_cast<unsigned long long>(wf.and_gates), wf.lanes_used,
                      wf.wall_ms, static_cast<unsigned long long>(wf.spectra_cached),
                      static_cast<unsigned long long>(wf.inverses_paid),
                      static_cast<unsigned long long>(wf.folds),

@@ -68,10 +68,10 @@ int main() {
               static_cast<unsigned long long>(report.and_gates), report.wavefront_count(),
               static_cast<unsigned long long>(graph.and_gates()));
   for (const fhe::WavefrontStats& wf : report.wavefronts) {
-    std::printf("  wave %-2u : %llu gates, %u lane(s), cache %llu hit / %llu miss\n",
+    std::printf("  wave %-2u : %llu gates, %u lane(s), %llu forward + %llu inverse transforms\n",
                 wf.level, static_cast<unsigned long long>(wf.and_gates), wf.lanes_used,
-                static_cast<unsigned long long>(wf.cache_hits),
-                static_cast<unsigned long long>(wf.cache_misses));
+                static_cast<unsigned long long>(wf.spectra_cached),
+                static_cast<unsigned long long>(wf.inverses_paid));
   }
 
   // What that costs on the accelerator at the paper's operating point.

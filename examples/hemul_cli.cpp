@@ -402,10 +402,12 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   std::printf("pred. noise  : %.1f bits (budget %.1f) -> %s\n", report.max_noise_bits,
               budget, report.decryptable ? "decryptable" : "NOT decryptable");
   for (const fhe::WavefrontStats& wf : report.wavefronts) {
-    std::printf("  wave %-4u  : %3llu gates, cache %llu hit / %llu miss, %u lane(s), %.1f ms\n",
-                wf.level, static_cast<unsigned long long>(wf.and_gates),
-                static_cast<unsigned long long>(wf.cache_hits),
-                static_cast<unsigned long long>(wf.cache_misses), wf.lanes_used, wf.wall_ms);
+    std::printf("  wave %-4u  : %3llu gates, %u lane(s), %.1f ms", wf.level,
+                static_cast<unsigned long long>(wf.and_gates), wf.lanes_used, wf.wall_ms);
+    if (wf.batch.total_cycles > 0) {
+      std::printf(", %llu modeled cycles", static_cast<unsigned long long>(wf.batch.total_cycles));
+    }
+    std::printf("\n");
     if (report.spectrum_resident) {
       std::printf("               %llu spectra cached, %llu inverses paid, %llu folds, "
                   "%lld transforms avoided\n",

@@ -80,8 +80,14 @@ class BigUInt {
   BigUInt& operator<<=(std::size_t bits);
   BigUInt& operator>>=(std::size_t bits);
 
-  friend BigUInt operator+(BigUInt a, const BigUInt& b) { return a += b; }
-  friend BigUInt operator-(BigUInt a, const BigUInt& b) { return a -= b; }
+  friend BigUInt operator+(BigUInt a, const BigUInt& b) {
+    a += b;
+    return a;  // by move, as operator>> below
+  }
+  friend BigUInt operator-(BigUInt a, const BigUInt& b) {
+    a -= b;
+    return a;
+  }
   /// Built once at its final size: one allocation for a nonzero result.
   friend BigUInt operator<<(const BigUInt& a, std::size_t bits);
   friend BigUInt operator>>(BigUInt a, std::size_t bits) {

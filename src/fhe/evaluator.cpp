@@ -568,7 +568,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
   if (report != nullptr) report->spectrum_resident = resident;
 
   // Per-wavefront lane numbers (lanes used, hw cycles) on the scheduler
-  // path are before/after deltas of the scheduler-wide stats; the cache
+  // path are before/after deltas of the scheduler-wide stats; the transform
   // numbers come from the batch or residency counters. Lane stats are
   // booked only after each future is satisfied (so the delta needs a
   // wait_idle). They are observability-only: collect them just when a
@@ -598,15 +598,8 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
       wf.spectra_cached = after_r.forward_transforms - before_r.forward_transforms;
       wf.inverses_paid = after_r.inverse_transforms - before_r.inverse_transforms;
       wf.folds = after_r.domain_additions - before_r.domain_additions;
-      // Residency's cache semantics: a "miss" enters a spectrum, a "hit"
-      // re-consumes a resident one (each gate touches two operands).
-      wf.cache_misses = wf.spectra_cached;
-      wf.cache_hits = 2 * wf.and_gates - std::min<u64>(wf.spectra_cached, 2 * wf.and_gates);
       wf.transforms_avoided = static_cast<i64>(3 * wf.and_gates) -
                               static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
-    } else {
-      wf.cache_hits = wf.batch.spectrum_cache_hits;
-      wf.cache_misses = wf.batch.forward_transforms;
     }
     if (collect_stats) {
       scheduler_->wait_idle();

@@ -47,13 +47,6 @@ struct WavefrontStats {
   /// Engine-path transform accounting (multiply_batch): spectrum-cache
   /// hits, forward/inverse transforms, modeled cycles for "hw".
   backend::BatchStats batch;
-  /// Cache accounting unified across execution paths: resident rounds count
-  /// a spectrum entered as a miss and a resident spectrum re-consumed as a
-  /// hit; the inline engine path mirrors batch.spectrum_cache_hits /
-  /// batch.forward_transforms; eager scheduler lanes reuse no spectra and
-  /// report 0 / 0.
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
   unsigned lanes_used = 0;  ///< PE lanes that executed >= 1 gate (scheduler path)
   double wall_ms = 0.0;     ///< wall-clock of the wavefront
   // Spectrum-residency accounting (filled when the evaluation ran

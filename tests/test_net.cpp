@@ -203,6 +203,7 @@ TEST(NetTest, OverloadSheddingIsBoundedAndObservableOverTheWire) {
   for (int i = 0; i < kPipelined; ++i) {
     futures.push_back(client.submit(keys.session, mul_request(tenant, 3, 2)));
   }
+  EXPECT_LE(service.stats().queue_depth, 1u);  // the bound holds while they arrive
 
   int ok = 0, shed = 0;
   for (auto& future : futures) {
@@ -219,8 +220,10 @@ TEST(NetTest, OverloadSheddingIsBoundedAndObservableOverTheWire) {
   EXPECT_EQ(ok, 1) << "exactly the queued request executes";
   EXPECT_EQ(shed, kPipelined - 1);
 
+  // The service's own ledger agrees with what came over the wire.
   const core::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.shed, static_cast<u64>(shed));
+  EXPECT_EQ(stats.completed, static_cast<u64>(ok));
   EXPECT_LE(stats.queue_depth, 1u);  // the bound held
   EXPECT_EQ(client.stats().shards[0].service.shed, static_cast<u64>(shed));
 }
@@ -412,6 +415,77 @@ TEST(NetTest, DeadShardSessionsRehomeOntoLiveShards) {
     ASSERT_TRUE(fresh.ok()) << fresh.error;
     EXPECT_EQ(decrypt_response(tenant, fresh), 9u);
   }
+}
+
+TEST(NetTest, PipelinedRoundsAcrossAShardKillCompleteBitExactly) {
+  // Three shards, six tenants, and a pipelined round of multiplies before
+  // and after killing the shard that hosts tenant 0: every future completes
+  // within a bounded wait, each victim re-homes exactly once through the
+  // seeded create replay, and every answer decrypts right. A request caught
+  // by the kill may fail once as kUnavailable (an ambiguous loss is never
+  // replayed); its resubmission must succeed.
+  constexpr std::size_t kShards = 3;
+  constexpr u64 kTenants = 6;
+  std::vector<std::unique_ptr<core::Service>> services;
+  std::vector<std::unique_ptr<ShardServer>> servers;
+  std::vector<std::string> addresses;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    services.push_back(std::make_unique<core::Service>(ssa_options(1)));
+    servers.push_back(std::make_unique<ShardServer>(*services.back()));
+    addresses.push_back(loopback(servers.back()->port()));
+  }
+  Router router(addresses);
+  ShardClient client(loopback(router.port()));
+
+  std::vector<core::SessionId> sessions;
+  std::vector<fhe::Dghv> tenants;
+  for (u64 t = 0; t < kTenants; ++t) {
+    ShardClient::SessionKeys keys = client.create_session(DghvParams::toy(), 7000 + t);
+    sessions.push_back(keys.session);
+    tenants.emplace_back(std::move(keys.public_key), std::move(keys.secret_key), 8000 + t);
+  }
+
+  const auto bounded_get = [](std::future<core::Response>& future) {
+    if (future.wait_for(std::chrono::seconds(60)) == std::future_status::ready) {
+      return future.get();
+    }
+    core::Response hung;
+    hung.status = core::ResponseStatus::kTimeout;
+    hung.error = "no reply within 60 s";
+    return hung;
+  };
+  const auto round = [&](u64 r) {
+    std::vector<std::future<core::Response>> futures;
+    for (u64 t = 0; t < kTenants; ++t) {
+      futures.push_back(
+          client.submit(sessions[t], mul_request(tenants[t], (t + r) % 4, (3 * t + r) % 4)));
+    }
+    for (u64 t = 0; t < kTenants; ++t) {
+      const u64 x = (t + r) % 4, y = (3 * t + r) % 4;
+      core::Response response = bounded_get(futures[t]);
+      if (response.status == core::ResponseStatus::kUnavailable) {
+        std::future<core::Response> retry =
+            client.submit(sessions[t], mul_request(tenants[t], x, y));
+        response = bounded_get(retry);
+      }
+      ASSERT_TRUE(response.ok()) << "round " << r << " tenant " << t << ": " << response.error;
+      EXPECT_EQ(decrypt_response(tenants[t], response), x * y) << "round " << r;
+    }
+  };
+
+  round(0);
+  const std::size_t dead = Router::shard_of(sessions[0], kShards);
+  u64 victims = 0;
+  for (const core::SessionId session : sessions) {
+    if (Router::shard_of(session, kShards) == dead) ++victims;
+  }
+  servers[dead]->stop();
+  servers[dead].reset();
+  services[dead].reset();
+
+  round(1);
+  round(2);
+  EXPECT_EQ(client.stats().sessions_rehomed, victims);
 }
 
 // The probe loop's full arc: alive -> dead on connection loss, then

@@ -272,6 +272,20 @@ TEST_F(SsaAllocationAudit, ShiftsAllocateOnlyTheirResult) {
   }
 }
 
+TEST_F(SsaAllocationAudit, SumsAndDifferencesAllocateOnlyTheirResult) {
+  // Barrett's r = x - m*q and every Dghv::add run a + b / a - b on
+  // 12,288-limb values: the by-value left operand becomes the result, so
+  // each builds it in exactly one allocation (no carry grows the top limb).
+  util::Rng rng(8);
+  const BigUInt x = BigUInt::random_bits(rng, 12288 * 64 - 1);
+  const BigUInt y = BigUInt::random_bits(rng, 12288 * 64 - 2);
+  BigUInt sum;
+  BigUInt difference;
+  EXPECT_EQ(allocations_in([&] { sum = x + y; }), 1u);
+  EXPECT_EQ(allocations_in([&] { difference = sum - y; }), 1u);
+  EXPECT_EQ(difference, x);
+}
+
 TEST_F(SsaAllocationAudit, ProductByAPreparedOperandRunsTwoTransformsAllocationFree) {
   // A prepared operand keeps its forward spectrum: a product by it runs one
   // forward and one inverse, and once the workspace and the product are

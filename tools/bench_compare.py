@@ -19,7 +19,8 @@ Every bench JSON carries two classes of tracked metrics:
 
 Intentional changes (a new optimization shifts a hard metric) are handled
 by regenerating the committed baseline in the same PR -- see
-CONTRIBUTING.md.
+CONTRIBUTING.md. A baseline file that no TRACKED entry names fails the
+gate too, so a deleted bench cannot leave an unchecked baseline behind.
 """
 
 import argparse
@@ -181,38 +182,6 @@ TRACKED = {
         # Paper-size median over the former loop's median, same run.
         Metric("encrypt.speedup", lambda d: d["encrypt"]["speedup"], mode="warn"),
     ],
-    "fleet_throughput.json": [
-        # Closed-loop tenants through router + shards on loopback: every
-        # decrypted product matched and every shard's completion count
-        # added up. Deterministic regardless of runner speed.
-        Metric("fleet.bit_exact", lambda d: d["bit_exact"], kind="bool", mode="hard"),
-        # The overload cell (queue bound 1, pipelined submits) must shed:
-        # kOverloaded observed, queue depth never past the bound, and no
-        # status other than kOk/kOverloaded (with retry hints) came back.
-        Metric("fleet.shed_observed", lambda d: d["shed"]["observed"], kind="bool",
-               mode="hard"),
-        Metric("fleet.shed_queue_bounded", lambda d: d["shed"]["queue_bounded"],
-               kind="bool", mode="hard"),
-        Metric("fleet.shed_statuses_clean", lambda d: d["shed"]["statuses_clean"],
-               kind="bool", mode="hard"),
-        # Every submitted request is forwarded exactly once (the router
-        # neither drops nor duplicates) -- a deterministic count.
-        Metric("fleet.total_forwarded",
-               lambda d: sum(r["forwarded"] for r in d["results"]), mode="hard"),
-        Metric("fleet.max_requests_per_sec",
-               lambda d: _max_over(d["results"], "requests_per_sec"), mode="warn"),
-        # The degraded-mode cell (3 shards, 1 killed mid-run): the router
-        # must re-home the victims via seeded create replay, the replayed
-        # sessions must answer bit-exactly, and no future may hang.
-        # Deterministic regardless of runner speed.
-        Metric("failover.sessions_rehomed",
-               lambda d: d["failover"]["sessions_rehomed"] >= 1, kind="bool",
-               mode="hard"),
-        Metric("failover.bit_exact", lambda d: d["failover"]["bit_exact"],
-               kind="bool", mode="hard"),
-        Metric("failover.no_hung_futures",
-               lambda d: d["failover"]["no_hung_futures"], kind="bool", mode="hard"),
-    ],
 }
 
 
@@ -279,6 +248,13 @@ def main():
 
     failures = 0
     report = {"threshold": args.threshold, "benches": {}}
+
+    # A baseline no TRACKED entry names is never checked: a deleted or
+    # renamed bench must take its baseline with it.
+    for orphan in sorted(set(p.name for p in args.baseline.glob("*.json")) - set(TRACKED)):
+        annotate("error", f"{orphan}: orphan baseline, no TRACKED entry names it")
+        failures += 1
+        report["benches"][orphan] = {"error": "orphan baseline"}
 
     for bench_file, metrics in sorted(TRACKED.items()):
         result_path = args.results / bench_file
