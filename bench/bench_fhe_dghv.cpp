@@ -13,14 +13,23 @@
 // (one Knuth division); the software SSA line times the raw gamma-bit
 // product the same way.
 //
+// Keygen is the whole client-side cost of opening a session (the tenant
+// runs it; the shard only stores x0 and two constants). The keygen lines
+// give the paper-size median of kKeygenTrials key generations, and a
+// mirror of keygen's loop on the same seed that times the tau q_i * p
+// products apart from the rest; its elements must equal the scheme's. The
+// figures are printed and written to the JSON, not gated.
+//
 //   bench_fhe_dghv [--json FILE]
 //
-// Exit 0 iff every decryption checks and every encryption is bit-exact.
+// Exit 0 iff every decryption checks, every encryption is bit-exact and
+// the mirrored keygen reproduces the scheme's public elements.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,6 +47,7 @@ using bigint::BigUInt;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kTrials = 9;
+constexpr int kKeygenTrials = 3;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -90,6 +100,53 @@ BigUInt reference_encrypt(const fhe::PublicKey& pk, util::Rng& rng, bool message
     if (rng.flip()) former_add(c, (xi << 1).limbs());
   }
   return BigUInt::from_limbs(std::move(c)) % pk.x0;
+}
+
+/// Paper-size keygen: the median over kKeygenTrials, and one mirrored run
+/// split into the q_i * p products and everything else.
+struct KeygenSplit {
+  double median_ms = 0.0;
+  double mirror_ms = 0.0;    ///< the mirrored keygen, end to end
+  double products_ms = 0.0;  ///< its tau q_i * p products
+  bool bit_exact = true;     ///< the mirror's elements equal the scheme's
+
+  [[nodiscard]] double products_share() const {
+    return mirror_ms > 0.0 ? products_ms / mirror_ms : 0.0;
+  }
+};
+
+/// Dghv's keygen loop, written out on the same rng draws, with the q_i * p
+/// products timed on their own.
+KeygenSplit time_keygen(const fhe::DghvParams& params, u64 seed) {
+  KeygenSplit split;
+  std::vector<double> ms;
+  std::optional<fhe::Dghv> scheme;
+  for (int trial = 0; trial < kKeygenTrials; ++trial) {
+    const Clock::time_point start = Clock::now();
+    scheme.emplace(params, seed);
+    ms.push_back(ms_since(start));
+  }
+  split.median_ms = median(std::move(ms));
+
+  const Clock::time_point start = Clock::now();
+  util::Rng rng(seed);
+  BigUInt p = BigUInt::random_bits(rng, params.eta);
+  if (!p.is_odd()) p += BigUInt{1};
+  BigUInt q0 = BigUInt::random_bits(rng, params.gamma - params.eta);
+  if (!q0.is_odd()) q0 += BigUInt{1};
+  const BigUInt x0 = q0 * p;
+  const std::vector<BigUInt>& expected = scheme->public_key().x;
+  for (unsigned i = 0; i < params.tau; ++i) {
+    const BigUInt qi = BigUInt::random_below(rng, q0);
+    const BigUInt ri = BigUInt::random_bits(rng, params.rho);
+    const Clock::time_point product_start = Clock::now();
+    BigUInt qip = qi * p;
+    split.products_ms += ms_since(product_start);
+    const BigUInt xi = (qip + (ri << 1)) % x0;
+    split.bit_exact = split.bit_exact && xi == expected[i];
+  }
+  split.mirror_ms = ms_since(start);
+  return split;
 }
 
 struct SettingResult {
@@ -166,7 +223,7 @@ SettingResult run_setting(const char* name, const fhe::DghvParams& params, util:
 }
 
 bool write_json(const std::string& path, const std::vector<SettingResult>& results,
-                bool bit_exact) {
+                const KeygenSplit& keygen, bool bit_exact) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -176,6 +233,11 @@ bool write_json(const std::string& path, const std::vector<SettingResult>& resul
   std::fprintf(out, "{\n  \"bench\": \"fhe_dghv\",\n");
   std::fprintf(out, "  \"encrypt\": {\"bit_exact\": %s, \"speedup\": %.3f},\n",
                bit_exact ? "true" : "false", paper.speedup());
+  std::fprintf(out,
+               "  \"keygen\": {\"paper_median_ms\": %.3f, \"mirror_ms\": %.3f, "
+               "\"products_ms\": %.3f, \"products_share\": %.4f, \"bit_exact\": %s},\n",
+               keygen.median_ms, keygen.mirror_ms, keygen.products_ms, keygen.products_share(),
+               keygen.bit_exact ? "true" : "false");
   std::fprintf(out, "  \"settings\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SettingResult& r = results[i];
@@ -226,8 +288,18 @@ int main(int argc, char** argv) {
   }
   std::printf("encrypt bit-exact vs reference : %s\n", bit_exact ? "yes" : "NO");
   const SettingResult& paper = results.back();
-  std::printf("paper-size encrypt speedup     : %.1fx (%.2f ms -> %.2f ms)\n\n", paper.speedup(),
+  std::printf("paper-size encrypt speedup     : %.1fx (%.2f ms -> %.2f ms)\n", paper.speedup(),
               paper.reference_ms, paper.encrypt_ms);
+
+  // Keygen runs on the tenant: it is the client-side cost of a session.
+  const KeygenSplit keygen = time_keygen(fhe::DghvParams::small_paper(), 7);
+  ok = ok && keygen.bit_exact;
+  std::printf("paper-size keygen (tenant)     : %.1f ms (median of %d)\n", keygen.median_ms,
+              kKeygenTrials);
+  std::printf("  q_i * p products             : %.1f ms of a %.1f ms mirrored keygen (%.0f%%), "
+              "elements %s\n\n",
+              keygen.products_ms, keygen.mirror_ms, 100.0 * keygen.products_share(),
+              keygen.bit_exact ? "bit-exact" : "DIFFER");
 
   // The accelerator view of one paper-scale homomorphic multiplication.
   core::Accelerator accel;
@@ -257,7 +329,7 @@ int main(int argc, char** argv) {
               sw_ms * 1000.0 / perf.mult_us());
 
   if (!json_path.empty()) {
-    if (!write_json(json_path, results, bit_exact)) return 1;
+    if (!write_json(json_path, results, keygen, bit_exact)) return 1;
     std::printf("json : %s\n", json_path.c_str());
   }
   return ok && bit_exact ? 0 : 1;

@@ -30,6 +30,7 @@
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -75,10 +76,16 @@ Sample run_cell(unsigned workers, unsigned tenants, unsigned requests_per_tenant
   options.admission_window_ms = window_ms;
   core::Service service(options);
 
+  // Each tenant keeps its keys; the service gets only the evaluation
+  // material.
   std::vector<core::SessionId> sessions;
+  std::vector<fhe::Dghv> schemes;
   sessions.reserve(tenants);
+  schemes.reserve(tenants);
   for (unsigned t = 0; t < tenants; ++t) {
-    sessions.push_back(service.create_session(fhe::DghvParams::toy(), 0xBE7C + t));
+    fhe::TenantKeys keys = fhe::tenant_keygen(fhe::DghvParams::toy(), 0xBE7C + t);
+    sessions.push_back(service.create_session(std::move(keys.create)));
+    schemes.push_back(std::move(keys.scheme));
   }
 
   // Encrypt and serialize outside the timed region: the bench measures the
@@ -92,7 +99,7 @@ Sample run_cell(unsigned workers, unsigned tenants, unsigned requests_per_tenant
   prepared.reserve(static_cast<std::size_t>(tenants) * requests_per_tenant);
   for (unsigned r = 0; r < requests_per_tenant; ++r) {
     for (unsigned t = 0; t < tenants; ++t) {
-      fhe::Dghv& scheme = service.scheme(sessions[t]);
+      fhe::Dghv& scheme = schemes[t];
       const bool x = (t + r) % 2 == 0;
       const bool y = (t + 2 * r) % 3 != 0;
       core::Request request;
@@ -121,7 +128,7 @@ Sample run_cell(unsigned workers, unsigned tenants, unsigned requests_per_tenant
       continue;
     }
     const std::vector<fhe::Ciphertext> outputs = fhe::decode_ciphertexts(response.outputs);
-    const fhe::Dghv& scheme = service.scheme(sessions[prepared[i].tenant]);
+    const fhe::Dghv& scheme = schemes[prepared[i].tenant];
     if (outputs.size() != 1 || scheme.decrypt(outputs[0]) != prepared[i].expected) {
       *verified = false;
     }
@@ -151,8 +158,9 @@ bool backend_parity(const std::string& name) {
   options.config.backend_name = name;
   options.config.num_workers = 1;
   core::Service service(options);
-  const core::SessionId session = service.create_session(fhe::DghvParams::toy(), 0xAB);
-  fhe::Dghv& scheme = service.scheme(session);
+  fhe::TenantKeys keys = fhe::tenant_keygen(fhe::DghvParams::toy(), 0xAB);
+  const core::SessionId session = service.create_session(keys.create);
+  fhe::Dghv& scheme = keys.scheme;
 
   fhe::Graph graph(scheme);
   const fhe::Ciphertext ca = scheme.encrypt(true);

@@ -76,6 +76,7 @@
 #include "fhe/lowering.hpp"
 #include "fhe/noise.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "net/client.hpp"
 #include "service/service.hpp"
 #include "util/format.hpp"
@@ -535,7 +536,11 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
     std::size_t line = 0;
     std::future<core::Response> future;
   };
-  std::map<std::string, core::SessionId> sessions;
+  struct Tenant {
+    core::SessionId id = 0;
+    fhe::Dghv scheme;  ///< the tenant's keys; the service holds none
+  };
+  std::map<std::string, Tenant> sessions;
   std::vector<Pending> pending;
   std::optional<Clock::time_point> t0;  // first submission
   std::string line;
@@ -556,9 +561,11 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
           std::fprintf(stderr, "error: line %zu: session <name> <params> <seed>\n", line_no);
           return 2;
         }
-        sessions[name] = service.create_session(params_by_name(params), seed);
+        fhe::TenantKeys keys = fhe::tenant_keygen(params_by_name(params), seed);
+        const core::SessionId id = service.create_session(std::move(keys.create));
+        sessions.insert_or_assign(name, Tenant{id, std::move(keys.scheme)});
         std::printf("session %-10s : %s params, id %llu\n", name.c_str(), params.c_str(),
-                    static_cast<unsigned long long>(sessions[name]));
+                    static_cast<unsigned long long>(id));
         continue;
       }
       if (command != "request") {
@@ -577,7 +584,7 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
         std::fprintf(stderr, "error: line %zu: unknown session '%s'\n", line_no, name.c_str());
         return 2;
       }
-      fhe::Dghv& scheme = service.scheme(session_it->second);
+      fhe::Dghv& scheme = session_it->second.scheme;
       const auto encode_bits = [&scheme](u64 value, unsigned width) {
         return fhe::encode_ciphertexts(fhe::encrypt_int(scheme, value, width));
       };
@@ -659,7 +666,7 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
       request.spec = record.spec;
 
       if (!t0) t0 = Clock::now();
-      record.future = service.submit(session_it->second,
+      record.future = service.submit(session_it->second.id,
                                      core::decode_request(core::encode_request(request)));
       pending.push_back(std::move(record));
     }
@@ -683,7 +690,7 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
       verified = false;
       continue;
     }
-    const fhe::Dghv& scheme = service.scheme(sessions.at(record.session));
+    const fhe::Dghv& scheme = sessions.at(record.session).scheme;
     const std::vector<fhe::Ciphertext> outputs = fhe::decode_ciphertexts(response.outputs);
     const u64 value = fhe::decrypt_int(scheme, outputs);
     const bool ok = value == record.expected;
@@ -715,7 +722,7 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
               stats.batches_submitted < requests ? "coalesced across tenants"
                                                  : "no cross-request sharing");
   for (const auto& [name, session] : sessions) {
-    const core::TenantStats tenant = service.tenant_stats(session);
+    const core::TenantStats tenant = service.tenant_stats(session.id);
     std::printf("  session %-10s: %llu completed, %llu gates, %llu B in / %llu B out\n",
                 name.c_str(), static_cast<unsigned long long>(tenant.completed),
                 static_cast<unsigned long long>(tenant.and_gates),

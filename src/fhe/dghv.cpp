@@ -9,24 +9,66 @@ namespace hemul::fhe {
 
 using bigint::BigUInt;
 
+EvalKey::EvalKey(const DghvParams& params, std::shared_ptr<backend::MultiplierBackend> engine)
+    : params_(params), engine_(engine != nullptr ? std::move(engine) : backend::auto_backend()) {
+  params_.validate();
+}
+
+EvalKey::EvalKey(const DghvParams& params, BigUInt x0,
+                 std::shared_ptr<backend::MultiplierBackend> engine)
+    : EvalKey(params, std::move(engine)) {
+  HEMUL_CHECK_MSG(!x0.is_zero(), "EvalKey: public modulus x0 is zero");
+  x0_ = std::move(x0);
+}
+
+Ciphertext EvalKey::add(const Ciphertext& a, const Ciphertext& b) const {
+  return {(a.value + b.value) % x0_, NoiseModel::after_add(a.noise_bits, b.noise_bits)};
+}
+
+Ciphertext EvalKey::multiply(const Ciphertext& a, const Ciphertext& b) const {
+  return {engine_->multiply(a.value, b.value) % x0_,
+          NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
+}
+
+std::vector<Ciphertext> EvalKey::multiply_batch(
+    std::span<const std::pair<Ciphertext, Ciphertext>> jobs) const {
+  std::vector<backend::MulJob> raw;
+  raw.reserve(jobs.size());
+  for (const auto& [a, b] : jobs) raw.emplace_back(a.value, b.value);
+
+  const std::vector<BigUInt> products = engine_->multiply_batch(raw);
+  std::vector<Ciphertext> out;
+  out.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out.push_back({products[i] % x0_,
+                   NoiseModel::after_mult(jobs[i].first.noise_bits, jobs[i].second.noise_bits)});
+  }
+  return out;
+}
+
+void EvalKey::set_backend(std::shared_ptr<backend::MultiplierBackend> engine) {
+  HEMUL_CHECK_MSG(engine != nullptr, "EvalKey requires a multiplication engine");
+  engine_ = std::move(engine);
+}
+
 Dghv::Dghv(const DghvParams& params, u64 seed) : Dghv(params, seed, backend::auto_backend()) {}
 
 Dghv::Dghv(const DghvParams& params, u64 seed,
            std::shared_ptr<backend::MultiplierBackend> engine)
-    : rng_(seed), engine_(std::move(engine)) {
-  HEMUL_CHECK_MSG(engine_ != nullptr, "Dghv requires a multiplication engine");
-  params.validate();
+    : EvalKey(params, std::move(engine)), rng_(seed) {
   pk_.params = params;
 
   // Secret key: odd eta-bit integer.
   p_ = BigUInt::random_bits(rng_, params.eta);
   if (!p_.is_odd()) p_ += BigUInt{1};
 
-  // Exact public modulus x0 = q0 * p with q0 odd and gamma-bit x0.
+  // Exact public modulus x0 = q0 * p with q0 odd: (gamma - eta)-bit q0 and
+  // eta-bit p make x0 gamma - 1 or gamma bits long.
   const std::size_t q_bits = params.gamma - params.eta;
   BigUInt q0 = BigUInt::random_bits(rng_, q_bits);
   if (!q0.is_odd()) q0 += BigUInt{1};
   pk_.x0 = q0 * p_;
+  x0_ = pk_.x0;
 
   // Public encryptions of zero: x_i = (q_i * p + 2 r_i) mod x0.
   pk_.x.reserve(params.tau);
@@ -40,12 +82,10 @@ Dghv::Dghv(const DghvParams& params, u64 seed,
 
 Dghv::Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
            std::shared_ptr<backend::MultiplierBackend> engine)
-    : p_(std::move(secret_key)), pk_(std::move(public_key)), rng_(seed),
-      engine_(engine != nullptr ? std::move(engine) : backend::auto_backend()) {
-  pk_.params.validate();
-  HEMUL_CHECK_MSG(!pk_.x0.is_zero(), "Dghv: public modulus x0 is zero");
+    : EvalKey(public_key.params, public_key.x0, std::move(engine)),
+      p_(std::move(secret_key)), pk_(std::move(public_key)), rng_(seed) {
   HEMUL_CHECK_MSG(p_.is_odd(), "Dghv: secret key must be odd");
-  HEMUL_CHECK_MSG((pk_.x0 % p_).is_zero(), "Dghv: x0 is not a multiple of the secret key");
+  HEMUL_CHECK_MSG((x0_ % p_).is_zero(), "Dghv: x0 is not a multiple of the secret key");
 }
 
 Ciphertext Dghv::encrypt(bool message) {
@@ -53,8 +93,8 @@ Ciphertext Dghv::encrypt(bool message) {
   // spare limb takes the carries and one more the doubling. The rng draws
   // (r, then one flip per x_i) are those of the textbook loop
   // `c += xi << 1`, so the ciphertext is the same bit for bit.
-  std::vector<u64> sum(pk_.x0.limb_count() + 2, 0);
-  const BigUInt r = BigUInt::random_bits(rng_, pk_.params.rho);
+  std::vector<u64> sum(x0_.limb_count() + 2, 0);
+  const BigUInt r = BigUInt::random_bits(rng_, params_.rho);
   bigint::add_into(sum, r.limbs(), 0);
   for (const BigUInt& xi : pk_.x) {
     if (rng_.flip()) bigint::add_into(sum, xi.limbs(), 0);
@@ -63,7 +103,7 @@ Ciphertext Dghv::encrypt(bool message) {
   // leaves bit 0 free for m.
   bigint::add_into(sum, sum, 0);
   sum[0] |= message ? 1u : 0u;
-  return {BigUInt::from_limbs(std::move(sum)) % pk_.x0, NoiseModel::fresh(pk_.params)};
+  return {BigUInt::from_limbs(std::move(sum)) % x0_, NoiseModel::fresh(params_)};
 }
 
 bool Dghv::decrypt(const Ciphertext& c) const {
@@ -71,34 +111,8 @@ bool Dghv::decrypt(const Ciphertext& c) const {
   return (c.value % p_).is_odd();
 }
 
-Ciphertext Dghv::add(const Ciphertext& a, const Ciphertext& b) const {
-  return {(a.value + b.value) % pk_.x0, NoiseModel::after_add(a.noise_bits, b.noise_bits)};
-}
-
-Ciphertext Dghv::multiply(const Ciphertext& a, const Ciphertext& b) const {
-  return {engine_->multiply(a.value, b.value) % pk_.x0,
-          NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
-}
-
-std::vector<Ciphertext> Dghv::multiply_batch(
-    std::span<const std::pair<Ciphertext, Ciphertext>> jobs) const {
-  std::vector<backend::MulJob> raw;
-  raw.reserve(jobs.size());
-  for (const auto& [a, b] : jobs) raw.emplace_back(a.value, b.value);
-
-  const std::vector<BigUInt> products = engine_->multiply_batch(raw);
-  std::vector<Ciphertext> out;
-  out.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out.push_back({products[i] % pk_.x0,
-                   NoiseModel::after_mult(jobs[i].first.noise_bits, jobs[i].second.noise_bits)});
-  }
-  return out;
-}
-
-void Dghv::set_backend(std::shared_ptr<backend::MultiplierBackend> engine) {
-  HEMUL_CHECK_MSG(engine != nullptr, "Dghv requires a multiplication engine");
-  engine_ = std::move(engine);
+std::pair<PublicKey, bigint::BigUInt> Dghv::release_keys() && {
+  return {std::move(pk_), std::move(p_)};
 }
 
 std::size_t Dghv::measured_noise_bits(const Ciphertext& c) const {

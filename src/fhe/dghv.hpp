@@ -27,44 +27,23 @@ struct PublicKey {
   std::vector<bigint::BigUInt> x;
 };
 
-/// The DGHV somewhat-homomorphic scheme over the integers (CMNT variant:
-/// the public modulus x0 is an exact multiple of the secret key, so
-/// reductions modulo x0 add no noise).
+/// The evaluation-only key context of a DGHV tenant: the parameters, the
+/// public modulus x0 and the multiplication engine -- everything a party
+/// needs to compute on ciphertexts, and nothing that lets it read them. A
+/// serving shard holds exactly this per session (see fhe/session.hpp);
+/// fhe::Graph, EvalState and Evaluator record and run circuits against it.
 ///
 /// Homomorphic multiplication is one gamma-bit x gamma-bit integer product
 /// -- precisely the operation the paper's accelerator implements. The
 /// multiplication backend is pluggable so the examples can route it
 /// through the simulated accelerator.
-///
-/// Noise convention: key and encryption noises are one-sided (r in
-/// [0, 2^rho)), which keeps every residue non-negative and lets decryption
-/// use a plain (uncentered) modular reduction. This is a documented,
-/// security-irrelevant simplification of the symmetric-noise spec.
-class Dghv {
+class EvalKey {
  public:
-  /// Generates a key pair with the given deterministic seed. The default
-  /// multiplication engine is the registry's auto policy (classical below
-  /// the SSA advantage point, NTT above).
-  Dghv(const DghvParams& params, u64 seed);
-
-  /// Generates a key pair and runs all homomorphic multiplications on the
-  /// given engine (any registered backend: "ssa", "hw", ...).
-  Dghv(const DghvParams& params, u64 seed,
-       std::shared_ptr<backend::MultiplierBackend> engine);
-
-  /// Rebuilds a key context from existing key material -- the remote-tenant
-  /// path: a fleet client receives serialized keys from the shard that ran
-  /// keygen and encrypts/decrypts locally against them. `seed` drives only
-  /// this context's encryption randomness. The engine defaults to the
-  /// registry's auto policy.
-  Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
-       std::shared_ptr<backend::MultiplierBackend> engine = nullptr);
-
-  /// Encrypts one bit: c = (m + 2r + 2 * sum_{i in S} x_i) mod x0.
-  [[nodiscard]] Ciphertext encrypt(bool message);
-
-  /// Decrypts: m = (c mod p) mod 2.
-  [[nodiscard]] bool decrypt(const Ciphertext& c) const;
+  /// An evaluation context for `params` and modulus `x0`. The engine
+  /// defaults to the registry's auto policy (classical below the SSA
+  /// advantage point, NTT above).
+  EvalKey(const DghvParams& params, bigint::BigUInt x0,
+          std::shared_ptr<backend::MultiplierBackend> engine = nullptr);
 
   /// Homomorphic XOR: c1 + c2 (mod x0).
   [[nodiscard]] Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
@@ -88,20 +67,70 @@ class Dghv {
     return engine_;
   }
 
+  [[nodiscard]] const DghvParams& params() const noexcept { return params_; }
+
+  /// The public modulus every ciphertext is reduced by.
+  [[nodiscard]] const bigint::BigUInt& x0() const noexcept { return x0_; }
+
+ protected:
+  /// For keygen: the derived class fills x0_ once it has drawn it.
+  EvalKey(const DghvParams& params, std::shared_ptr<backend::MultiplierBackend> engine);
+
+  DghvParams params_;
+  bigint::BigUInt x0_;
+  std::shared_ptr<backend::MultiplierBackend> engine_;
+};
+
+/// The DGHV somewhat-homomorphic scheme over the integers (CMNT variant:
+/// the public modulus x0 is an exact multiple of the secret key, so
+/// reductions modulo x0 add no noise): the tenant's full key context, i.e.
+/// the evaluation context plus the secret key p, the public encryptions of
+/// zero and the encryption randomness.
+///
+/// Noise convention: key and encryption noises are one-sided (r in
+/// [0, 2^rho)), which keeps every residue non-negative and lets decryption
+/// use a plain (uncentered) modular reduction. This is a documented,
+/// security-irrelevant simplification of the symmetric-noise spec.
+class Dghv : public EvalKey {
+ public:
+  /// Generates a key pair with the given deterministic seed, on the
+  /// registry's auto engine.
+  Dghv(const DghvParams& params, u64 seed);
+
+  /// Generates a key pair and runs all homomorphic multiplications on the
+  /// given engine (any registered backend: "ssa", "hw", ...).
+  Dghv(const DghvParams& params, u64 seed,
+       std::shared_ptr<backend::MultiplierBackend> engine);
+
+  /// Rebuilds a key context from existing key material, e.g. the keys a
+  /// fleet client's create_session generated. `seed` drives only this
+  /// context's encryption randomness. The engine defaults to the
+  /// registry's auto policy.
+  Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
+       std::shared_ptr<backend::MultiplierBackend> engine = nullptr);
+
+  /// Encrypts one bit: c = (m + 2r + 2 * sum_{i in S} x_i) mod x0.
+  [[nodiscard]] Ciphertext encrypt(bool message);
+
+  /// Decrypts: m = (c mod p) mod 2.
+  [[nodiscard]] bool decrypt(const Ciphertext& c) const;
+
   [[nodiscard]] const PublicKey& public_key() const noexcept { return pk_; }
-  [[nodiscard]] const DghvParams& params() const noexcept { return pk_.params; }
 
   /// Secret key access for the test suite (noise measurements).
   [[nodiscard]] const bigint::BigUInt& secret_key() const noexcept { return p_; }
+
+  /// Moves the key pair out without copying the tau public elements; the
+  /// context must not be used afterwards.
+  [[nodiscard]] std::pair<PublicKey, bigint::BigUInt> release_keys() &&;
 
   /// Bits of actual noise in a ciphertext (via the secret key).
   [[nodiscard]] std::size_t measured_noise_bits(const Ciphertext& c) const;
 
  private:
   bigint::BigUInt p_;  ///< secret key: odd eta-bit integer
-  PublicKey pk_;
+  PublicKey pk_;       ///< pk_.params and pk_.x0 repeat params() and x0()
   util::Rng rng_;
-  std::shared_ptr<backend::MultiplierBackend> engine_;
 };
 
 }  // namespace hemul::fhe

@@ -94,7 +94,7 @@ backend::MulJob EvalState::gate_job(u32 id) const {
 }
 
 const bigint::BigUInt& EvalState::modulus() const noexcept {
-  return graph_->scheme().public_key().x0;
+  return graph_->scheme().x0();
 }
 
 void EvalState::apply_product(u32 id, bigint::BigUInt product) {
@@ -106,7 +106,7 @@ void EvalState::sweep_linear(unsigned level) {
   // Children are already materialized: XOR operands are earlier ids within
   // the same depth, AND operands were produced by this or an earlier
   // wavefront.
-  const Dghv& scheme = graph_->scheme();
+  const EvalKey& scheme = graph_->scheme();
   for (u32 id = 0; id < graph_->size(); ++id) {
     const Wire w{id};
     if (!live_[id] || graph_->level(w) != level) continue;
@@ -358,7 +358,7 @@ Lanes::Lanes(std::shared_ptr<backend::MultiplierBackend> engine)
 void Lanes::plan(EvalState& state) const {
   if (!resident_) return;
   state.enable_residency(ssa::SsaParams::for_bits(
-      state.graph().scheme().public_key().x0.bit_length(), ssa::kResidentHeadroomBits));
+      state.graph().scheme().x0().bit_length(), ssa::kResidentHeadroomBits));
 }
 
 namespace {
@@ -534,7 +534,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
                                             std::span<const Wire> outputs,
                                             EvalReport* report,
                                             const EvalOptions& options) {
-  const Dghv& scheme = graph.scheme();
+  const EvalKey& scheme = graph.scheme();
   EvalState state(graph, outputs);
 
   const double budget = NoiseModel::budget_bits(scheme.params());

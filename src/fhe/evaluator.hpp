@@ -312,7 +312,7 @@ backend::BatchStats step_levels(std::span<LevelStep> steps, const Lanes& lanes);
 ///
 /// Results are bit-exact against gate-by-gate evaluation of the same
 /// lowering templates (one engine multiply modulo x0 per AND, one
-/// Dghv::add per XOR): the same products are taken modulo the same x0,
+/// EvalKey::add per XOR): the same products are taken modulo the same x0,
 /// only their grouping differs.
 /// A lane fault on the scheduler path throws std::runtime_error carrying
 /// the lane's message.

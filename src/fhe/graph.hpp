@@ -45,10 +45,10 @@ class Graph {
   /// directly (see fhe/lowering.hpp).
   using WireType = Wire;
 
-  /// Circuits over ciphertexts of `scheme` (non-owning; the scheme must
-  /// outlive the graph and every evaluation of it). `lowering` is the
+  /// Circuits over ciphertexts of `scheme` (non-owning; the key context
+  /// must outlive the graph and every evaluation of it). `lowering` is the
   /// default strategy of the word-level builders, overridable per call.
-  explicit Graph(const Dghv& scheme, LoweringOptions lowering = {})
+  explicit Graph(const EvalKey& scheme, LoweringOptions lowering = {})
       : scheme_(&scheme), lowering_(lowering) {}
 
   /// Replaces the default lowering of subsequent word-level builder calls.
@@ -149,7 +149,7 @@ class Graph {
   /// The ciphertext held by an input wire (op(w) must be kInput).
   [[nodiscard]] const Ciphertext& input_value(Wire w) const;
 
-  [[nodiscard]] const Dghv& scheme() const noexcept { return *scheme_; }
+  [[nodiscard]] const EvalKey& scheme() const noexcept { return *scheme_; }
 
  private:
   friend class Evaluator;
@@ -166,7 +166,7 @@ class Graph {
   [[nodiscard]] const Node& node(Wire w) const;
   Wire record(GateOp op, Wire a, Wire b);
 
-  const Dghv* scheme_;
+  const EvalKey* scheme_;
   LoweringOptions lowering_;
   std::vector<Node> nodes_;
   std::unordered_map<u64, u32> cse_;  ///< (op, a, b) -> node id

@@ -1,6 +1,7 @@
 #include "fhe/serialize.hpp"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 
 #include "util/check.hpp"
@@ -27,7 +28,15 @@ void ByteWriter::put_f64(double value) { put_u64(std::bit_cast<u64>(value)); }
 
 void ByteWriter::put_biguint(const bigint::BigUInt& x) {
   put_u64(x.limb_count());
-  for (const u64 limb : x.limbs()) put_u64(limb);
+  const std::span<const u64> limbs = x.limbs();
+  // One bulk copy: the wire's little-endian limbs are the in-memory bytes.
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const u8*>(limbs.data());
+    out_.insert(out_.end(), bytes, bytes + 8 * limbs.size());
+  } else {
+    out_.reserve(out_.size() + 8 * limbs.size());
+    for (const u64 limb : limbs) put_u64(limb);
+  }
 }
 
 void ByteWriter::put_bytes(std::span<const u8> data) {
@@ -91,9 +100,13 @@ bigint::BigUInt ByteReader::get_biguint() {
   // The count must be backed by actual bytes before any allocation: a
   // hostile 2^60 count would otherwise reserve exabytes.
   if (count > remaining() / 8) fail("limb count exceeds the buffer");
-  std::vector<u64> limbs;
-  limbs.reserve(count);
-  for (u64 i = 0; i < count; ++i) limbs.push_back(get_u64());
+  std::vector<u64> limbs(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(limbs.data(), data_.data() + pos_, 8 * count);
+    pos_ += 8 * count;
+  } else {
+    for (u64& limb : limbs) limb = get_u64();
+  }
   if (!limbs.empty() && limbs.back() == 0) fail("non-canonical limb vector (trailing zero)");
   return bigint::BigUInt::from_limbs(std::move(limbs));
 }

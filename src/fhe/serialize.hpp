@@ -200,10 +200,12 @@ GraphTopology decode_graph(std::span<const u8> buffer);
 /// not an extension point -- new message types are appended here and peers
 /// that do not speak them reject the envelope outright.
 enum class MessageType : u8 {
-  /// client -> shard: params frame + u64 keygen seed. Creates a tenant.
+  /// client -> shard: params frame, x0 frame and the encryptions of 0 and
+  /// 1 (fhe::encode_session_create). Creates a tenant; the tenant ran
+  /// keygen and keeps its keys.
   kCreateSession = 1,
-  /// shard -> client: public-key frame + secret-key frame. The new session
-  /// id travels in the envelope header.
+  /// shard -> client: empty payload. The new session id travels in the
+  /// envelope header.
   kSessionCreated = 2,
   /// client -> shard: one kRequest frame to evaluate under the session.
   kSubmit = 3,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -231,14 +232,9 @@ fhe::Envelope ShardClient::create_session_raw(fhe::Bytes payload, double deadlin
 
 ShardClient::SessionKeys ShardClient::create_session(const fhe::DghvParams& params,
                                                      u64 seed, double deadline_ms) {
-  fhe::Bytes payload = fhe::encode_params(params);
-  {
-    fhe::ByteWriter w;
-    w.put_u64(seed);
-    const fhe::Bytes seed_bytes = w.take();
-    payload.insert(payload.end(), seed_bytes.begin(), seed_bytes.end());
-  }
-  const fhe::Envelope reply = create_session_raw(std::move(payload), deadline_ms);
+  fhe::TenantKeys tenant = fhe::tenant_keygen(params, seed);
+  const fhe::Envelope reply =
+      create_session_raw(fhe::encode_session_create(tenant.create), deadline_ms);
   if (reply.type == fhe::MessageType::kError) {
     const auto [code, message] = fhe::decode_error_payload(reply.payload);
     if (code == fhe::WireErrorCode::kShuttingDown) throw core::ShuttingDown();
@@ -247,14 +243,12 @@ ShardClient::SessionKeys ShardClient::create_session(const fhe::DghvParams& para
   if (reply.type != fhe::MessageType::kSessionCreated) {
     throw NetError("unexpected reply to create_session");
   }
+  if (!reply.payload.empty()) {
+    throw fhe::SerializeError("create_session reply carries a payload; it must be empty");
+  }
   SessionKeys keys;
   keys.session = reply.session;
-  fhe::ByteReader reader(reply.payload);
-  keys.public_key = fhe::decode_public_key(reader);
-  keys.secret_key = fhe::decode_secret_key(reader);
-  if (!reader.at_end()) {
-    throw fhe::SerializeError("trailing bytes after session key material");
-  }
+  std::tie(keys.public_key, keys.secret_key) = std::move(tenant.scheme).release_keys();
   return keys;
 }
 

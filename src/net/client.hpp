@@ -54,24 +54,28 @@ class ShardClient {
   ShardClient(const ShardClient&) = delete;
   ShardClient& operator=(const ShardClient&) = delete;
 
-  /// A created session: the server-assigned id plus the key material the
-  /// shard generated for this tenant (the client encrypts/decrypts locally
-  /// by rebuilding an fhe::Dghv from these).
+  /// A created session: the server-assigned id plus the key pair the
+  /// client generated for this tenant (it encrypts/decrypts locally by
+  /// rebuilding an fhe::Dghv from these). The keys never left the client.
   struct SessionKeys {
     core::SessionId session = 0;
     fhe::PublicKey public_key;
     bigint::BigUInt secret_key;
   };
 
-  /// Synchronous create-session RPC. Throws core::ShuttingDown when the
-  /// peer is draining, TimeoutError past the deadline, NetError on
-  /// connection loss, std::runtime_error on other remote errors.
+  /// Synchronous create-session RPC: runs fhe::tenant_keygen(params, seed)
+  /// here and sends the peer only its evaluation material (params, x0 and
+  /// the constant encryptions; see fhe::SessionCreate). Throws
+  /// core::ShuttingDown when the peer is draining, TimeoutError past the
+  /// deadline, NetError on connection loss, std::runtime_error on other
+  /// remote errors.
   SessionKeys create_session(const fhe::DghvParams& params, u64 seed,
                              double deadline_ms = kUseDefault);
 
-  /// Sends an already-encoded create-session payload (params || seed) and
-  /// returns the reply envelope verbatim (kSessionCreated or kError) -- the
-  /// router's path, for both first placement and failover replay.
+  /// Sends an already-encoded create-session payload
+  /// (fhe::encode_session_create) and returns the reply envelope verbatim
+  /// (kSessionCreated or kError) -- the router's path, for both first
+  /// placement and failover replay.
   fhe::Envelope create_session_raw(fhe::Bytes payload, double deadline_ms = kUseDefault);
 
   /// Asynchronous evaluate RPC. The future always yields a Response

@@ -201,10 +201,10 @@ Router::Resolved Router::resolve_session(u64 global) {
 
   // The recorded owner is dead or was restarted without its sessions:
   // replay the session's creation on the next live shard in walk order.
-  // DGHV keygen is seeded, so the replayed session carries the exact keys
-  // of the original and answers bit-exactly. One re-homer at a time per
-  // router -- concurrent requests of a dead shard's sessions must yield ONE
-  // replay per session, not a herd of duplicate keygens.
+  // The payload is the session's whole evaluation material, so the replayed
+  // session is the original bit for bit and answers bit-exactly. One
+  // re-homer at a time per router -- concurrent requests of a dead shard's
+  // sessions must yield ONE replay per session, not a herd of duplicates.
   std::lock_guard rehome(rehome_mutex_);
   if (std::optional<Resolved> resolved = try_resolve()) return *resolved;
 
@@ -379,8 +379,7 @@ void Router::handle_create(const fhe::Envelope& request, ServerConnection& conne
     std::lock_guard lock(mutex_);
     global = next_session_++;
   }
-  // Creates forward the caller's deadline, never the control-RPC bound:
-  // keygen is legitimately seconds-scale at paper parameters.
+  // Creates forward the caller's deadline, never the control-RPC bound.
   const double deadline = static_cast<double>(request.deadline_ms);
   std::string last_error = "no live shard to place the session on";
   for (unsigned attempt = 0; attempt <= options_.retry.max_retries; ++attempt) {
@@ -408,8 +407,8 @@ void Router::handle_create(const fhe::Envelope& request, ServerConnection& conne
     try {
       remote = client->create_session_raw(request.payload, deadline);
     } catch (const std::exception& e) {
-      // Seeded keygen makes the replay idempotent even if the shard did the
-      // work before the connection died: the orphan session just idles.
+      // The replay is idempotent even if the shard opened the session
+      // before the connection died: the orphan session just idles.
       mark_dead(index, client);
       last_error = e.what();
       continue;
@@ -452,7 +451,7 @@ void Router::handle_create(const fhe::Envelope& request, ServerConnection& conne
       placement.shard = index;
       placement.remote = remote.session;
       placement.incarnation = incarnation;
-      placement.create_payload = request.payload;  // the failover replay seed
+      placement.create_payload = request.payload;  // replayed on failover
       placements_[global] = std::move(placement);
       ++sessions_created_;
     }
@@ -476,7 +475,7 @@ void Router::handle_create(const fhe::Envelope& request, ServerConnection& conne
 void Router::handle(const fhe::Envelope& request, ServerConnection& connection) {
   switch (request.type) {
     case fhe::MessageType::kCreateSession:
-      // Blocks on a shard RPC (keygen there): off the reader.
+      // Blocks on a shard RPC: off the reader.
       connection.run_serial(request,
                             [this, &connection, request] { handle_create(request, connection); });
       return;

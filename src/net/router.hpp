@@ -36,10 +36,11 @@ struct RetryPolicy {
 /// Placement is deterministic: shard_of(id, n) depends only on the id and
 /// the shard count, so a restarted router with the same shard list hashes
 /// identically. Sessions survive shard death: the router records every
-/// session's create payload (params || seed) and, when the owner dies,
-/// replays it on the next live shard in the deterministic walk order --
-/// DGHV keygen is seeded, so the re-homed session carries identical keys
-/// and answers bit-exactly (FleetStats::sessions_rehomed counts these).
+/// session's create payload (params || x0 || zero || one, about 3 gamma
+/// bits; placements are never dropped) and, when the owner dies, replays it
+/// on the next live shard in the deterministic walk order -- the payload is
+/// the session, so the re-homed session is the same bit for bit and answers
+/// bit-exactly (FleetStats::sessions_rehomed counts these).
 ///
 /// A probe loop (Options::probe_interval_ms) drives each shard through
 /// kAlive -> kSuspect -> kDead on failed kPing probes and redials dead
@@ -55,7 +56,8 @@ class Router {
     double probe_interval_ms = 0.0;
     /// Deadline for the router's own cheap control RPCs to shards (ping,
     /// stats); 0 = none. Never applied to create or submit forwards --
-    /// keygen and deep circuits are legitimately seconds-scale.
+    /// those carry the caller's own deadline, and deep circuits are
+    /// legitimately seconds-scale.
     double shard_deadline_ms = 0.0;
     /// Invoked (once) after a kShutdown request has been acknowledged.
     std::function<void()> on_shutdown;
@@ -99,7 +101,7 @@ class Router {
     std::size_t shard = 0;
     core::SessionId remote = 0;  ///< the session id inside that shard
     u64 incarnation = 0;
-    fhe::Bytes create_payload;   ///< params || seed, replayed on failover
+    fhe::Bytes create_payload;   ///< params || x0 || zero || one, replayed on failover
   };
 
   /// A placement resolved to a live connection (what a forward needs).
@@ -111,7 +113,7 @@ class Router {
 
   void handle(const fhe::Envelope& request, ServerConnection& connection);
   /// Places a new session; runs on the connection's serial worker, since it
-  /// waits for the shard's keygen.
+  /// waits on a shard RPC.
   void handle_create(const fhe::Envelope& request, ServerConnection& connection);
   /// The async forward of one submit; never throws -- every failure mode
   /// becomes a Response status.

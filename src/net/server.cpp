@@ -279,29 +279,23 @@ ShardServer::ShardServer(core::Service& service, Options options)
       }) {}
 
 void ShardServer::create(const fhe::Envelope& request, ServerConnection& connection) {
-  fhe::ByteReader reader(request.payload);
-  const fhe::DghvParams params = fhe::decode_params(reader);
-  const u64 seed = reader.get_u64();
-  if (!reader.at_end()) {
-    throw fhe::SerializeError("trailing bytes after create-session payload");
-  }
-  const core::SessionId id = service_.create_session(params, seed);
+  // The tenant ran keygen: the payload holds params, x0 and the two
+  // constants, which the service validates. The reply carries only the
+  // session id, in its header.
+  const core::SessionId id =
+      service_.create_session(fhe::decode_session_create(request.payload));
   fhe::Envelope reply;
   reply.type = fhe::MessageType::kSessionCreated;
   reply.session = id;
   reply.request_id = request.request_id;
-  reply.payload = service_.public_key_bytes(id);
-  const fhe::Bytes secret = service_.secret_key_bytes(id);
-  reply.payload.insert(reply.payload.end(), secret.begin(), secret.end());
   connection.send_now(std::move(reply));
 }
 
 void ShardServer::handle(const fhe::Envelope& request, ServerConnection& connection) {
   switch (request.type) {
     case fhe::MessageType::kCreateSession:
-      // Keygen is seconds-scale at paper parameters: off the reader, so
-      // this connection's submits keep flowing meanwhile.
-      connection.run_serial(request, [this, &connection, request] { create(request, connection); });
+      // A decode and a table insert: answered from the reader.
+      create(request, connection);
       return;
     case fhe::MessageType::kSubmit: {
       core::Request decoded = core::decode_request(request.payload);

@@ -25,9 +25,9 @@ namespace hemul::net {
 ///   - a reply another thread produces later goes through respond_later's
 ///     Responder -- the shard hands it to the Service as the completion
 ///     callback, and the writer thread encodes the Response;
-///   - work that blocks on keygen or on a shard RPC runs on the
-///     connection's serial worker (run_serial), one item at a time in
-///     arrival order, so one thread per connection bounds it;
+///   - work that blocks on a shard RPC (the router's creates and stats)
+///     runs on the connection's serial worker (run_serial), one item at a
+///     time in arrival order, so one thread per connection bounds it;
 ///   - the router's forwards run one task each (respond_async).
 /// Pipelined submits therefore stay outstanding together, which is what
 /// lets the admission window coalesce them. Teardown drains the serial
@@ -149,10 +149,12 @@ class EnvelopeServer {
 
 /// The shard daemon's protocol: one core::Service behind an EnvelopeServer.
 /// Dispatches kCreateSession / kSubmit / kStats / kShutdown (the full
-/// message set a shard speaks; see docs/wire-protocol.md). Session creation
-/// (keygen, failover replays) runs on the connection's serial worker and
-/// submits complete through a Service callback, so neither ever holds up
-/// the reader or another request's reply.
+/// message set a shard speaks; see docs/wire-protocol.md). A shard never
+/// runs keygen and never holds a secret key: kCreateSession carries the
+/// tenant's params, x0 and constant encryptions (fhe::SessionCreate), and
+/// the reply carries only the session id. Submits complete through a
+/// Service callback, so a long request never holds up the reader or another
+/// request's reply.
 class ShardServer {
  public:
   struct Options {
@@ -172,7 +174,7 @@ class ShardServer {
 
  private:
   void handle(const fhe::Envelope& request, ServerConnection& connection);
-  /// kCreateSession, on the connection's serial worker.
+  /// kCreateSession: decodes the tenant's material and opens the session.
   void create(const fhe::Envelope& request, ServerConnection& connection);
 
   core::Service& service_;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "backend/registry.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/noise.hpp"
 #include "util/check.hpp"
@@ -24,17 +23,14 @@ double ms_since(Clock::time_point t0) {
 
 }  // namespace
 
-/// One tenant: key context, the constant encryptions the builtin circuits
-/// splice in, and the tenant's monotonic counters.
+/// One tenant: evaluation context, the constant encryptions the builtin
+/// circuits splice in, and the tenant's monotonic counters.
 struct Service::Session {
-  Session(const fhe::DghvParams& params, u64 seed, SessionId id,
-          std::shared_ptr<backend::MultiplierBackend> engine)
-      : scheme(params, seed, std::move(engine)), zero(scheme.encrypt(false)),
-        one(scheme.encrypt(true)) {
-    stats.session = id;
-  }
+  explicit Session(fhe::SessionCreate create)
+      : key(create.params, std::move(create.x0)), zero(std::move(create.zero)),
+        one(std::move(create.one)) {}
 
-  fhe::Dghv scheme;
+  fhe::EvalKey key;
   fhe::Ciphertext zero;
   fhe::Ciphertext one;
   TenantStats stats;         ///< guarded by the Service mutex
@@ -70,7 +66,7 @@ struct Service::Active {
   unsigned next_level = 1;
   Response response;  ///< counters filled as rounds execute
 
-  explicit Active(const fhe::Dghv& scheme) : graph(scheme) {}
+  explicit Active(const fhe::EvalKey& key) : graph(key) {}
 
   [[nodiscard]] fhe::Bytes serialize_outputs() const {
     return fhe::encode_ciphertexts(state->outputs());
@@ -92,18 +88,16 @@ Service::~Service() {
 }
 
 SessionId Service::create_session(const fhe::DghvParams& params, u64 seed) {
-  params.validate();
-  // Key generation runs outside the lock (it is seconds-scale at paper
-  // parameters); the session engine is shared with the scheduler lanes'
-  // backend family only through the registry, so each tenant's in-process
-  // encrypt path stays independent of the PE lanes.
-  std::unique_lock lock(mutex_);
+  return create_session(fhe::tenant_keygen(params, seed).create);
+}
+
+SessionId Service::create_session(fhe::SessionCreate create) {
+  create.validate();
+  auto session = std::make_unique<Session>(std::move(create));
+  std::lock_guard lock(mutex_);
   if (!accepting_) throw ShuttingDown();
   const SessionId id = next_session_++;
-  lock.unlock();
-  auto session = std::make_unique<Session>(params, seed, id, backend::auto_backend());
-  lock.lock();
-  if (!accepting_) throw ShuttingDown();  // drained while keygen ran
+  session->stats.session = id;
   if (options_.max_sessions > 0 && sessions_.size() >= options_.max_sessions) {
     evict_idle_session_locked();
   }
@@ -133,25 +127,6 @@ void Service::stop_accepting() {
 bool Service::accepting() const {
   std::lock_guard lock(mutex_);
   return accepting_;
-}
-
-Service::Session& Service::session_ref(SessionId id) {
-  std::lock_guard lock(mutex_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    throw std::invalid_argument("Service: unknown session " + std::to_string(id));
-  }
-  return *it->second;
-}
-
-fhe::Dghv& Service::scheme(SessionId session) { return session_ref(session).scheme; }
-
-fhe::Bytes Service::public_key_bytes(SessionId session) {
-  return fhe::encode_public_key(session_ref(session).scheme.public_key());
-}
-
-fhe::Bytes Service::secret_key_bytes(SessionId session) {
-  return fhe::encode_secret_key(session_ref(session).scheme.secret_key());
 }
 
 std::future<Response> Service::submit(SessionId session, Request request,
@@ -305,7 +280,7 @@ void Service::complete(Active& request, Response response) {
 }
 
 std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
-  auto active = std::make_unique<Active>(pending.session->scheme);
+  auto active = std::make_unique<Active>(pending.session->key);
   active->session = pending.session;
   active->done = std::move(pending.done);
   active->submitted_at = pending.submitted_at;
@@ -329,7 +304,7 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
     // Ciphertexts crossed a trust boundary: a valid DGHV ciphertext is
     // reduced modulo the session's x0. Enforcing that here keeps hostile
     // operand sizes out of the PE lanes entirely.
-    const bigint::BigUInt& x0 = active->session->scheme.public_key().x0;
+    const bigint::BigUInt& x0 = active->session->key.x0();
     for (const fhe::Ciphertext& c : inputs) {
       if (!(c.value < x0)) {
         throw fhe::SerializeError("input ciphertext is not reduced modulo the session x0");
@@ -400,7 +375,7 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
 
   // Pre-execution noise veto: refuse before any multiplication is spent.
   if (!state.decryptable()) {
-    const fhe::DghvParams& params = active->session->scheme.params();
+    const fhe::DghvParams& params = active->session->key.params();
     Response response = std::move(active->response);
     response.status = ResponseStatus::kRejectedByNoise;
     char buf[160];

@@ -14,8 +14,8 @@
 
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
-#include "fhe/dghv.hpp"
 #include "fhe/evaluator.hpp"
+#include "fhe/session.hpp"
 #include "service/request.hpp"
 
 namespace hemul::core {
@@ -29,7 +29,7 @@ struct ServiceOptions {
   /// concurrently by independent tenants land in the same shared wavefront
   /// (0 = admit whatever is queued the moment the coordinator wakes).
   double admission_window_ms = 0.0;
-  /// Upper bound on resident tenant key contexts (0 = unbounded). At the
+  /// Upper bound on resident tenant sessions (0 = unbounded). At the
   /// bound, create_session evicts the least-recently-used session with no
   /// requests in flight; it throws SessionTableFull when every resident
   /// session is busy (nothing is safely evictable).
@@ -66,9 +66,10 @@ class SessionTableFull : public std::runtime_error {
 ///
 /// A Service owns one core::Scheduler (the array of PE lanes) and exposes
 /// the host-interface shape of Medha/FAB: tenants open sessions (per-tenant
-/// fhe::Dghv key contexts), then submit Requests -- serialized ciphertexts
-/// plus a named or caller-recorded circuit -- and receive their Responses
-/// through a completion callback (or a future) as each request finishes.
+/// fhe::EvalKey evaluation contexts -- a session never holds a secret key),
+/// then submit Requests -- serialized ciphertexts plus a named or
+/// caller-recorded circuit -- and receive their Responses through a
+/// completion callback (or a future) as each request finishes.
 /// Every transport (sockets, RPC) is a thin shim over this class.
 ///
 /// Cross-request batching: a coordinator thread advances every in-flight
@@ -82,9 +83,7 @@ class SessionTableFull : public std::runtime_error {
 /// tenants overlap.
 ///
 /// Thread safety: create_session / submit / stats are safe from any
-/// thread. A session's scheme() reference is safe for concurrent
-/// encrypt-free use; encryption mutates the session RNG, so concurrent
-/// *encrypting* clients of one session must synchronize externally.
+/// thread.
 class Service {
  public:
   explicit Service(ServiceOptions options = {});
@@ -95,8 +94,17 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Opens a tenant session: generates a DGHV key pair from `seed` and the
-  /// session's constant zero/one encryptions (used by builtin circuits).
+  /// Opens a tenant session from the tenant's evaluation material (see
+  /// fhe::tenant_keygen): the session keeps params, x0 and the constant
+  /// zero/one encryptions the builtin circuits splice in -- no secret key,
+  /// no public encryptions of zero. Throws fhe::SerializeError when
+  /// `create` fails SessionCreate::validate().
+  SessionId create_session(fhe::SessionCreate create);
+
+  /// In-process convenience over the same path: runs fhe::tenant_keygen
+  /// and opens the session from its material, dropping the key pair at
+  /// once. Callers that encrypt or decrypt run tenant_keygen themselves
+  /// and keep its scheme.
   SessionId create_session(const fhe::DghvParams& params, u64 seed);
 
   /// Receives a request's Response, exactly once. It runs on the
@@ -117,14 +125,6 @@ class Service {
   /// The same, with the Response delivered through a future.
   std::future<Response> submit(SessionId session, Request request,
                                double deadline_ms = 0.0);
-
-  /// The tenant's key context (e.g. for client-side encrypt/decrypt in
-  /// tests and in-process callers). Valid for the Service's lifetime.
-  [[nodiscard]] fhe::Dghv& scheme(SessionId session);
-
-  /// Serialized key material, as a remote tenant would receive it.
-  [[nodiscard]] fhe::Bytes public_key_bytes(SessionId session);
-  [[nodiscard]] fhe::Bytes secret_key_bytes(SessionId session);
 
   /// Drain mode for a daemon's SIGTERM path: after this, create_session
   /// throws ShuttingDown and submit() completes immediately with
@@ -148,8 +148,6 @@ class Service {
   struct Session;
   struct Pending;
   struct Active;
-
-  [[nodiscard]] Session& session_ref(SessionId id);
 
   /// Evicts the least-recently-used idle session (mutex_ held). Throws
   /// SessionTableFull when every session has requests in flight.

@@ -33,6 +33,7 @@
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
@@ -239,14 +240,14 @@ core::ServiceOptions ssa_options(unsigned workers) {
 std::string loopback(int port) { return "127.0.0.1:" + std::to_string(port); }
 
 /// The tenants' sessions on path 1's in-process Service, and each tenant's
-/// client-side key context, rebuilt from the served keys, which encrypts
-/// the stream.
+/// client-side key context, rebuilt from its seeded keygen's key pair, which
+/// encrypts the stream.
 struct Sessions {
   explicit Sessions(std::vector<Tenant> list) : tenants(std::move(list)) {
     for (const Tenant& tenant : tenants) {
-      local.push_back(service.create_session(tenant.params, tenant.key_seed));
-      clients.emplace_back(fhe::decode_public_key(service.public_key_bytes(local.back())),
-                           fhe::decode_secret_key(service.secret_key_bytes(local.back())),
+      fhe::TenantKeys keys = fhe::tenant_keygen(tenant.params, tenant.key_seed);
+      local.push_back(service.create_session(std::move(keys.create)));
+      clients.emplace_back(keys.scheme.public_key(), keys.scheme.secret_key(),
                            tenant.key_seed ^ 0xC11E47ull);
     }
   }
@@ -279,8 +280,8 @@ Served serve(Sessions& sessions, const std::vector<Job>& jobs) {
     for (auto& future : futures) served.service.push_back(outcome_of(future.get()));
   }
 
-  // Path 2: a router in front of two shards; seeded keygen must hand the
-  // remote tenants the very keys the in-process sessions hold.
+  // Path 2: a router in front of two shards; seeded keygen must give the
+  // remote tenants the very keys the in-process tenants hold.
   {
     core::Service shard_service_a(ssa_options(1));
     core::Service shard_service_b(ssa_options(1));
@@ -292,8 +293,7 @@ Served serve(Sessions& sessions, const std::vector<Job>& jobs) {
     for (std::size_t t = 0; t < tenants.size(); ++t) {
       net::ShardClient::SessionKeys keys =
           client.create_session(tenants[t].params, tenants[t].key_seed);
-      EXPECT_EQ(fhe::encode_public_key(keys.public_key), service.public_key_bytes(local[t]));
-      EXPECT_EQ(fhe::encode_secret_key(keys.secret_key), service.secret_key_bytes(local[t]));
+      EXPECT_EQ(keys.public_key.x0, sessions.clients[t].public_key().x0);
       remote.push_back(keys.session);
     }
     std::vector<std::future<core::Response>> futures;
@@ -312,9 +312,9 @@ Served serve(Sessions& sessions, const std::vector<Job>& jobs) {
 
   // Path 3: inline evaluation on one "ssa" engine (spectrum-resident) over
   // the tenant's keys. The session's constant wires are the first two
-  // encryptions of a seeded key replica, drawn in the order the service
-  // draws them (only for tenants whose requests use them: a replica repeats
-  // keygen).
+  // encryptions of a seeded key replica, drawn in the order
+  // fhe::tenant_keygen draws them (only for tenants whose requests use
+  // them: a replica repeats keygen).
   {
     const std::shared_ptr<backend::MultiplierBackend> engine = backend::make_backend("ssa");
     std::vector<std::vector<Ciphertext>> constants(tenants.size());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
@@ -124,7 +126,7 @@ TEST(NetTest, LoopbackShardMatchesInProcessServiceBitExactly) {
   // The same seeds and the same encrypted request bytes through both paths:
   // a ShardServer over TCP and a plain in-process Service. Keygen is
   // deterministic from (params, seed), so the two services hold identical
-  // key material and must produce byte-identical response payloads.
+  // evaluation material and must produce byte-identical response payloads.
   core::Service remote_service(ssa_options(2));
   ShardServer server(remote_service);
   ShardClient client(loopback(server.port()));
@@ -136,11 +138,10 @@ TEST(NetTest, LoopbackShardMatchesInProcessServiceBitExactly) {
   const core::SessionId local_session =
       local_service.create_session(DghvParams::toy(), key_seed);
 
-  // The tenant rebuilds its scheme from the returned key material; it must
-  // agree with the service-side context bit for bit.
+  // The tenant rebuilds its scheme from the keys create_session generated;
+  // its x0 is the one the in-process session was opened with.
   fhe::Dghv tenant(std::move(keys.public_key), std::move(keys.secret_key), 777);
-  EXPECT_EQ(fhe::encode_public_key(tenant.public_key()),
-            local_service.public_key_bytes(local_session));
+  EXPECT_EQ(tenant.public_key().x0, fhe::tenant_keygen(DghvParams::toy(), key_seed).create.x0);
 
   for (const auto& [x, y] : std::vector<std::pair<u64, u64>>{{3, 2}, {1, 3}, {2, 2}}) {
     const core::Request request = mul_request(tenant, x, y);
@@ -593,46 +594,126 @@ TEST(NetTest, ShardRepliesInCompletionOrderOnOneConnection) {
   EXPECT_NE(keys.session, long_keys.session);
 }
 
-/// While a small_paper() create (its keygen takes ~1 s in a Release build)
-/// is in progress on `client`'s connection, a toy AND sent after it on the
-/// same connection must be answered first: creates never hold the reader.
-/// The create goes out raw, so its future is ready the moment its reply
-/// arrives, not after the client decoded 56 MB of public key.
-void expect_and_overtakes_create(ShardClient& client) {
-  ShardClient::SessionKeys toy_keys = client.create_session(DghvParams::toy(), 41);
-  fhe::Dghv tenant(std::move(toy_keys.public_key), std::move(toy_keys.secret_key), 5);
-  const core::Request request = and_request(tenant, true, false);
+// --- session creation: the tenant's material, nothing back ------------------
 
-  fhe::ByteWriter seed;
-  seed.put_u64(42);
-  const fhe::Bytes payload = concat(fhe::encode_params(DghvParams::small_paper()), seed.take());
-  std::future<fhe::Envelope> big =
-      std::async(std::launch::async, [&] { return client.create_session_raw(payload); });
-  // Let the create's frame reach the wire before the AND's.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const core::Response response = client.submit(toy_keys.session, request).get();
-  EXPECT_EQ(big.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
-      << "the AND was answered only after the create";
-  ASSERT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(decrypt_response(tenant, response), 0u);
-  const fhe::Envelope created = big.get();
-  EXPECT_EQ(created.type, fhe::MessageType::kSessionCreated);
-  EXPECT_NE(created.session, toy_keys.session);
+/// Sends `payload` as a create and expects a typed kBadRequestBytes error.
+void expect_create_refused(ShardClient& client, const fhe::Bytes& payload, const char* why) {
+  const fhe::Envelope reply = client.create_session_raw(payload);
+  ASSERT_EQ(reply.type, fhe::MessageType::kError) << why;
+  const auto [code, message] = fhe::decode_error_payload(reply.payload);
+  EXPECT_EQ(code, fhe::WireErrorCode::kBadRequestBytes) << why << ": " << message;
 }
 
-TEST(NetTest, CreateDoesNotBlockTheShardReader) {
+TEST(NetTest, ShardCreateTakesTheTenantsMaterialAndRepliesWithNoPayload) {
   core::Service service(ssa_options(1));
   ShardServer server(service);
   ShardClient client(loopback(server.port()));
-  expect_and_overtakes_create(client);
+
+  fhe::TenantKeys keys = fhe::tenant_keygen(DghvParams::toy(), 61);
+  const fhe::Envelope created = client.create_session_raw(fhe::encode_session_create(keys.create));
+  ASSERT_EQ(created.type, fhe::MessageType::kSessionCreated);
+  // Only the session id comes back, in the header: no key frame of any tag
+  // (kSecretKey above all) leaves a shard.
+  EXPECT_TRUE(created.payload.empty());
+  EXPECT_NE(created.session, 0u);
+
+  const core::Response response =
+      client.submit(created.session, mul_request(keys.scheme, 3, 3)).get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(decrypt_response(keys.scheme, response), 9u);
+}
+
+TEST(NetTest, HostileCreatesGetTypedErrorsAndOpenNoSession) {
+  core::Service service(ssa_options(1));
+  ShardServer server(service);
+  ShardClient client(loopback(server.port()));
+  const fhe::SessionCreate good = fhe::tenant_keygen(DghvParams::toy(), 62).create;
+
+  fhe::SessionCreate bad = good;
+  bad.x0 = good.x0 - bigint::BigUInt{1};
+  expect_create_refused(client, fhe::encode_session_create(bad), "even x0");
+  bad.x0 = bigint::BigUInt{};
+  expect_create_refused(client, fhe::encode_session_create(bad), "zero x0");
+  bad.x0 = (good.x0 << 1) + bigint::BigUInt{1};
+  expect_create_refused(client, fhe::encode_session_create(bad), "x0 of gamma + 1 bits");
+  bad.x0 = good.x0 >> 2;
+  if (!bad.x0.is_odd()) bad.x0 += bigint::BigUInt{1};
+  expect_create_refused(client, fhe::encode_session_create(bad), "x0 of gamma - 2 bits or fewer");
+  bad = good;
+  bad.zero.value = good.x0;
+  expect_create_refused(client, fhe::encode_session_create(bad), "constant equal to x0");
+  bad = good;
+  bad.params.rho = bad.params.eta;
+  expect_create_refused(client, fhe::encode_session_create(bad), "params that fail validate()");
+
+  // The retired params || u64 seed layout: named, not run.
+  fhe::ByteWriter seed;
+  seed.put_u64(62);
+  const fhe::Bytes legacy = concat(fhe::encode_params(DghvParams::toy()), seed.take());
+  const fhe::Envelope reply = client.create_session_raw(legacy);
+  ASSERT_EQ(reply.type, fhe::MessageType::kError);
+  const auto [code, message] = fhe::decode_error_payload(reply.payload);
+  EXPECT_EQ(code, fhe::WireErrorCode::kBadRequestBytes);
+  EXPECT_NE(message.find("retired"), std::string::npos) << message;
+
+  const fhe::Bytes valid = fhe::encode_session_create(good);
+  expect_create_refused(client, concat(valid, fhe::Bytes{0x00}), "one trailing byte");
+  expect_create_refused(client, fhe::Bytes(valid.begin(), valid.end() - 1), "one byte short");
+
+  // The connection is still up and no hostile create opened a session.
+  const FleetStats stats = client.stats();
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].service.sessions, 0u);
+  EXPECT_EQ(client.create_session_raw(valid).type, fhe::MessageType::kSessionCreated);
+  EXPECT_EQ(client.stats().shards[0].service.sessions, 1u);
 }
 
 TEST(NetTest, CreateDoesNotBlockTheRouterReader) {
-  core::Service service(ssa_options(1));
-  ShardServer shard(service);
-  Router router({loopback(shard.port())});
+  // A stand-in shard that answers submits at once and holds every create
+  // after the first for a second, on its serial worker. The router's
+  // create forward waits on it; a submit sent after the slow create on the
+  // same client connection must be answered first.
+  std::atomic<unsigned> creates{0};
+  EnvelopeServer slow_shard(0, [&creates](const fhe::Envelope& request,
+                                          ServerConnection& connection) {
+    fhe::Envelope reply;
+    reply.session = request.session;
+    reply.request_id = request.request_id;
+    if (request.type == fhe::MessageType::kCreateSession) {
+      connection.run_serial(request, [&creates, &connection, reply]() mutable {
+        const unsigned n = ++creates;
+        if (n > 1) std::this_thread::sleep_for(std::chrono::seconds(1));
+        reply.type = fhe::MessageType::kSessionCreated;
+        reply.session = n;
+        connection.send_now(std::move(reply));
+      });
+      return;
+    }
+    reply.type = request.type == fhe::MessageType::kSubmit ? fhe::MessageType::kResponse
+                                                            : fhe::MessageType::kPong;
+    if (request.type == fhe::MessageType::kSubmit) {
+      reply.payload = core::encode_response(core::Response{});
+    }
+    connection.send_now(std::move(reply));
+  });
+  Router router({loopback(slow_shard.port())});
   ShardClient client(loopback(router.port()));
-  expect_and_overtakes_create(client);
+
+  const fhe::Bytes payload =
+      fhe::encode_session_create(fhe::tenant_keygen(DghvParams::toy(), 41).create);
+  const fhe::Envelope first = client.create_session_raw(payload);
+  ASSERT_EQ(first.type, fhe::MessageType::kSessionCreated);
+  std::future<fhe::Envelope> slow =
+      std::async(std::launch::async, [&] { return client.create_session_raw(payload); });
+  // Let the create's frame reach the wire before the submit's.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const core::Response response = client.submit(first.session, core::Request{}).get();
+  EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+      << "the submit was answered only after the create";
+  EXPECT_TRUE(response.ok()) << response.error;
+  const fhe::Envelope created = slow.get();
+  EXPECT_EQ(created.type, fhe::MessageType::kSessionCreated);
+  EXPECT_NE(created.session, first.session);
 }
 
 TEST(NetTest, ClosedConnectionsAreReaped) {

@@ -8,6 +8,7 @@
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "service/request.hpp"
 #include "util/rng.hpp"
 
@@ -656,6 +657,59 @@ TEST_F(SerializeTest, DocumentedPingEnvelopeHexExampleRoundTrips) {
   EXPECT_EQ(back.request_id, 3u);
   EXPECT_EQ(back.deadline_ms, 250u);
   EXPECT_TRUE(back.payload.empty());
+}
+
+TEST_F(SerializeTest, DocumentedCreateSessionEnvelopeHexExampleRoundTrips) {
+  // The exact 215-byte kCreateSession envelope worked through byte by byte
+  // in docs/wire-protocol.md: request id 1 carrying fhe::tenant_keygen's
+  // material at the smallest parameters validate() accepts (lambda 1,
+  // rho 1, eta 64, gamma 128, tau 1), seed 6. Keep the doc and this array
+  // in sync.
+  const Bytes documented = {
+      0x48, 0x4D, 0x57, 0x31, 0x01, 0x09, 0xC9, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xB0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x48, 0x4D, 0x57, 0x31, 0x01, 0x02,
+      0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x48, 0x4D, 0x57, 0x31, 0x01,
+      0x01, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x67, 0xCF, 0x7C, 0xB8, 0x5E, 0x41, 0x61, 0x77, 0x75, 0x2C, 0x21, 0xFF, 0xCB,
+      0x4F, 0x8C, 0xB8, 0x48, 0x4D, 0x57, 0x31, 0x01, 0x05, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6F, 0xBB, 0x7C, 0x20, 0xC8,
+      0x1F, 0x3D, 0x73, 0x25, 0xA9, 0x3B, 0xA1, 0xC0, 0x9B, 0x95, 0xA0, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x10, 0x40, 0x48, 0x4D, 0x57, 0x31, 0x01, 0x05, 0x20, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x70, 0xBB, 0x7C, 0x20,
+      0xC8, 0x1F, 0x3D, 0x73, 0x25, 0xA9, 0x3B, 0xA1, 0xC0, 0x9B, 0x95, 0xA0, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x10, 0x40,
+  };
+  ASSERT_EQ(documented.size(), 215u);
+
+  DghvParams params;
+  params.lambda = 1;
+  params.rho = 1;
+  params.eta = 64;
+  params.gamma = 128;
+  params.tau = 1;
+  const SessionCreate create = tenant_keygen(params, 6).create;
+
+  Envelope envelope;
+  envelope.type = MessageType::kCreateSession;
+  envelope.request_id = 1;
+  envelope.payload = encode_session_create(create);
+  EXPECT_EQ(encode_envelope(envelope), documented);
+
+  const Envelope back = decode_envelope(documented);
+  EXPECT_EQ(back.type, MessageType::kCreateSession);
+  EXPECT_EQ(back.session, 0u);
+  EXPECT_EQ(back.request_id, 1u);
+  const SessionCreate decoded = decode_session_create(back.payload);
+  EXPECT_NO_THROW(decoded.validate());
+  EXPECT_EQ(decoded.params.gamma, 128u);
+  EXPECT_EQ(decoded.x0, create.x0);
+  EXPECT_EQ(decoded.x0.bit_length(), 128u);
+  EXPECT_EQ(decoded.zero.value, create.zero.value);
+  EXPECT_EQ(decoded.one.value, create.one.value);
+  EXPECT_EQ(decoded.one.noise_bits, 4.0);
 }
 
 TEST_F(SerializeTest, CorruptedHeaderBytesAreRejected) {

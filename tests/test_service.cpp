@@ -14,6 +14,7 @@
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/serialize.hpp"
+#include "fhe/session.hpp"
 #include "service/service.hpp"
 
 namespace hemul::core {
@@ -48,6 +49,19 @@ u64 decrypt_response(const fhe::Dghv& scheme, const Response& response) {
   return fhe::decrypt_int(scheme, fhe::EncryptedInt(outputs.begin(), outputs.end()));
 }
 
+/// An in-process tenant: the session it opened and the key context it
+/// kept. The service holds only the session's evaluation material.
+struct Tenant {
+  SessionId session = 0;
+  fhe::Dghv scheme;
+};
+
+Tenant open_tenant(Service& service, const DghvParams& params, u64 seed) {
+  fhe::TenantKeys keys = fhe::tenant_keygen(params, seed);
+  const SessionId session = service.create_session(std::move(keys.create));
+  return {session, std::move(keys.scheme)};
+}
+
 /// Registers "faulty": an engine whose every multiply throws.
 void register_faulty_backend() {
   backend::Registry::instance().add("faulty", [] {
@@ -71,8 +85,9 @@ Request and_request(fhe::Dghv& scheme, bool a, bool b) {
 
 TEST(ServiceTest, BuiltinAdderRoundTrips) {
   Service service(ssa_options(2));
-  const SessionId session = service.create_session(DghvParams::toy(), 101);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 101);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request request;
   request.spec.kind = CircuitKind::kAdder;
@@ -92,8 +107,9 @@ TEST(ServiceTest, CarrySaveLoweringRoundTripsAndRunsShallower) {
   // decryption, but the carry-save form must traverse fewer wavefronts
   // than ripple's width+... chain (the strategy really steers the builtin).
   Service service(ssa_options(2));
-  const SessionId session = service.create_session(DghvParams::toy(), 101);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 101);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   unsigned levels[2] = {0, 0};
   int slot = 0;
@@ -118,8 +134,9 @@ TEST(ServiceTest, CarrySaveLoweringRoundTripsAndRunsShallower) {
 
 TEST(ServiceTest, EveryBuiltinCircuitDecryptsCorrectly) {
   Service service(ssa_options(2));
-  const SessionId session = service.create_session(DghvParams::toy(), 77);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 77);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
   const unsigned w = 3;
   const u64 x = 5, y = 3;
 
@@ -169,8 +186,9 @@ TEST(ServiceTest, GraphRequestBitExactAgainstInProcessForEveryBackend) {
     options.config.backend_name = name;
     options.config.num_workers = 1;
     Service service(options);
-    const SessionId session = service.create_session(DghvParams::toy(), 4242);
-    fhe::Dghv& scheme = service.scheme(session);
+    Tenant tenant = open_tenant(service, DghvParams::toy(), 4242);
+    const SessionId session = tenant.session;
+    fhe::Dghv& scheme = tenant.scheme;
 
     // Client side: record a 2-bit adder with client-supplied constants.
     fhe::Graph graph(scheme);
@@ -215,24 +233,25 @@ TEST(ServiceTest, ConcurrentSingleMultiplyTenantsShareBatches) {
   Service service(ssa_options(2, /*window_ms=*/250.0));
   constexpr int kTenants = 8;
 
-  std::vector<SessionId> sessions;
+  std::vector<Tenant> tenants;
   std::vector<std::future<Response>> futures;
   for (int t = 0; t < kTenants; ++t) {
-    sessions.push_back(service.create_session(DghvParams::toy(), 1000 + static_cast<u64>(t)));
+    tenants.push_back(open_tenant(service, DghvParams::toy(), 1000 + static_cast<u64>(t)));
   }
   for (int t = 0; t < kTenants; ++t) {
-    fhe::Dghv& scheme = service.scheme(sessions[static_cast<std::size_t>(t)]);
+    fhe::Dghv& scheme = tenants[static_cast<std::size_t>(t)].scheme;
     Request request;
     request.spec.kind = CircuitKind::kAnd;
     request.inputs =
         concat(fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(true)}),
                fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(t % 2 == 0)}));
-    futures.push_back(service.submit(sessions[static_cast<std::size_t>(t)], std::move(request)));
+    futures.push_back(
+        service.submit(tenants[static_cast<std::size_t>(t)].session, std::move(request)));
   }
   for (int t = 0; t < kTenants; ++t) {
     const Response response = futures[static_cast<std::size_t>(t)].get();
     ASSERT_TRUE(response.ok()) << response.error;
-    const fhe::Dghv& scheme = service.scheme(sessions[static_cast<std::size_t>(t)]);
+    const fhe::Dghv& scheme = tenants[static_cast<std::size_t>(t)].scheme;
     const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(response.outputs);
     ASSERT_EQ(outputs.size(), 1u);
     EXPECT_EQ(scheme.decrypt(outputs[0]), t % 2 == 0);
@@ -249,28 +268,28 @@ TEST(ServiceTest, ConcurrentSingleMultiplyTenantsShareBatches) {
 
 TEST(ServiceTest, MixedDepthRequestsCoalesceAndStayCorrect) {
   Service service(ssa_options(2, /*window_ms=*/250.0));
-  const SessionId s1 = service.create_session(DghvParams::toy(), 11);
-  const SessionId s2 = service.create_session(DghvParams::toy(), 22);
+  Tenant s1 = open_tenant(service, DghvParams::toy(), 11);
+  Tenant s2 = open_tenant(service, DghvParams::toy(), 22);
 
   Request adder;  // depth 3
   adder.spec.kind = CircuitKind::kAdder;
   adder.spec.width = 3;
-  adder.inputs = concat(encrypt_inputs(service.scheme(s1), 5, 3),
-                        encrypt_inputs(service.scheme(s1), 6, 3));
+  adder.inputs = concat(encrypt_inputs(s1.scheme, 5, 3),
+                        encrypt_inputs(s1.scheme, 6, 3));
   Request single;  // depth 1
   single.spec.kind = CircuitKind::kAnd;
   single.inputs = concat(
-      fhe::encode_ciphertexts(std::vector<Ciphertext>{service.scheme(s2).encrypt(true)}),
-      fhe::encode_ciphertexts(std::vector<Ciphertext>{service.scheme(s2).encrypt(true)}));
+      fhe::encode_ciphertexts(std::vector<Ciphertext>{s2.scheme.encrypt(true)}),
+      fhe::encode_ciphertexts(std::vector<Ciphertext>{s2.scheme.encrypt(true)}));
 
-  auto f1 = service.submit(s1, std::move(adder));
-  auto f2 = service.submit(s2, std::move(single));
+  auto f1 = service.submit(s1.session, std::move(adder));
+  auto f2 = service.submit(s2.session, std::move(single));
   const Response r1 = f1.get();
   const Response r2 = f2.get();
   ASSERT_TRUE(r1.ok()) << r1.error;
   ASSERT_TRUE(r2.ok()) << r2.error;
-  EXPECT_EQ(decrypt_response(service.scheme(s1), r1), 11u);
-  EXPECT_EQ(decrypt_response(service.scheme(s2), r2), 1u);
+  EXPECT_EQ(decrypt_response(s1.scheme, r1), 11u);
+  EXPECT_EQ(decrypt_response(s2.scheme, r2), 1u);
 
   // The adder needed 3 rounds; the AND rode the first of them when both
   // landed in one admission window, so total batches stays <= 4 either way.
@@ -283,8 +302,9 @@ TEST(ServiceTest, MixedDepthRequestsCoalesceAndStayCorrect) {
 
 TEST(ServiceTest, DeepCircuitOnToyParamsIsRejectedWithoutSpendingMultiplies) {
   Service service(ssa_options(1));
-  const SessionId session = service.create_session(DghvParams::toy(), 5);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 5);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request request;  // a 4x4 multiplier goes far past the toy noise budget
   request.spec.kind = CircuitKind::kMul;
@@ -303,21 +323,22 @@ TEST(ServiceTest, DeepCircuitOnToyParamsIsRejectedWithoutSpendingMultiplies) {
   EXPECT_EQ(service.tenant_stats(session).rejected_by_noise, 1u);
 
   // The same circuit against the deep budget sails through.
-  const SessionId deep = service.create_session(DghvParams::deep(), 5);
+  Tenant deep = open_tenant(service, DghvParams::deep(), 5);
   Request retry;
   retry.spec.kind = CircuitKind::kMul;
   retry.spec.width = 4;
-  retry.inputs = concat(encrypt_inputs(service.scheme(deep), 9, 4),
-                        encrypt_inputs(service.scheme(deep), 13, 4));
-  const Response ok = service.submit(deep, std::move(retry)).get();
+  retry.inputs = concat(encrypt_inputs(deep.scheme, 9, 4),
+                        encrypt_inputs(deep.scheme, 13, 4));
+  const Response ok = service.submit(deep.session, std::move(retry)).get();
   ASSERT_TRUE(ok.ok()) << ok.error;
-  EXPECT_EQ(decrypt_response(service.scheme(deep), ok), 117u);
+  EXPECT_EQ(decrypt_response(deep.scheme, ok), 117u);
 }
 
 TEST(ServiceTest, MalformedPayloadsYieldBadRequestNotCrash) {
   Service service(ssa_options(1));
-  const SessionId session = service.create_session(DghvParams::toy(), 3);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 3);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request garbage;  // input bytes that are not ciphertext frames
   garbage.spec.kind = CircuitKind::kAnd;
@@ -375,8 +396,9 @@ TEST(ServiceTest, LaneExceptionFailsOneRequestNotTheService) {
   options.config.backend_name = "faulty";
   options.config.num_workers = 1;
   Service service(options);
-  const SessionId session = service.create_session(DghvParams::toy(), 55);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 55);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request doomed;
   doomed.spec.kind = CircuitKind::kAnd;
@@ -426,14 +448,14 @@ TEST(ServiceTest, LaneFaultFailsOnlyItsRequestWithinOneCoalescedRound) {
   options.config.num_workers = 1;
   options.admission_window_ms = 250.0;
   Service service(options);
-  const SessionId toy = service.create_session(DghvParams::toy(), 71);
-  const SessionId deep = service.create_session(DghvParams::deep(), 72);
-  Request toy_and = and_request(service.scheme(toy), true, true);
-  Request deep_and = and_request(service.scheme(deep), true, true);
+  Tenant toy = open_tenant(service, DghvParams::toy(), 71);
+  Tenant deep = open_tenant(service, DghvParams::deep(), 72);
+  Request toy_and = and_request(toy.scheme, true, true);
+  Request deep_and = and_request(deep.scheme, true, true);
 
   const ServiceStats before = service.stats();
-  auto toy_future = service.submit(toy, std::move(toy_and));
-  auto deep_future = service.submit(deep, std::move(deep_and));
+  auto toy_future = service.submit(toy.session, std::move(toy_and));
+  auto deep_future = service.submit(deep.session, std::move(deep_and));
   const Response toy_response = toy_future.get();
   const Response deep_response = deep_future.get();
 
@@ -447,7 +469,7 @@ TEST(ServiceTest, LaneFaultFailsOnlyItsRequestWithinOneCoalescedRound) {
   ASSERT_TRUE(toy_response.ok()) << toy_response.error;
   const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(toy_response.outputs);
   ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_TRUE(service.scheme(toy).decrypt(outputs[0]));
+  EXPECT_TRUE(toy.scheme.decrypt(outputs[0]));
   EXPECT_EQ(after.internal_errors, 1u);
   EXPECT_EQ(after.completed, 1u);
 }
@@ -491,17 +513,17 @@ TEST(ServiceTest, ConcurrentTenantsFromManyThreads) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3;
 
-  std::vector<SessionId> sessions;
+  std::vector<Tenant> tenants;
   for (int t = 0; t < kThreads; ++t) {
-    sessions.push_back(service.create_session(DghvParams::toy(), 31 + static_cast<u64>(t)));
+    tenants.push_back(open_tenant(service, DghvParams::toy(), 31 + static_cast<u64>(t)));
   }
 
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&service, &sessions, &failures, t] {
-      const SessionId session = sessions[static_cast<std::size_t>(t)];
-      fhe::Dghv& scheme = service.scheme(session);
+    threads.emplace_back([&service, &tenants, &failures, t] {
+      const SessionId session = tenants[static_cast<std::size_t>(t)].session;
+      fhe::Dghv& scheme = tenants[static_cast<std::size_t>(t)].scheme;
       for (int i = 0; i < kPerThread; ++i) {
         const u64 x = static_cast<u64>(t + i) % 8;
         const u64 y = static_cast<u64>(t * 2 + i) % 8;
@@ -527,8 +549,8 @@ TEST(ServiceTest, ConcurrentTenantsFromManyThreads) {
   EXPECT_EQ(stats.sessions, static_cast<std::size_t>(kThreads));
 
   u64 tenant_completed = 0;
-  for (const SessionId session : sessions) {
-    tenant_completed += service.tenant_stats(session).completed;
+  for (const Tenant& tenant : tenants) {
+    tenant_completed += service.tenant_stats(tenant.session).completed;
   }
   EXPECT_EQ(tenant_completed, stats.completed);
 }
@@ -538,8 +560,9 @@ TEST(ServiceTest, ResidentRoundsBeatTheEagerTransformTally) {
   // its wires stay in the NTT domain between wavefronts, so it runs fewer
   // transforms than the eager 3 per AND gate.
   Service service(ssa_options(2));
-  const SessionId session = service.create_session(DghvParams::toy(), 404);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 404);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request request;
   request.spec.kind = CircuitKind::kAdder;
@@ -561,39 +584,30 @@ TEST(ServiceTest, ResidentRoundsBeatTheEagerTransformTally) {
 
 TEST(ServiceTest, DestructorDrainsOutstandingRequests) {
   std::future<Response> future;
-  SessionId session = 0;
-  fhe::Bytes secret;
-  fhe::Bytes outputs;
+  fhe::TenantKeys keys = fhe::tenant_keygen(DghvParams::toy(), 9);
   {
     Service service(ssa_options(1, /*window_ms=*/50.0));
-    session = service.create_session(DghvParams::toy(), 9);
-    fhe::Dghv& scheme = service.scheme(session);
+    const SessionId session = service.create_session(keys.create);
     Request request;
     request.spec.kind = CircuitKind::kAdder;
     request.spec.width = 2;
-    request.inputs = concat(encrypt_inputs(scheme, 1, 2), encrypt_inputs(scheme, 2, 2));
-    secret = service.secret_key_bytes(session);
+    request.inputs =
+        concat(encrypt_inputs(keys.scheme, 1, 2), encrypt_inputs(keys.scheme, 2, 2));
     future = service.submit(session, std::move(request));
     // Service destructs here with the request possibly still queued.
   }
   const Response response = future.get();
   ASSERT_TRUE(response.ok()) << response.error;
-  // Decrypt with the serialized secret key: (c mod p) mod 2 per bit.
-  const bigint::BigUInt p = fhe::decode_secret_key(secret);
-  const std::vector<Ciphertext> bits = fhe::decode_ciphertexts(response.outputs);
-  u64 value = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    value |= static_cast<u64>((bits[i].value % p).is_odd()) << i;
-  }
-  EXPECT_EQ(value, 3u);
+  EXPECT_EQ(decrypt_response(keys.scheme, response), 3u);
 }
 
 // --- drain mode (the daemon's SIGTERM path) ---------------------------------
 
 TEST(ServiceTest, StopAcceptingDrainsButRefusesNewWork) {
   Service service(ssa_options(1, /*window_ms=*/50.0));
-  const SessionId session = service.create_session(DghvParams::toy(), 31);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 31);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   Request request;
   request.spec.kind = CircuitKind::kAdder;
@@ -635,8 +649,9 @@ TEST(ServiceTest, BoundedQueueShedsWithRetryHintAndNeverExceedsDepth) {
   ServiceOptions options = ssa_options(1, /*window_ms=*/150.0);
   options.max_queue_depth = 1;
   Service service(options);
-  const SessionId session = service.create_session(DghvParams::toy(), 41);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 41);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
 
   auto make_request = [&] {
     Request request;
@@ -674,8 +689,9 @@ TEST(ServiceTest, CompletionCallbackRunsExactlyOnceOnTheCoordinatorOrInsideSubmi
   ServiceOptions options = ssa_options(1, /*window_ms=*/150.0);
   options.max_queue_depth = 1;
   Service service(options);
-  const SessionId session = service.create_session(DghvParams::toy(), 43);
-  fhe::Dghv& scheme = service.scheme(session);
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 43);
+  const SessionId session = tenant.session;
+  fhe::Dghv& scheme = tenant.scheme;
   auto make_request = [&] {
     Request request;
     request.spec.kind = CircuitKind::kAnd;
@@ -723,24 +739,24 @@ TEST(ServiceTest, SessionTableEvictsLeastRecentlyUsedWhenFull) {
   options.max_sessions = 2;
   Service service(options);
 
-  const SessionId a = service.create_session(DghvParams::toy(), 51);
+  Tenant a = open_tenant(service, DghvParams::toy(), 51);
   const SessionId b = service.create_session(DghvParams::toy(), 52);
 
   // Touch a so b becomes the least recently used...
-  fhe::Dghv& scheme = service.scheme(a);
+  fhe::Dghv& scheme = a.scheme;
   Request request;
   request.spec.kind = CircuitKind::kAnd;
   request.inputs = concat(
       fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(true)}),
       fhe::encode_ciphertexts(std::vector<Ciphertext>{scheme.encrypt(true)}));
-  ASSERT_TRUE(service.submit(a, std::move(request)).get().ok());
+  ASSERT_TRUE(service.submit(a.session, std::move(request)).get().ok());
 
   // ...then a third session must evict b, not a.
   const SessionId c = service.create_session(DghvParams::toy(), 53);
-  EXPECT_NE(c, a);
+  EXPECT_NE(c, a.session);
   EXPECT_EQ(service.stats().sessions_evicted, 1u);
   EXPECT_EQ(service.stats().sessions, 2u);
-  (void)service.scheme(a);  // the touched session survived
+  (void)service.tenant_stats(a.session);  // the touched session survived
   EXPECT_THROW((void)service.tenant_stats(b), std::invalid_argument);
 
   Request late;
@@ -803,22 +819,22 @@ struct BarrettCase {
 
 TEST(ServiceTest, AboveTheBarrettThresholdRoundsMatchDghvGateByGate) {
   Service service(ssa_options(2, /*window_ms=*/250.0));
-  const SessionId s1 = service.create_session(barrett_params(), 8101);
-  const SessionId s2 = service.create_session(barrett_params(), 8102);
-  ASSERT_GE(service.scheme(s1).public_key().x0.limb_count(), bigint::kBarrettThresholdLimbs);
-  BarrettCase case1(service.scheme(s1), true, true, false);
-  BarrettCase case2(service.scheme(s2), true, false, true);
+  Tenant s1 = open_tenant(service, barrett_params(), 8101);
+  Tenant s2 = open_tenant(service, barrett_params(), 8102);
+  ASSERT_GE(s1.scheme.public_key().x0.limb_count(), bigint::kBarrettThresholdLimbs);
+  BarrettCase case1(s1.scheme, true, true, false);
+  BarrettCase case2(s2.scheme, true, false, true);
 
   const ServiceStats before = service.stats();
   const bigint::ReciprocalCacheStats cache_before = bigint::reciprocal_cache_stats();
-  auto f1 = service.submit(s1, std::move(case1.request));
-  auto f2 = service.submit(s2, std::move(case2.request));
+  auto f1 = service.submit(s1.session, std::move(case1.request));
+  auto f2 = service.submit(s2.session, std::move(case2.request));
   const Response r1 = f1.get();
   const Response r2 = f2.get();
   ASSERT_TRUE(r1.ok()) << r1.error;
   ASSERT_TRUE(r2.ok()) << r2.error;
-  case1.check(service.scheme(s1), fhe::decode_ciphertexts(r1.outputs), "session 1");
-  case2.check(service.scheme(s2), fhe::decode_ciphertexts(r2.outputs), "session 2");
+  case1.check(s1.scheme, fhe::decode_ciphertexts(r1.outputs), "session 1");
+  case2.check(s2.scheme, fhe::decode_ciphertexts(r2.outputs), "session 2");
 
   // Both requests shared each of the two level rounds.
   const ServiceStats after = service.stats();
@@ -862,15 +878,15 @@ bigint::BigUInt poisoned_dispatch(const bigint::BigUInt& a, const bigint::BigUIn
 
 TEST(ServiceTest, ReductionFaultOnALaneFailsOnlyItsRequest) {
   Service service(ssa_options(2, /*window_ms=*/250.0));
-  const SessionId healthy = service.create_session(barrett_params(), 8104);
-  const SessionId doomed = service.create_session(barrett_params(), 8105);
-  Request healthy_and = and_request(service.scheme(healthy), true, true);
-  Request doomed_and = and_request(service.scheme(doomed), true, true);
+  Tenant healthy = open_tenant(service, barrett_params(), 8104);
+  Tenant doomed = open_tenant(service, barrett_params(), 8105);
+  Request healthy_and = and_request(healthy.scheme, true, true);
+  Request doomed_and = and_request(doomed.scheme, true, true);
 
   const bigint::MulDispatchFn original = bigint::mul_dispatch();
   ASSERT_NE(original, nullptr);
   g_fallback_dispatch = original;
-  g_poisoned_modulus = &service.scheme(doomed).public_key().x0;
+  g_poisoned_modulus = &doomed.scheme.public_key().x0;
   bigint::set_mul_dispatch(&poisoned_dispatch);
   struct Restore {
     bigint::MulDispatchFn hook;
@@ -881,8 +897,8 @@ TEST(ServiceTest, ReductionFaultOnALaneFailsOnlyItsRequest) {
   } restore{original};
 
   const ServiceStats before = service.stats();
-  auto healthy_future = service.submit(healthy, std::move(healthy_and));
-  auto doomed_future = service.submit(doomed, std::move(doomed_and));
+  auto healthy_future = service.submit(healthy.session, std::move(healthy_and));
+  auto doomed_future = service.submit(doomed.session, std::move(doomed_and));
   const Response healthy_response = healthy_future.get();
   const Response doomed_response = doomed_future.get();
   const ServiceStats after = service.stats();
@@ -895,17 +911,41 @@ TEST(ServiceTest, ReductionFaultOnALaneFailsOnlyItsRequest) {
   ASSERT_TRUE(healthy_response.ok()) << healthy_response.error;
   const std::vector<Ciphertext> outputs = fhe::decode_ciphertexts(healthy_response.outputs);
   ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_TRUE(service.scheme(healthy).decrypt(outputs[0]));
+  EXPECT_TRUE(healthy.scheme.decrypt(outputs[0]));
   EXPECT_EQ(after.internal_errors, 1u);
   EXPECT_EQ(after.completed, 1u);
 }
 
-TEST(ServiceTest, PublicKeyBytesMatchTheSessionKey) {
+TEST(ServiceTest, CreateSessionRejectsMaterialThatFailsValidation) {
+  // create_session is the one door into the session table, for the wire
+  // and for in-process callers alike: material no keygen could produce
+  // throws SerializeError and opens nothing.
   Service service(ssa_options(1));
-  const SessionId session = service.create_session(DghvParams::toy(), 13);
-  const fhe::PublicKey key = fhe::decode_public_key(service.public_key_bytes(session));
-  EXPECT_EQ(key.x0, service.scheme(session).public_key().x0);
-  EXPECT_EQ(key.x.size(), service.scheme(session).public_key().x.size());
+  const fhe::SessionCreate good = fhe::tenant_keygen(DghvParams::toy(), 13).create;
+  const auto expect_refused = [&](const fhe::SessionCreate& bad, const char* why) {
+    EXPECT_THROW((void)service.create_session(bad), fhe::SerializeError) << why;
+  };
+  fhe::SessionCreate bad = good;
+  bad.x0 = good.x0 - bigint::BigUInt{1};
+  expect_refused(bad, "even x0");
+  bad.x0 = bigint::BigUInt{};
+  expect_refused(bad, "zero x0");
+  bad.x0 = (good.x0 << 1) + bigint::BigUInt{1};
+  expect_refused(bad, "x0 of gamma + 1 bits");
+  bad.x0 = good.x0 >> 2;
+  if (!bad.x0.is_odd()) bad.x0 += bigint::BigUInt{1};
+  expect_refused(bad, "x0 of gamma - 2 or fewer bits");
+  bad = good;
+  bad.one.value = good.x0;
+  expect_refused(bad, "constant >= x0");
+  bad = good;
+  bad.params.eta = bad.params.gamma;
+  expect_refused(bad, "params that fail validate()");
+  EXPECT_EQ(service.stats().sessions, 0u);
+
+  const SessionId session = service.create_session(good);
+  EXPECT_EQ(service.stats().sessions, 1u);
+  EXPECT_EQ(service.tenant_stats(session).session, session);
 }
 
 }  // namespace
