@@ -6,9 +6,8 @@
 // every run.
 //
 // Three classes of output feed the CI bench-regression gate:
-//   * deterministic op counts (shift vs. DSP multiplications per plan) and
-//     intra-op tile counts (groups / tiles per scheduler multiply) --
-//     exact facts of the decomposition and the tiling geometry, hard-gated;
+//   * deterministic op counts (shift vs. DSP multiplications per plan) --
+//     exact facts of the decomposition, hard-gated;
 //   * the four-step headline: the balanced 64K convolve must stay >= 1.3x
 //     faster than the same engine split 2 x 32K, whose 32K-point
 //     sub-transforms run only two lanes wide -- the scalar monolithic sweep
@@ -22,12 +21,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <string>
 #include <vector>
 
 #include "bigint/mul.hpp"
-#include "core/scheduler.hpp"
 #include "ntt/four_step.hpp"
 #include "ntt/mixed_radix.hpp"
 #include "ssa/multiply.hpp"
@@ -60,19 +57,6 @@ struct SweepPoint {
   double four_step_ms = 0.0;
   double speedup = 0.0;
   bool bit_exact = false;
-};
-
-/// One worker-count arm of the intra-op lane-scaling section. The tile
-/// counts are deterministic in (transform shape, worker count, multiply
-/// count); the fanout flag and timings depend on the host.
-struct LaneArm {
-  unsigned workers = 0;
-  u64 tile_groups = 0;
-  u64 tiles = 0;
-  u64 tiles_per_multiply = 0;
-  unsigned lanes_with_tiles = 0;
-  double ms_per_multiply = 0.0;
-  bool serial_match = false;
 };
 
 }  // namespace
@@ -158,17 +142,17 @@ int main(int argc, char** argv) {
     point.n = n;
     fp::FpVec va;
     fp::FpVec vb;
-    fp::FpVec tile_scratch;
+    fp::FpVec scratch;
     point.split_ms = time_ms(iters, [&] {
       va = base_a;
       vb = base_b;
-      split.convolve_into(va, vb, tile_scratch);
+      split.convolve_into(va, vb, scratch);
     });
     const fp::FpVec reference = va;
     point.four_step_ms = time_ms(iters, [&] {
       va = base_a;
       vb = base_b;
-      fs.convolve_into(va, vb, tile_scratch);
+      fs.convolve_into(va, vb, scratch);
     });
     point.speedup = point.split_ms / point.four_step_ms;
     point.bit_exact = va == reference;
@@ -186,66 +170,6 @@ int main(int argc, char** argv) {
   }
   std::printf("headline 64K speedup: %.2fx (gate >= 1.30x: %s)\n\n", head.speedup,
               speedup_64k_ok ? "pass" : "FAIL");
-
-  // --- intra-op lane scaling: one multiply fanned across PE lanes --------
-  // Each arm drives `arm_multiplies` paper-size products through a
-  // scheduler with w workers. Tile accounting is deterministic: a lane's
-  // four-step multiply (convolve_into) dispatches 10 tile groups
-  // (2 forwards x 3 passes + pointwise + 3 inverse passes), each split into
-  // FourStepNtt::tiles_per_pass(256, w) tiles at the 64K shape. The lane
-  // distribution is timing-dependent; running several multiplies per arm
-  // keeps the w=2 fanout flag robust even on a single-CPU host.
-  const unsigned arm_workers[] = {1, 2, 4};
-  const int arm_multiplies = 8;
-  const std::size_t arm_bits = 786432;  // the paper's operand size
-  std::printf("intra-op lane scaling (%d x %zu-bit multiplies per arm):\n", arm_multiplies,
-              arm_bits);
-  std::vector<LaneArm> arms;
-  ssa::Workspace serial_ws;  // no tile executor: the serial reference path
-  for (const unsigned workers : arm_workers) {
-    core::Config config;
-    config.backend_name = "ssa";
-    config.num_workers = workers;
-    config.intra_op_tiling = true;
-    core::Scheduler scheduler(config);
-
-    LaneArm arm;
-    arm.workers = workers;
-    arm.serial_match = true;
-    util::Rng arm_rng(0x4F'00 + workers);
-    const auto t0 = Clock::now();
-    for (int i = 0; i < arm_multiplies; ++i) {
-      const bigint::BigUInt ma = bigint::BigUInt::random_bits(arm_rng, arm_bits);
-      const bigint::BigUInt mb = bigint::BigUInt::random_bits(arm_rng, arm_bits);
-      const bigint::BigUInt tiled = scheduler.submit_multiply(ma, mb).get();
-      bigint::BigUInt serial;
-      ssa::multiply_into(serial, ma, mb, ssa::SsaParams::for_bits(arm_bits), serial_ws);
-      arm.serial_match = arm.serial_match && tiled == serial;
-    }
-    const auto t1 = Clock::now();
-    arm.ms_per_multiply =
-        std::chrono::duration<double, std::milli>(t1 - t0).count() / arm_multiplies;
-
-    const core::SchedulerStats stats = scheduler.stats();
-    arm.tile_groups = stats.tile_groups;
-    arm.tiles = stats.tiles_executed;
-    arm.tiles_per_multiply = stats.tiles_executed / arm_multiplies;
-    for (const core::LaneStats& lane : stats.lanes) {
-      if (lane.tiles > 0) ++arm.lanes_with_tiles;
-    }
-    bit_exact = bit_exact && arm.serial_match;
-    std::printf(
-        "  w=%u: %3llu groups, %4llu tiles (%llu/multiply), %u lane(s) ran tiles, "
-        "%7.2f ms/multiply, %s\n",
-        workers, static_cast<unsigned long long>(arm.tile_groups),
-        static_cast<unsigned long long>(arm.tiles),
-        static_cast<unsigned long long>(arm.tiles_per_multiply), arm.lanes_with_tiles,
-        arm.ms_per_multiply, arm.serial_match ? "bit-exact" : "MISMATCH");
-    arms.push_back(arm);
-  }
-  const u64 groups_per_multiply = arms.front().tile_groups / arm_multiplies;
-  const bool multi_lane_fanout = arms[1].lanes_with_tiles >= 2;
-  std::printf("multi-lane fanout at w=2: %s\n", multi_lane_fanout ? "yes" : "NO");
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -276,29 +200,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "    },\n    \"convolve_64k_ms\": %.3f,\n    \"split_speedup_64k\": %.3f,\n"
-                 "    \"split_speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  },\n",
+                 "    \"split_speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  }\n}\n",
                  head.four_step_ms, head.speedup, speedup_64k_ok ? "true" : "false",
                  min_sweep_speedup);
-    std::fprintf(out,
-                 "  \"intra_op\": {\n    \"multiplies_per_arm\": %d,\n"
-                 "    \"operand_bits\": %zu,\n    \"tile_groups_per_multiply\": %llu,\n"
-                 "    \"arms\": {\n",
-                 arm_multiplies, arm_bits,
-                 static_cast<unsigned long long>(groups_per_multiply));
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      const LaneArm& arm = arms[i];
-      std::fprintf(out,
-                   "      \"w%u\": {\"workers\": %u, \"tile_groups\": %llu, "
-                   "\"tiles\": %llu, \"tiles_per_multiply\": %llu, "
-                   "\"lanes_with_tiles\": %u, \"ms_per_multiply\": %.3f}%s\n",
-                   arm.workers, arm.workers, static_cast<unsigned long long>(arm.tile_groups),
-                   static_cast<unsigned long long>(arm.tiles),
-                   static_cast<unsigned long long>(arm.tiles_per_multiply),
-                   arm.lanes_with_tiles, arm.ms_per_multiply,
-                   i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(out, "    },\n    \"multi_lane_fanout\": %s\n  }\n}\n",
-                 multi_lane_fanout ? "true" : "false");
     std::fclose(out);
     std::printf("json: %s\n", json_path.c_str());
   }

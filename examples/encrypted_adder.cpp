@@ -1,15 +1,17 @@
 // encrypted_adder: word-level homomorphic computation with the lazy
 // circuit-graph IR -- a ripple-carry adder and an equality check over
 // encrypted 4-bit integers are *recorded* as one fhe::Graph, audited for
-// noise before anything runs, then wavefront-evaluated through
-// core::Accelerator::evaluate, counting how many accelerator
-// multiplications the server spends (the paper's cost unit: one AND = one
-// 786,432-bit product).
+// noise before anything runs, then wavefront-evaluated by an
+// fhe::Evaluator across a core::Scheduler's PE lanes, counting how many
+// accelerator multiplications the server spends (the paper's cost unit:
+// one AND = one 786,432-bit product).
 
 #include <cstdio>
 
 #include "core/accelerator.hpp"
+#include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
+#include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 
 int main() {
@@ -48,13 +50,14 @@ int main() {
               graph.predicted_decryptable(sum.carry_out) ? "yes" : "no");
 
   // Server: wavefront evaluation -- every level of independent AND gates
-  // goes out as one batch across the accelerator's PE lanes.
+  // goes out as one batch across the scheduler's PE lanes.
   core::Config config;
   config.backend_name = "ssa";
   config.num_workers = 2;
-  core::Accelerator accel(config);
+  core::Scheduler scheduler(config);
+  fhe::Evaluator evaluator(scheduler);
   fhe::EvalReport report;
-  const std::vector<fhe::Ciphertext> results = accel.evaluate(graph, outputs, &report);
+  const std::vector<fhe::Ciphertext> results = evaluator.evaluate(graph, outputs, &report);
 
   const fhe::EncryptedInt enc_sum(results.begin(), results.begin() + 4);
   const u64 decrypted =

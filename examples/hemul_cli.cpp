@@ -88,7 +88,7 @@ using namespace hemul;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: hemul_cli [--backend <name>] [--workers N] [--no-intra-op]\n"
+               "usage: hemul_cli [--backend <name>] [--workers N]\n"
                "                 [--lowering <ripple|carry-save>]\n"
                "                 [--deadline-ms MS] [--retries N]\n"
                "                 mul <hexA> <hexB> |\n"
@@ -199,8 +199,8 @@ int cmd_batch(const std::string& backend_name, std::size_t n, std::size_t bits) 
   return 0;
 }
 
-int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra_op,
-                   std::size_t n, std::size_t bits) {
+int cmd_throughput(const std::string& backend_name, unsigned workers, std::size_t n,
+                   std::size_t bits) {
   using Clock = std::chrono::steady_clock;
 
   core::Config config;
@@ -208,7 +208,6 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra
   // SSA engine rather than the simulated accelerator.
   config.backend_name = backend_name.empty() ? "ssa" : backend_name;
   config.num_workers = workers;
-  config.intra_op_tiling = intra_op;
   core::Scheduler scheduler(config);
 
   util::Rng rng(0x7412);
@@ -242,26 +241,12 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra
     std::printf("  lane %-2u    : %llu jobs, %.1f ms busy (%.0f%% of wall)", lane.lane,
                 static_cast<unsigned long long>(lane.jobs), lane.busy_ms,
                 wall_ms > 0.0 ? 100.0 * lane.busy_ms / wall_ms : 0.0);
-    if (lane.tiles > 0) {
-      std::printf(", %llu intra-op tiles", static_cast<unsigned long long>(lane.tiles));
-    }
     if (lane.hw_cycles > 0) {
       std::printf(", %llu modeled cycles", static_cast<unsigned long long>(lane.hw_cycles));
     }
     std::printf("\n");
   }
   if (wall_ms > 0.0) std::printf("parallelism  : %.2fx (lane-busy/wall)\n", busy_ms / wall_ms);
-  if (stats.tile_groups > 0) {
-    unsigned lanes_with_tiles = 0;
-    for (const core::LaneStats& lane : stats.lanes) {
-      if (lane.tiles > 0) ++lanes_with_tiles;
-    }
-    std::printf("intra-op     : %llu tile group(s), %llu tiles across %u lane(s)\n",
-                static_cast<unsigned long long>(stats.tile_groups),
-                static_cast<unsigned long long>(stats.tiles_executed), lanes_with_tiles);
-  } else if (!intra_op) {
-    std::printf("intra-op     : disabled (--no-intra-op)\n");
-  }
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (products[i] != bigint::mul_auto_classical(jobs[i].first, jobs[i].second)) {
@@ -273,8 +258,8 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, bool intra
   return 0;
 }
 
-int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op,
-                const std::string& kind, unsigned width, fhe::LoweringOptions lowering) {
+int cmd_circuit(const std::string& backend_name, unsigned workers, const std::string& kind,
+                unsigned width, fhe::LoweringOptions lowering) {
   if (width == 0 || width > 16) {
     std::fprintf(stderr, "error: circuit width must be in [1, 16]\n");
     return 2;
@@ -367,7 +352,6 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   core::Config config;
   config.backend_name = backend_name.empty() ? "ssa" : backend_name;
   config.num_workers = workers;
-  config.intra_op_tiling = intra_op;
   core::Scheduler scheduler(config);
   fhe::Evaluator evaluator(scheduler);
   fhe::EvalReport report;
@@ -435,24 +419,9 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, bool intra_op
   double busy_ms = 0.0;
   for (const core::LaneStats& lane : stats.lanes) busy_ms += lane.busy_ms;
   for (const core::LaneStats& lane : stats.lanes) {
-    std::printf("  lane %-2u    : %llu jobs, %.1f ms busy (%.0f%% of lane-busy total)",
+    std::printf("  lane %-2u    : %llu jobs, %.1f ms busy (%.0f%% of lane-busy total)\n",
                 lane.lane, static_cast<unsigned long long>(lane.jobs), lane.busy_ms,
                 busy_ms > 0.0 ? 100.0 * lane.busy_ms / busy_ms : 0.0);
-    if (lane.tiles > 0) {
-      std::printf(", %llu intra-op tiles", static_cast<unsigned long long>(lane.tiles));
-    }
-    std::printf("\n");
-  }
-  if (stats.tile_groups > 0) {
-    unsigned lanes_with_tiles = 0;
-    for (const core::LaneStats& lane : stats.lanes) {
-      if (lane.tiles > 0) ++lanes_with_tiles;
-    }
-    std::printf("intra-op     : %llu tile group(s), %llu tiles across %u lane(s)\n",
-                static_cast<unsigned long long>(stats.tile_groups),
-                static_cast<unsigned long long>(stats.tiles_executed), lanes_with_tiles);
-  } else if (!intra_op) {
-    std::printf("intra-op     : disabled (--no-intra-op)\n");
   }
 
   fhe::EncryptedInt out_int(results.begin(), results.end());
@@ -938,17 +907,13 @@ int main(int argc, char** argv) {
 
   std::string backend_name;  // empty = config default ("hw")
   unsigned workers = 0;      // 0 = one scheduler lane per hardware thread
-  bool intra_op = true;      // intra-op tiling escape hatch: --no-intra-op
   bool require_coalescing = false;  // fleet: fail unless batches were shared
   bool lowering_given = false;
   double deadline_ms = 0.0;  // fleet: per-request budget (0 = none)
   unsigned retries = 2;      // fleet: resubmits of kOverloaded sheds
   hemul::fhe::LoweringOptions lowering;  // default: ripple-carry
   for (std::size_t i = 0; i < args.size();) {
-    if (args[i] == "--no-intra-op") {
-      intra_op = false;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else if (args[i] == "--require-coalescing") {
+    if (args[i] == "--require-coalescing") {
       require_coalescing = true;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else if (args[i] == "--backend" && i + 1 < args.size()) {
@@ -995,15 +960,14 @@ int main(int argc, char** argv) {
                        std::strtoull(args[2].c_str(), nullptr, 10));
     }
     if (cmd == "throughput" && args.size() == 3) {
-      return cmd_throughput(backend_name, workers, intra_op,
-                            std::strtoull(args[1].c_str(), nullptr, 10),
+      return cmd_throughput(backend_name, workers, std::strtoull(args[1].c_str(), nullptr, 10),
                             std::strtoull(args[2].c_str(), nullptr, 10));
     }
     if (cmd == "circuit" && (args.size() == 2 || args.size() == 3)) {
       const unsigned width = args.size() == 3
                                  ? static_cast<unsigned>(std::strtoul(args[2].c_str(), nullptr, 10))
                                  : 4;
-      return cmd_circuit(backend_name, workers, intra_op, args[1], width, lowering);
+      return cmd_circuit(backend_name, workers, args[1], width, lowering);
     }
     if (cmd == "serve" && (args.size() == 1 || (args.size() == 2 && args[1][0] != '-'))) {
       return cmd_serve(args.size() == 2 ? args[1] : "", backend_name, workers, lowering);

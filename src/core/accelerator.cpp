@@ -3,7 +3,6 @@
 #include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
 #include "backend/ssa_backend.hpp"
-#include "core/scheduler.hpp"
 #include "util/check.hpp"
 
 namespace hemul::core {
@@ -27,29 +26,6 @@ Accelerator::Accelerator(Config config) : config_(std::move(config)) {
 Accelerator::Accelerator(Accelerator&&) noexcept = default;
 Accelerator& Accelerator::operator=(Accelerator&&) noexcept = default;
 Accelerator::~Accelerator() = default;
-
-Scheduler& Accelerator::scheduler() {
-  if (scheduler_ == nullptr) scheduler_ = std::make_unique<Scheduler>(config_);
-  return *scheduler_;
-}
-
-std::future<bigint::BigUInt> Accelerator::submit_multiply(bigint::BigUInt a,
-                                                          bigint::BigUInt b) {
-  return scheduler().submit_multiply(std::move(a), std::move(b));
-}
-
-std::vector<std::future<bigint::BigUInt>> Accelerator::submit_batch(
-    std::span<const backend::MulJob> jobs) {
-  return scheduler().submit_batch(jobs);
-}
-
-std::vector<fhe::Ciphertext> Accelerator::evaluate(const fhe::Graph& graph,
-                                                   std::span<const fhe::Wire> outputs,
-                                                   fhe::EvalReport* report,
-                                                   const fhe::EvalOptions& options) {
-  fhe::Evaluator evaluator(scheduler());
-  return evaluator.evaluate(graph, outputs, report, options);
-}
 
 MultiplyResult Accelerator::multiply(const bigint::BigUInt& a, const bigint::BigUInt& b) {
   MultiplyResult result;

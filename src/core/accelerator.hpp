@@ -1,6 +1,5 @@
 #pragma once
 
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -8,16 +7,11 @@
 
 #include "backend/backend.hpp"
 #include "core/config.hpp"
-#include "fhe/evaluator.hpp"
 #include "hw/perf/perf_model.hpp"
 #include "hw/resources/report.hpp"
 
 namespace hemul::backend {
 class HwBackend;
-}
-
-namespace hemul::core {
-class Scheduler;
 }
 
 namespace hemul::core {
@@ -38,9 +32,11 @@ struct BatchResult {
   backend::BatchStats stats;
 };
 
-/// The library's public entry point: a thin facade over a pluggable
-/// multiplier backend (see backend::Registry), with the paper's simulated
-/// accelerator as the default engine.
+/// The paper's hardware view: a thin facade over a pluggable multiplier
+/// backend (see backend::Registry), with the paper's simulated accelerator
+/// as the default engine -- multiply with a cycle report, the 64K-point
+/// NTT, modeled resources and performance. Concurrent lanes are
+/// core::Scheduler; circuit evaluation is fhe::Evaluator.
 ///
 /// Typical use:
 ///   core::Accelerator accel;                       // paper configuration
@@ -67,30 +63,6 @@ class Accelerator {
   /// N+1 transforms instead of 3N.
   BatchResult multiply_batch(std::span<const backend::MulJob> jobs);
 
-  /// Enqueues one product on the concurrent scheduler (config().num_workers
-  /// PE lanes, created on first use); the future yields the exact product.
-  std::future<bigint::BigUInt> submit_multiply(bigint::BigUInt a, bigint::BigUInt b);
-
-  /// Enqueues a whole batch on the scheduler; futures are in job order.
-  std::vector<std::future<bigint::BigUInt>> submit_batch(
-      std::span<const backend::MulJob> jobs);
-
-  /// The lazily-created multi-PE scheduler behind submit_multiply /
-  /// submit_batch (lane creation is not thread-safe; first call from one
-  /// thread, then submit from anywhere).
-  Scheduler& scheduler();
-
-  /// Wavefront-evaluates a recorded homomorphic circuit: independent AND
-  /// gates at each multiplicative depth are issued as one batch across the
-  /// scheduler's PE lanes (config().num_workers, created on first use).
-  /// Dead nodes are eliminated and the NoiseModel decryptability check
-  /// runs before execution (see fhe::EvalOptions). Returns one ciphertext
-  /// per requested output wire, in order.
-  std::vector<fhe::Ciphertext> evaluate(const fhe::Graph& graph,
-                                        std::span<const fhe::Wire> outputs,
-                                        fhe::EvalReport* report = nullptr,
-                                        const fhe::EvalOptions& options = {});
-
   /// Forward / inverse 64K-point NTT on the simulated hardware.
   fp::FpVec ntt_forward(const fp::FpVec& data, hw::NttRunReport* report = nullptr);
   fp::FpVec ntt_inverse(const fp::FpVec& data, hw::NttRunReport* report = nullptr);
@@ -111,8 +83,6 @@ class Accelerator {
   std::shared_ptr<backend::MultiplierBackend> backend_;
   /// Set when backend_ is the simulated hardware (cycle reports, NTT access).
   backend::HwBackend* hw_backend_ = nullptr;
-  /// Created by the first submit_multiply/submit_batch/scheduler() call.
-  std::unique_ptr<Scheduler> scheduler_;
 };
 
 }  // namespace hemul::core

@@ -19,11 +19,6 @@ struct Config {
   /// each, mirroring the paper's array of processing elements. 0 selects
   /// one lane per hardware thread.
   unsigned num_workers = 0;
-  /// Intra-op tiling: when true (default), "ssa" lane workspaces carry the
-  /// scheduler's tile executor, so one large multiply's four-step passes
-  /// fan across idle lanes instead of pinning a single lane. Disable for
-  /// A/B measurement (hemul_cli --no-intra-op).
-  bool intra_op_tiling = true;
 
   /// The paper's prototype: 4 PEs, 200 MHz, 64*64*16 plan, 786,432-bit
   /// operands.

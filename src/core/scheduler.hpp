@@ -12,7 +12,6 @@
 
 #include "backend/backend.hpp"
 #include "core/config.hpp"
-#include "ntt/tiling.hpp"
 
 namespace hemul::core {
 
@@ -21,7 +20,6 @@ namespace hemul::core {
 struct LaneStats {
   unsigned lane = 0;
   u64 jobs = 0;        ///< jobs this lane executed
-  u64 tiles = 0;       ///< intra-op (four-step) tiles this lane executed
   u64 hw_cycles = 0;   ///< modeled cycles this lane's jobs cost
                        ///< (simulated-hw lanes only)
   double busy_ms = 0.0;  ///< wall-clock spent executing jobs
@@ -32,11 +30,6 @@ struct SchedulerStats {
   std::vector<LaneStats> lanes;
   u64 submitted = 0;  ///< jobs accepted by submit()
   u64 completed = 0;  ///< jobs whose future is (or is about to be) ready
-  /// Intra-op tiling: tile groups run through run_tiles() and the total
-  /// tiles they split into. Deterministic in the job stream + lane count
-  /// (unlike the per-lane tile distribution, which depends on timing).
-  u64 tile_groups = 0;
-  u64 tiles_executed = 0;
 };
 
 /// Concurrent multi-PE execution layer: N worker threads, each owning one
@@ -48,7 +41,8 @@ struct SchedulerStats {
 ///   - "hw"  -> one simulated accelerator per lane, built from
 ///              config.hardware (per-lane cycle accounting in LaneStats);
 ///   - "ssa" -> the adaptive software SSA engine per lane, each with its
-///              own workspace (allocation-free products in steady state);
+///              own workspace (allocation-free products in steady state;
+///              each product runs serially on the lane that owns it);
 ///   - any other registry name -> one fresh instance per lane.
 ///
 /// Results are bit-exact and deterministic regardless of num_workers: jobs
@@ -96,26 +90,6 @@ class Scheduler {
   /// resident lane jobs themselves are plain submit() jobs.
   [[nodiscard]] bool lanes_support_spectra() const;
 
-  // ---- nested tile execution -----------------------------------------
-  // The intra-op parallelism seam: a job already running on a lane splits
-  // one large NTT pass into tiles and calls run_tiles, which fans the
-  // tiles across idle lanes WITHOUT blocking the spawning lane -- the
-  // caller claims and executes tiles itself until the group drains, so
-  // progress never depends on another lane being free (a 1-lane scheduler
-  // degenerates to serial execution instead of deadlocking, and nested
-  // groups compose). See CONTRIBUTING.md "Nested scheduler work items".
-
-  /// Runs tile(0) .. tile(count - 1) across the calling thread + idle
-  /// lanes; returns when all tiles completed. Callable from lane threads
-  /// (nested submission) and from outside the scheduler alike. Tiles must
-  /// not block on scheduler futures. The first exception thrown by a tile
-  /// is rethrown on the calling thread after the group drains.
-  void run_tiles(u64 count, const std::function<void(u64)>& tile);
-
-  /// TileExecutor facade over run_tiles (installed on "ssa" lane
-  /// workspaces when config.intra_op_tiling).
-  [[nodiscard]] ntt::TileExecutor& tile_executor() noexcept { return tile_exec_; }
-
   /// Blocks until the queue is empty and every lane is idle.
   void wait_idle();
 
@@ -130,44 +104,14 @@ class Scheduler {
  private:
   /// Type-erased unit of work. The runner owns its promise (shared_ptr,
   /// since std::function requires copyable closures) and reports results /
-  /// exceptions through it, so one queue carries submitted jobs and tile
-  /// helpers alike. `internal` marks tile-helper tasks spawned by run_tiles:
-  /// they ride the same queue but do not count as submitted/completed jobs
-  /// (SchedulerStats job counters describe the caller-visible workload).
-  struct Task {
-    std::function<void(backend::MultiplierBackend&)> run;
-    bool internal = false;
-  };
-
-  /// One run_tiles invocation: a shared claim counter the caller and the
-  /// helper tasks drain cooperatively.
-  struct TileGroup;
-
-  class IntraOpExecutor final : public ntt::TileExecutor {
-   public:
-    explicit IntraOpExecutor(Scheduler* scheduler) noexcept : scheduler_(scheduler) {}
-    [[nodiscard]] unsigned concurrency() const noexcept override {
-      return scheduler_->num_workers();
-    }
-    void run(u64 count, const std::function<void(u64)>& tile) override {
-      scheduler_->run_tiles(count, tile);
-    }
-
-   private:
-    Scheduler* scheduler_;
-  };
-
-  void enqueue(std::function<void(backend::MultiplierBackend&)> run, bool internal = false);
+  /// exceptions through it.
+  using Task = std::function<void(backend::MultiplierBackend&)>;
 
   [[nodiscard]] std::shared_ptr<backend::MultiplierBackend> make_lane_backend();
   void worker_loop(unsigned lane);
-  /// Claims and executes tiles of the group until none remain; returns how
-  /// many this thread ran.
-  static u64 drain_tiles(TileGroup& group);
 
   Config config_;
   std::vector<std::shared_ptr<backend::MultiplierBackend>> lane_backends_;
-  IntraOpExecutor tile_exec_{this};
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -177,8 +121,6 @@ class Scheduler {
   unsigned active_ = 0;
   u64 submitted_ = 0;
   u64 completed_ = 0;
-  u64 tile_groups_ = 0;
-  u64 tiles_executed_ = 0;
   std::vector<LaneStats> lane_stats_;
 
   std::vector<std::thread> threads_;  ///< last member: joins before teardown

@@ -336,16 +336,12 @@ inline void transpose_8x8(Fp* dst, std::size_t dst_stride, const Fp* src,
 
 }  // namespace detail
 
-/// Blocked transpose of the dst-row range [row_begin, row_end):
-/// dst[j * rows + i] = src[i * cols + j] for j in the range, i in [0, rows).
-/// src is rows x cols, dst is cols x rows; they must not overlap. The range
-/// form is the four-step engine's tile: disjoint ranges touch disjoint dst
-/// rows, so tiles run concurrently.
-inline void transpose_range(Fp* dst, const Fp* src, std::size_t rows, std::size_t cols,
-                            std::size_t row_begin, std::size_t row_end) noexcept {
-  std::size_t j = row_begin;
+/// Blocked transpose: dst[j * rows + i] = src[i * cols + j], so dst
+/// (cols x rows) is src (rows x cols) transposed. They must not overlap.
+inline void transpose(Fp* dst, const Fp* src, std::size_t rows, std::size_t cols) noexcept {
+  std::size_t j = 0;
 #if HEMUL_FP_AVX512
-  for (; j + 8 <= row_end; j += 8) {
+  for (; j + 8 <= cols; j += 8) {
     std::size_t i = 0;
     for (; i + 8 <= rows; i += 8) {
       detail::transpose_8x8(dst + j * rows + i, rows, src + i * cols + j, cols);
@@ -355,48 +351,8 @@ inline void transpose_range(Fp* dst, const Fp* src, std::size_t rows, std::size_
     }
   }
 #endif
-  for (; j < row_end; ++j) {
+  for (; j < cols; ++j) {
     for (std::size_t i = 0; i < rows; ++i) dst[j * rows + i] = src[i * cols + j];
-  }
-}
-
-/// Full blocked transpose: dst (cols x rows) = src (rows x cols) transposed.
-inline void transpose(Fp* dst, const Fp* src, std::size_t rows, std::size_t cols) noexcept {
-  transpose_range(dst, src, rows, cols, 0, cols);
-}
-
-/// Transpose-range fused with the inverse transform's epilogue:
-/// dst[j * rows + i] = canonical(src[i * cols + j] * scale). Folding the
-/// 1/N pass into the final corner-turn saves one full sweep over the data.
-inline void transpose_scale_canonical_range(Fp* dst, const Fp* src, std::size_t rows,
-                                            std::size_t cols, Fp scale, std::size_t row_begin,
-                                            std::size_t row_end) noexcept {
-  std::size_t j = row_begin;
-#if HEMUL_FP_AVX512
-  const __m512i s = detail::v_bcast(scale.value());
-  Fp block[64];
-  for (; j + 8 <= row_end; j += 8) {
-    std::size_t i = 0;
-    for (; i + 8 <= rows; i += 8) {
-      detail::transpose_8x8(block, 8, src + i * cols + j, cols);
-      for (std::size_t r = 0; r < 8; ++r) {
-        detail::v_store(dst + (j + r) * rows + i,
-                        detail::v_canonical(detail::v_mul_lazy(detail::v_load(block + 8 * r), s)));
-      }
-    }
-    for (; i < rows; ++i) {
-      for (std::size_t jj = j; jj < j + 8; ++jj) {
-        dst[jj * rows + i] = Fp::from_canonical(
-            canonical_u64(mul_lazy(src[i * cols + jj].value(), scale.value())));
-      }
-    }
-  }
-#endif
-  for (; j < row_end; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      dst[j * rows + i] = Fp::from_canonical(
-          canonical_u64(mul_lazy(src[i * cols + j].value(), scale.value())));
-    }
   }
 }
 

@@ -166,7 +166,7 @@ void write_service_stats(fhe::ByteWriter& w, const core::ServiceStats& s) {
   for (const core::LaneStats& lane : s.lanes) {
     w.put_u32(lane.lane);
     w.put_u64(lane.jobs);
-    w.put_u64(lane.tiles);
+    w.put_u64(0);  // reserved (formerly the lane's intra-op tile count)
     w.put_u64(lane.hw_cycles);
     w.put_f64(lane.busy_ms);
   }
@@ -204,7 +204,7 @@ core::ServiceStats read_service_stats(fhe::ByteReader& r) {
     core::LaneStats lane;
     lane.lane = r.get_u32();
     lane.jobs = r.get_u64();
-    lane.tiles = r.get_u64();
+    (void)r.get_u64();  // reserved slot, written as 0
     lane.hw_cycles = r.get_u64();
     lane.busy_ms = r.get_f64();
     s.lanes.push_back(lane);

@@ -1,6 +1,5 @@
 #include "ntt/four_step.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -40,40 +39,35 @@ std::vector<std::vector<Fp>> make_levels(Fp w, u64 length) {
   return levels;
 }
 
-/// Vector-parallel DIF sweep over the ROW index of a rows x lanes matrix,
-/// restricted to lane columns [lane_begin, lane_end): every butterfly is a
-/// broadcast-twiddle vector op on two contiguous row segments, so no level
-/// ever degenerates into scalar small-half blocks (the dominant cost of a
-/// monolithic sweep). Natural row order in, bit-reversed row order out;
-/// redundant values throughout.
-void dif_cols(Fp* m, u64 rows, u64 lanes, const std::vector<std::vector<Fp>>& levels,
-              u64 lane_begin, u64 lane_end) {
-  const u64 width = lane_end - lane_begin;
+/// Vector-parallel DIF sweep over the ROW index of a rows x lanes matrix:
+/// every butterfly is a broadcast-twiddle vector op on two contiguous rows,
+/// so no level ever degenerates into scalar small-half blocks (the dominant
+/// cost of a monolithic sweep). Natural row order in, bit-reversed row
+/// order out; redundant values throughout.
+void dif_cols(Fp* m, u64 rows, u64 lanes, const std::vector<std::vector<Fp>>& levels) {
   for (std::size_t level = levels.size(); level-- > 0;) {
     const u64 len = 2ULL << level;
     const u64 half = len >> 1;
     const std::vector<Fp>& tw = levels[level];
     for (u64 start = 0; start < rows; start += len) {
       for (u64 j = 0; j < half; ++j) {
-        Fp* lo = m + (start + j) * lanes + lane_begin;
-        fp::dif_butterflies_bcast(lo, lo + half * lanes, tw[j], width);
+        Fp* lo = m + (start + j) * lanes;
+        fp::dif_butterflies_bcast(lo, lo + half * lanes, tw[j], lanes);
       }
     }
   }
 }
 
 /// Vector-parallel DIT sweep (bit-reversed row order in, natural out).
-void dit_cols(Fp* m, u64 rows, u64 lanes, const std::vector<std::vector<Fp>>& levels,
-              u64 lane_begin, u64 lane_end) {
-  const u64 width = lane_end - lane_begin;
+void dit_cols(Fp* m, u64 rows, u64 lanes, const std::vector<std::vector<Fp>>& levels) {
   for (std::size_t level = 0; level < levels.size(); ++level) {
     const u64 len = 2ULL << level;
     const u64 half = len >> 1;
     const std::vector<Fp>& tw = levels[level];
     for (u64 start = 0; start < rows; start += len) {
       for (u64 j = 0; j < half; ++j) {
-        Fp* lo = m + (start + j) * lanes + lane_begin;
-        fp::dit_butterflies_bcast(lo, lo + half * lanes, tw[j], width);
+        Fp* lo = m + (start + j) * lanes;
+        fp::dit_butterflies_bcast(lo, lo + half * lanes, tw[j], lanes);
       }
     }
   }
@@ -84,39 +78,7 @@ u64 balanced_n1(u64 n) {
   return u64{1} << ((log2n + 1) / 2);
 }
 
-/// Row-range tiles oversubscribe the lanes 2x so an early-finishing lane
-/// picks up slack, and chunks stay multiples of 8 rows for the AVX-512
-/// transpose micro-kernel.
-constexpr u64 kTileOversubscribe = 2;
-
 }  // namespace
-
-u64 FourStepNtt::tiles_per_pass(u64 rows, unsigned concurrency) noexcept {
-  const u64 lanes = std::max(1u, concurrency);
-  const u64 tiles = std::min<u64>(lanes * kTileOversubscribe, (rows + 7) / 8);
-  if (tiles <= 1) return 1;
-  const u64 chunk = (((rows + tiles - 1) / tiles) + 7) & ~u64{7};
-  return (rows + chunk - 1) / chunk;
-}
-
-template <typename RangeFn>
-void FourStepNtt::run_pass(u64 rows, TileExecutor* exec, FourStepStats* stats,
-                           RangeFn&& range) const {
-  const u64 tiles = exec != nullptr ? tiles_per_pass(rows, exec->concurrency()) : 1;
-  if (tiles <= 1) {
-    range(u64{0}, rows);
-    return;
-  }
-  const u64 chunk = (((rows + tiles - 1) / tiles) + 7) & ~u64{7};
-  exec->run(tiles, [&range, rows, chunk](u64 tile) {
-    const u64 begin = tile * chunk;
-    range(begin, std::min(rows, begin + chunk));
-  });
-  if (stats != nullptr) {
-    stats->tile_groups += 1;
-    stats->tiles += tiles;
-  }
-}
 
 FourStepNtt::FourStepNtt(u64 n) : FourStepNtt(balanced_n1(n), n / balanced_n1(n)) {}
 
@@ -156,109 +118,75 @@ FourStepNtt::FourStepNtt(u64 n1, u64 n2) : n_(n1 * n2), n1_(n1), n2_(n2) {
   }
 }
 
-void FourStepNtt::forward_raw(FpVec& data, FpVec& scratch, TileExecutor* exec,
-                              FourStepStats* stats) const {
+void FourStepNtt::forward_raw(FpVec& data, FpVec& scratch) const {
   HEMUL_CHECK(data.size() == n_);
   scratch.resize(n_);
   Fp* d = data.data();
   Fp* s = scratch.data();
 
-  // Pass 1 (tiled over i2 lane slabs): length-n1 column transforms over the
-  // row index of the n1 x n2 matrix, with the inter-pass twiddle multiply
-  // fused onto each lane slab while it is cache-hot.
-  run_pass(n2_, exec, stats, [this, d](u64 begin, u64 end) {
-    dif_cols(d, n1_, n2_, col_fwd_levels_, begin, end);
-    for (u64 j = 0; j < n1_; ++j) {
-      fp::pointwise_product_lazy(d + j * n2_ + begin, tw_fwd_.data() + j * n2_ + begin,
-                                 end - begin);
-    }
-  });
-  // Pass 2 (tiled over output rows): corner-turn (n1 x n2) -> (n2 x n1).
-  run_pass(n2_, exec, stats, [this, d, s](u64 begin, u64 end) {
-    fp::transpose_range(s, d, n1_, n2_, begin, end);
-  });
-  // Pass 3 (tiled over k1 lane slabs): length-n2 row transforms, again over
-  // the row index. Output: scratch[m][j] = X[rev2(m) * n1 + rev1(j)].
-  run_pass(n1_, exec, stats, [this, s](u64 begin, u64 end) {
-    dif_cols(s, n2_, n1_, row_fwd_levels_, begin, end);
-  });
+  // Pass 1: length-n1 column transforms over the row index of the n1 x n2
+  // matrix, then the inter-pass twiddle multiply, row by row.
+  dif_cols(d, n1_, n2_, col_fwd_levels_);
+  for (u64 j = 0; j < n1_; ++j) {
+    fp::pointwise_product_lazy(d + j * n2_, tw_fwd_.data() + j * n2_, n2_);
+  }
+  // Pass 2: corner-turn (n1 x n2) -> (n2 x n1).
+  fp::transpose(s, d, n1_, n2_);
+  // Pass 3: length-n2 row transforms, again over the row index.
+  // Output: scratch[m][j] = X[rev2(m) * n1 + rev1(j)].
+  dif_cols(s, n2_, n1_, row_fwd_levels_);
   data.swap(scratch);  // spectrum lives in `data`, O(1), allocation-free
 }
 
-void FourStepNtt::inverse_raw(FpVec& data, FpVec& scratch, TileExecutor* exec,
-                              FourStepStats* stats) const {
+void FourStepNtt::inverse_raw(FpVec& data, FpVec& scratch) const {
   HEMUL_CHECK(data.size() == n_);
   scratch.resize(n_);
   Fp* d = data.data();
   Fp* s = scratch.data();
 
   // Mirror of forward_raw on the n2 x n1 engine layout.
-  run_pass(n1_, exec, stats, [this, d](u64 begin, u64 end) {
-    dit_cols(d, n2_, n1_, row_inv_levels_, begin, end);
-  });
-  run_pass(n1_, exec, stats, [this, d, s](u64 begin, u64 end) {
-    fp::transpose_range(s, d, n2_, n1_, begin, end);
-  });
-  // Twiddle-cancel + column inverses + the 1/N scaling-and-
-  // canonicalization epilogue, all fused per lane slab.
-  run_pass(n2_, exec, stats, [this, s](u64 begin, u64 end) {
-    for (u64 j = 0; j < n1_; ++j) {
-      fp::pointwise_product_lazy(s + j * n2_ + begin, tw_inv_.data() + j * n2_ + begin,
-                                 end - begin);
-    }
-    dit_cols(s, n1_, n2_, col_inv_levels_, begin, end);
-    for (u64 i1 = 0; i1 < n1_; ++i1) {
-      fp::scale_canonical(s + i1 * n2_ + begin, n_inv_, end - begin);
-    }
-  });
+  dit_cols(d, n2_, n1_, row_inv_levels_);
+  fp::transpose(s, d, n2_, n1_);
+  // Twiddle-cancel, column inverses, then the 1/N scaling-and-
+  // canonicalization epilogue.
+  for (u64 j = 0; j < n1_; ++j) {
+    fp::pointwise_product_lazy(s + j * n2_, tw_inv_.data() + j * n2_, n2_);
+  }
+  dit_cols(s, n1_, n2_, col_inv_levels_);
+  for (u64 i1 = 0; i1 < n1_; ++i1) fp::scale_canonical(s + i1 * n2_, n_inv_, n2_);
   data.swap(scratch);  // natural order back in `data`
 }
 
-void FourStepNtt::forward_spectrum(FpVec& data, FpVec& scratch, TileExecutor* exec,
-                                   FourStepStats* stats) const {
-  forward_raw(data, scratch, exec, stats);
-  run_pass(n2_, exec, stats, [this, d = data.data()](u64 begin, u64 end) {
-    fp::canonicalize(d + begin * n1_, (end - begin) * n1_);
-  });
+void FourStepNtt::forward_spectrum(FpVec& data, FpVec& scratch) const {
+  forward_raw(data, scratch);
+  fp::canonicalize(data.data(), n_);
 }
 
-void FourStepNtt::inverse_from_spectrum(FpVec& data, FpVec& scratch, TileExecutor* exec,
-                                        FourStepStats* stats) const {
-  inverse_raw(data, scratch, exec, stats);
+void FourStepNtt::inverse_from_spectrum(FpVec& data, FpVec& scratch) const {
+  inverse_raw(data, scratch);
 }
 
-void FourStepNtt::convolve_into(FpVec& a, FpVec& b, FpVec& scratch, TileExecutor* exec,
-                                FourStepStats* stats) const {
+void FourStepNtt::convolve_into(FpVec& a, FpVec& b, FpVec& scratch) const {
   HEMUL_CHECK(a.size() == n_ && b.size() == n_);
-  forward_raw(a, scratch, exec, stats);
-  forward_raw(b, scratch, exec, stats);
-  run_pass(n2_, exec, stats, [this, pa = a.data(), pb = b.data()](u64 begin, u64 end) {
-    fp::pointwise_product_lazy(pa + begin * n1_, pb + begin * n1_, (end - begin) * n1_);
-  });
-  inverse_raw(a, scratch, exec, stats);
+  forward_raw(a, scratch);
+  forward_raw(b, scratch);
+  fp::pointwise_product_lazy(a.data(), b.data(), n_);
+  inverse_raw(a, scratch);
 }
 
-void FourStepNtt::convolve_square_into(FpVec& a, FpVec& scratch, TileExecutor* exec,
-                                       FourStepStats* stats) const {
+void FourStepNtt::convolve_square_into(FpVec& a, FpVec& scratch) const {
   HEMUL_CHECK(a.size() == n_);
-  forward_raw(a, scratch, exec, stats);
-  run_pass(n2_, exec, stats, [this, pa = a.data()](u64 begin, u64 end) {
-    fp::pointwise_product_lazy(pa + begin * n1_, pa + begin * n1_, (end - begin) * n1_);
-  });
-  inverse_raw(a, scratch, exec, stats);
+  forward_raw(a, scratch);
+  fp::pointwise_product_lazy(a.data(), a.data(), n_);
+  inverse_raw(a, scratch);
 }
 
 void FourStepNtt::convolve_from_spectra(FpVec& out, const FpVec& fa, const FpVec& fb,
-                                        FpVec& scratch, TileExecutor* exec,
-                                        FourStepStats* stats) const {
+                                        FpVec& scratch) const {
   HEMUL_CHECK(fa.size() == n_ && fb.size() == n_);
   out.resize(n_);
-  run_pass(n2_, exec, stats,
-           [this, po = out.data(), pa = fa.data(), pb = fb.data()](u64 begin, u64 end) {
-             std::size_t len = (end - begin) * n1_;
-             fp::pointwise_product(po + begin * n1_, pa + begin * n1_, pb + begin * n1_, len);
-           });
-  inverse_raw(out, scratch, exec, stats);
+  fp::pointwise_product(out.data(), fa.data(), fb.data(), n_);
+  inverse_raw(out, scratch);
 }
 
 void FourStepNtt::forward(FpVec& data, FpVec& scratch) const {

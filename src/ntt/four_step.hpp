@@ -3,24 +3,8 @@
 #include <vector>
 
 #include "fp/fp64.hpp"
-#include "ntt/tiling.hpp"
 
 namespace hemul::ntt {
-
-/// Tile accounting of one four-step call chain: how many tile groups were
-/// handed to the TileExecutor and how many tiles they split into. Both are
-/// deterministic functions of the transform shape and the executor's
-/// concurrency (the bench regression gate relies on that).
-struct FourStepStats {
-  u64 tile_groups = 0;  ///< passes dispatched through the executor
-  u64 tiles = 0;        ///< tiles across all those passes
-
-  FourStepStats& operator+=(const FourStepStats& o) noexcept {
-    tile_groups += o.tile_groups;
-    tiles += o.tiles;
-    return *this;
-  }
-};
 
 /// Four-step (Bailey) NTT: the N-point transform viewed as an N1 x N2
 /// matrix -- N1-point column transforms, a precomputed twiddle multiply,
@@ -30,9 +14,10 @@ struct FourStepStats {
 /// butterfly level is a full-width SIMD pass -- the scalar small-half
 /// blocks that dominate a monolithic sweep never execute. This is the
 /// software mirror of how the paper's accelerator (and FAB/Medha) feed
-/// parallel butterfly units from banked memory, and each pass splits into
-/// independent lane-slab / row-range tiles that a TileExecutor can fan
-/// across idle PE lanes.
+/// parallel butterfly units from banked memory. Each pass is one serial
+/// sweep on the calling thread: PE-lane parallelism comes from running
+/// independent products on separate scheduler lanes, not from splitting
+/// one transform.
 ///
 /// Layout contract: the *_spectrum() entry points speak "four-step engine
 /// order" -- the row-major n2 x n1 layout with eng[m * n1 + j] =
@@ -43,8 +28,8 @@ struct FourStepStats {
 /// forward()/inverse() provide natural order for golden tests.
 ///
 /// All internal passes run on the redundant representation of
-/// fp/kernels.hpp; the final corner-turn of the inverse fuses the 1/N
-/// scaling and canonicalization, so no separate epilogue sweep runs.
+/// fp/kernels.hpp; the inverse's last pass ends with the 1/N scaling and
+/// canonicalization, so callers never canonicalize its output.
 class FourStepNtt {
  public:
   /// Balanced split: n1 = 2^ceil(log2(n)/2) (n = 64K -> 256 x 256).
@@ -63,52 +48,34 @@ class FourStepNtt {
 
   // ---- engine-order spectrum API (the SSA hot path) ----------------
   /// In-place forward to a four-step engine-order spectrum (canonical).
-  void forward_spectrum(fp::FpVec& data, fp::FpVec& scratch,
-                        TileExecutor* exec = nullptr, FourStepStats* stats = nullptr) const;
+  void forward_spectrum(fp::FpVec& data, fp::FpVec& scratch) const;
 
   /// In-place inverse from a four-step engine-order spectrum (redundant
   /// values accepted) to natural order, including the 1/N scaling.
-  void inverse_from_spectrum(fp::FpVec& data, fp::FpVec& scratch,
-                             TileExecutor* exec = nullptr,
-                             FourStepStats* stats = nullptr) const;
+  void inverse_from_spectrum(fp::FpVec& data, fp::FpVec& scratch) const;
 
   /// Cyclic convolution in place: a <- a (*) b; b is clobbered (scratch).
-  void convolve_into(fp::FpVec& a, fp::FpVec& b, fp::FpVec& scratch,
-                     TileExecutor* exec = nullptr, FourStepStats* stats = nullptr) const;
+  void convolve_into(fp::FpVec& a, fp::FpVec& b, fp::FpVec& scratch) const;
 
   /// Cyclic self-convolution (one forward pass instead of two).
-  void convolve_square_into(fp::FpVec& a, fp::FpVec& scratch, TileExecutor* exec = nullptr,
-                            FourStepStats* stats = nullptr) const;
+  void convolve_square_into(fp::FpVec& a, fp::FpVec& scratch) const;
 
   /// out = inverse(fa . fb) for two engine-order spectra (cached-operand
   /// path). out is resized to n and must not alias fa or fb.
   void convolve_from_spectra(fp::FpVec& out, const fp::FpVec& fa, const fp::FpVec& fb,
-                             fp::FpVec& scratch, TileExecutor* exec = nullptr,
-                             FourStepStats* stats = nullptr) const;
+                             fp::FpVec& scratch) const;
 
   [[nodiscard]] u64 size() const noexcept { return n_; }
   [[nodiscard]] u64 n1() const noexcept { return n1_; }
   [[nodiscard]] u64 n2() const noexcept { return n2_; }
   [[nodiscard]] fp::Fp root() const noexcept { return root_; }
 
-  /// Tiles a pass over `rows` rows splits into under an executor with the
-  /// given concurrency (deterministic; exposed for the bench gates).
-  static u64 tiles_per_pass(u64 rows, unsigned concurrency) noexcept;
-
  private:
   /// Forward passes, redundant output in data (engine order).
-  void forward_raw(fp::FpVec& data, fp::FpVec& scratch, TileExecutor* exec,
-                   FourStepStats* stats) const;
+  void forward_raw(fp::FpVec& data, fp::FpVec& scratch) const;
   /// Inverse passes from redundant engine-order input; canonical natural-
-  /// order output (the last corner-turn fuses 1/N + canonicalization).
-  void inverse_raw(fp::FpVec& data, fp::FpVec& scratch, TileExecutor* exec,
-                   FourStepStats* stats) const;
-
-  /// Runs range(begin, end) over [0, rows), split into tiles through the
-  /// executor (serial when exec == nullptr). The serial path invokes the
-  /// callable directly: no std::function, no allocation.
-  template <typename RangeFn>
-  void run_pass(u64 rows, TileExecutor* exec, FourStepStats* stats, RangeFn&& range) const;
+  /// order output (the last pass applies 1/N and canonicalizes).
+  void inverse_raw(fp::FpVec& data, fp::FpVec& scratch) const;
 
   u64 n_;
   u64 n1_;  ///< column-transform length (lanes of the final n2 x n1 layout)

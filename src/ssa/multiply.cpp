@@ -11,14 +11,11 @@ using bigint::BigUInt;
 
 namespace {
 
-/// Books one four-step product (its tile accounting included) into stats.
-void book(SsaStats* stats, const SsaParams& params, u64 transforms,
-          const ntt::FourStepStats& tiles) {
+/// Books one four-step product into stats.
+void book(SsaStats* stats, const SsaParams& params, u64 transforms) {
   if (stats == nullptr) return;
   stats->pointwise_muls += params.transform_size;
   stats->transform_count += transforms;
-  stats->tile_groups += tiles.tile_groups;
-  stats->tiles += tiles.tiles;
 }
 
 }  // namespace
@@ -33,12 +30,10 @@ void multiply_into(BigUInt& out, const BigUInt& a, const BigUInt& b, const SsaPa
   pack_into(a, params, ws.pack_a);
   pack_into(b, params, ws.pack_b);
   // In place over the pack buffers; the corner-turn scratch lives in the
-  // workspace, and the passes fan across idle lanes when the workspace
-  // carries a tile executor (serial otherwise).
-  ntt::FourStepStats tiles;
-  ntt::shared_four_step(params.transform_size)
-      .convolve_into(ws.pack_a, ws.pack_b, ws.tile_scratch, ws.tile_executor, &tiles);
-  book(stats, params, 3, tiles);  // two forward + one inverse
+  // workspace.
+  const ntt::FourStepNtt& engine = ntt::shared_four_step(params.transform_size);
+  engine.convolve_into(ws.pack_a, ws.pack_b, ws.ntt_scratch);
+  book(stats, params, 3);  // two forward + one inverse
   carry_recover_into(ws.pack_a, params.coeff_bits, out);
 }
 
@@ -63,10 +58,9 @@ void square_into(BigUInt& out, const BigUInt& a, const SsaParams& params, Worksp
   }
 
   pack_into(a, params, ws.pack_a);
-  ntt::FourStepStats tiles;
-  ntt::shared_four_step(params.transform_size)
-      .convolve_square_into(ws.pack_a, ws.tile_scratch, ws.tile_executor, &tiles);
-  book(stats, params, 2, tiles);  // one forward + one inverse
+  const ntt::FourStepNtt& engine = ntt::shared_four_step(params.transform_size);
+  engine.convolve_square_into(ws.pack_a, ws.ntt_scratch);
+  book(stats, params, 2);  // one forward + one inverse
   carry_recover_into(ws.pack_a, params.coeff_bits, out);
 }
 
@@ -92,10 +86,9 @@ void PreparedSpectrum::multiply_into(BigUInt& out, const BigUInt& other, Workspa
   }
 
   const SpectrumDomain domain(params_, ws);
-  ntt::FourStepStats tiles;
-  domain.forward(ws.pack_b, other, &tiles);
-  domain.leave_product(out, ws.pack_b, spectrum_.spec, &tiles);
-  book(stats, params_, 2, tiles);  // one forward + one inverse
+  domain.forward(ws.pack_b, other);
+  domain.leave_product(out, ws.pack_b, spectrum_.spec);
+  book(stats, params_, 2);  // one forward + one inverse
 }
 
 BigUInt PreparedSpectrum::multiply(const BigUInt& other) const {

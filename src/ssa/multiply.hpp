@@ -18,17 +18,10 @@ namespace hemul::ssa {
 struct SsaStats {
   u64 pointwise_muls = 0;   ///< component-wise products (paper: 65536)
   u64 transform_count = 0;  ///< forward + inverse NTTs actually run
-  /// Four-step intra-op tiling: passes dispatched through a TileExecutor
-  /// and the tiles they split into (0 when no executor was installed).
-  /// Deterministic in params + lane count.
-  u64 tile_groups = 0;
-  u64 tiles = 0;
 
   SsaStats& operator+=(const SsaStats& o) noexcept {
     pointwise_muls += o.pointwise_muls;
     transform_count += o.transform_count;
-    tile_groups += o.tile_groups;
-    tiles += o.tiles;
     return *this;
   }
 };

@@ -17,20 +17,18 @@ SpectrumDomain::SpectrumDomain(const SsaParams& params, Workspace& ws)
   engine_ = &ntt::shared_four_step(params_.transform_size);
 }
 
-void SpectrumDomain::forward(fp::FpVec& out, const BigUInt& value,
-                             ntt::FourStepStats* tiles) const {
+void SpectrumDomain::forward(fp::FpVec& out, const BigUInt& value) const {
   HEMUL_CHECK_MSG(value.bit_length() <= params_.max_operand_bits(),
                   "forward: value exceeds the packing geometry");
   // Pack straight into the destination and transform in place; the
   // corner-turn scratch lives in the workspace, so steady state stays
   // allocation-free.
   pack_into(value, params_, out);
-  engine_->forward_spectrum(out, ws_->tile_scratch, ws_->tile_executor, tiles);
+  engine_->forward_spectrum(out, ws_->ntt_scratch);
 }
 
-void SpectrumDomain::enter(Spectrum& out, const BigUInt& value,
-                           ntt::FourStepStats* tiles) const {
-  forward(out.spec, value, tiles);
+void SpectrumDomain::enter(Spectrum& out, const BigUInt& value) const {
+  forward(out.spec, value);
   const std::size_t bits = value.bit_length();
   out.degree = std::max<u64>(1, (bits + params_.coeff_bits - 1) / params_.coeff_bits);
   out.coeff_bound = operand_bound();
@@ -86,17 +84,15 @@ void SpectrumDomain::leave(BigUInt& out, const Spectrum& s) const {
   HEMUL_CHECK_MSG(s.coeff_bound < u128{fp::kModulus}, "leave: bound reached p");
   HEMUL_CHECK(s.spec.size() == params_.transform_size);
   // Every four-step pass runs on the redundant representation, so lazily
-  // accumulated spectra invert directly; the final corner-turn fuses 1/N +
-  // canonicalization.
+  // accumulated spectra invert directly; the inverse's last pass applies 1/N
+  // and canonicalizes.
   ws_->spec_a = s.spec;
-  engine_->inverse_from_spectrum(ws_->spec_a, ws_->tile_scratch, ws_->tile_executor);
+  engine_->inverse_from_spectrum(ws_->spec_a, ws_->ntt_scratch);
   carry_recover_into(ws_->spec_a, params_.coeff_bits, out);
 }
 
-void SpectrumDomain::leave_product(BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb,
-                                   ntt::FourStepStats* tiles) const {
-  engine_->convolve_from_spectra(ws_->pack_a, fa, fb, ws_->tile_scratch, ws_->tile_executor,
-                                 tiles);
+void SpectrumDomain::leave_product(BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb) const {
+  engine_->convolve_from_spectra(ws_->pack_a, fa, fb, ws_->ntt_scratch);
   carry_recover_into(ws_->pack_a, params_.coeff_bits, out);
 }
 

@@ -9,7 +9,6 @@
 
 namespace hemul::ntt {
 class FourStepNtt;
-struct FourStepStats;
 }  // namespace hemul::ntt
 
 namespace hemul::ssa {
@@ -69,9 +68,7 @@ inline constexpr unsigned kResidentHeadroomBits = 6;
 /// these operations.
 ///
 /// Spectra produced by one SpectrumDomain are only meaningful to a domain
-/// with the same geometry (coeff_bits and transform_size). Every operation
-/// that takes `tiles` adds the four-step tile accounting of its passes to
-/// it (when non-null).
+/// with the same geometry (coeff_bits and transform_size).
 class SpectrumDomain {
  public:
   /// The engine is resolved through the process-wide shared cache, so
@@ -82,13 +79,11 @@ class SpectrumDomain {
   /// engine order, packed and transformed in place. Requires
   /// value.bit_length() <= params.max_operand_bits(). Reuses out's
   /// capacity; steady state allocates nothing. out must not be the
-  /// workspace's tile scratch.
-  void forward(fp::FpVec& out, const bigint::BigUInt& value,
-               ntt::FourStepStats* tiles = nullptr) const;
+  /// workspace's ntt_scratch.
+  void forward(fp::FpVec& out, const bigint::BigUInt& value) const;
 
   /// forward() into out.spec, with the operand's degree and bound.
-  void enter(Spectrum& out, const bigint::BigUInt& value,
-             ntt::FourStepStats* tiles = nullptr) const;
+  void enter(Spectrum& out, const bigint::BigUInt& value) const;
 
   /// May a * b be formed exactly? True iff both are operand-grade spectra
   /// whose acyclic product fits the transform and whose true coefficients
@@ -116,8 +111,7 @@ class SpectrumDomain {
   /// and carry recovery, with the product formed straight into the
   /// workspace's inverse buffer, pack_a (no product spectrum, no copy).
   /// fa and fb may be any other workspace buffer, never pack_a.
-  void leave_product(bigint::BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb,
-                     ntt::FourStepStats* tiles = nullptr) const;
+  void leave_product(bigint::BigUInt& out, const fp::FpVec& fa, const fp::FpVec& fb) const;
 
   /// True-coefficient bound of any operand spectrum of this geometry.
   [[nodiscard]] u128 operand_bound() const noexcept {

@@ -10,7 +10,7 @@ void Workspace::reserve(const SsaParams& params) {
   pack_b.reserve(n);
   spec_a.reserve(n);
   spec_b.reserve(n);
-  tile_scratch.reserve(n);
+  ntt_scratch.reserve(n);
 }
 
 Workspace& thread_workspace() {

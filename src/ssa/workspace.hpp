@@ -1,7 +1,6 @@
 #pragma once
 
 #include "fp/fp64.hpp"
-#include "ntt/tiling.hpp"
 
 namespace hemul::ssa {
 
@@ -23,20 +22,11 @@ struct SsaParams;
 ///     contents across another ssa call on the same workspace.
 class Workspace {
  public:
-  fp::FpVec pack_a;        ///< packed operand a / in-place transform buffer
-  fp::FpVec pack_b;        ///< packed operand b (clobbered by the convolution)
-  fp::FpVec spec_a;        ///< single-use batch spectrum of a / inverse buffer
-  fp::FpVec spec_b;        ///< single-use batch spectrum of b
-  fp::FpVec tile_scratch;  ///< four-step corner-turn scratch (transform_size)
-
-  /// Intra-op tile executor for the four-step transform, or nullptr for
-  /// serial cache-blocked execution. Non-owning: the scheduler installs
-  /// its own executor on each lane workspace and outlives the lanes.
-  /// Tiles of one pass touch disjoint row ranges of this workspace's
-  /// buffers, the sanctioned exception to the single-owner rule (see
-  /// CONTRIBUTING.md): the owner blocks inside the pass, and no buffer may
-  /// be resized while a tile group is in flight.
-  ntt::TileExecutor* tile_executor = nullptr;
+  fp::FpVec pack_a;       ///< packed operand a / in-place transform buffer
+  fp::FpVec pack_b;       ///< packed operand b (clobbered by the convolution)
+  fp::FpVec spec_a;       ///< single-use batch spectrum of a / inverse buffer
+  fp::FpVec spec_b;       ///< single-use batch spectrum of b
+  fp::FpVec ntt_scratch;  ///< four-step corner-turn scratch (transform_size)
 
   /// Pre-warms every buffer for the given parameters so even the first
   /// call allocates nothing (optional; buffers also grow on demand).

@@ -6,7 +6,6 @@
 
 #include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
-#include "core/accelerator.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
@@ -582,7 +581,7 @@ TEST(GraphNoise, MaxMultDepthIsTightAndVetoedBeforeExecution) {
 
 // --- integration with the core layer ----------------------------------------
 
-TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
+TEST(GraphWavefronts, SchedulerLanesEvaluateAnAdder) {
   Dghv scheme(DghvParams::toy(), 5150);
   Graph graph(scheme);
   EncryptedInt ca = encrypt_int(scheme, 9, 4);
@@ -595,9 +594,10 @@ TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
   core::Config config;
   config.backend_name = "ssa";
   config.num_workers = 2;
-  core::Accelerator accel(config);
+  core::Scheduler scheduler(config);
+  Evaluator evaluator(scheduler);
   EvalReport report;
-  const std::vector<Ciphertext> results = accel.evaluate(graph, outputs, &report);
+  const std::vector<Ciphertext> results = evaluator.evaluate(graph, outputs, &report);
 
   EXPECT_EQ(report.and_gates, 8u);
   EXPECT_EQ(report.wavefront_count(), 4u);

@@ -755,6 +755,12 @@ TEST(NetTest, FleetStatsRoundTripAndTruncationFuzz) {
   shard.service.coalesced_requests = 6;
   shard.service.batches_submitted = 2;
   shard.service.transforms_avoided = -3;
+  core::LaneStats lane;
+  lane.lane = 1;
+  lane.jobs = 4;
+  lane.hw_cycles = 99;
+  lane.busy_ms = 2.5;
+  shard.service.lanes.push_back(lane);
   fleet.shards.push_back(shard);
   shard.alive = true;
   shard.state = ShardState::kSuspect;
@@ -778,6 +784,17 @@ TEST(NetTest, FleetStatsRoundTripAndTruncationFuzz) {
   EXPECT_EQ(back.shards[0].service.transforms_avoided, -3);
   EXPECT_EQ(back.aggregate().submitted, 18u);
   EXPECT_EQ(back.aggregate().coalesced_requests, 12u);
+  ASSERT_EQ(back.shards[1].service.lanes.size(), 1u);
+  EXPECT_EQ(back.shards[1].service.lanes[0].lane, 1u);
+  EXPECT_EQ(back.shards[1].service.lanes[0].jobs, 4u);
+  EXPECT_EQ(back.shards[1].service.lanes[0].hw_cycles, 99u);
+  EXPECT_EQ(back.shards[1].service.lanes[0].busy_ms, 2.5);
+  // A lane entry is u32 lane, u64 jobs, a reserved u64 written as 0 (the
+  // retired intra-op tile count), u64 hw_cycles and f64 busy_ms; the last
+  // shard's only lane ends the frame.
+  constexpr std::size_t kLaneBytes = 4 + 8 + 8 + 8 + 8;
+  const std::size_t reserved = wire.size() - kLaneBytes + 4 + 8;
+  for (std::size_t i = reserved; i < reserved + 8; ++i) EXPECT_EQ(wire[i], 0u) << "byte " << i;
 
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_THROW((void)decode_fleet_stats(std::span<const u8>(wire.data(), len)),

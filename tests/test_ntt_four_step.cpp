@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -31,27 +30,6 @@ FpVec random_vec(util::Rng& rng, std::size_t n) {
 /// Worst case for the redundant representation: every input pinned at the
 /// largest canonical value p - 1.
 FpVec adversarial_vec(std::size_t n) { return FpVec(n, Fp::from_canonical(fp::kModulus - 1)); }
-
-/// Test executor: runs every tile of a pass serially but in REVERSE order,
-/// proving the tiles of one pass are independent (any interleaving a real
-/// scheduler produces is bit-exact). Counts groups/tiles for the stats
-/// parity checks.
-class ReversedExecutor final : public TileExecutor {
- public:
-  explicit ReversedExecutor(unsigned concurrency) : concurrency_(concurrency) {}
-  [[nodiscard]] unsigned concurrency() const noexcept override { return concurrency_; }
-  void run(u64 count, const std::function<void(u64)>& tile) override {
-    ++groups;
-    tiles += count;
-    for (u64 i = count; i-- > 0;) tile(i);
-  }
-
-  u64 groups = 0;
-  u64 tiles = 0;
-
- private:
-  unsigned concurrency_;
-};
 
 // ---- natural-order golden parity -----------------------------------------
 
@@ -233,42 +211,6 @@ TEST(FourStepConvolve, FromSpectraMatchesDirect) {
   EXPECT_EQ(out, direct_a);
 }
 
-// ---- tiled execution -----------------------------------------------------
-
-TEST(FourStepTiling, TiledPassesAreOrderIndependentAndCounted) {
-  const u64 n = 4096;  // 64 x 64: every pass runs over 64 rows
-  const FourStepNtt engine(n);
-  util::Rng rng(9);
-  const FpVec a = random_vec(rng, n);
-  const FpVec b = random_vec(rng, n);
-
-  FpVec serial_a = a, serial_b = b, scratch;
-  engine.convolve_into(serial_a, serial_b, scratch);
-
-  ReversedExecutor exec(4);
-  FourStepStats stats;
-  FpVec tiled_a = a, tiled_b = b;
-  engine.convolve_into(tiled_a, tiled_b, scratch, &exec, &stats);
-
-  EXPECT_EQ(tiled_a, serial_a);
-  EXPECT_GT(stats.tile_groups, 0u);
-  EXPECT_EQ(stats.tile_groups, exec.groups);
-  EXPECT_EQ(stats.tiles, exec.tiles);
-  // Square split: every pass covers 64 rows, so the total is exactly
-  // groups * tiles_per_pass.
-  EXPECT_EQ(stats.tiles, stats.tile_groups * FourStepNtt::tiles_per_pass(64, 4));
-}
-
-TEST(FourStepTiling, TilesPerPassIsDeterministic) {
-  // 2x oversubscription, capped by 8-row tile granularity.
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 0), 2u);  // serial-ish floor
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 1), 2u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 2), 4u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 4), 8u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(8, 8), 1u);     // one 8-row tile
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(1024, 64), 128u);
-}
-
 // ---- ssa routing ---------------------------------------------------------
 
 /// The ssa size list: 1..417-bit operands exercise the smallest four-step
@@ -305,25 +247,6 @@ TEST(SsaFourStep, AdversarialAllOnesOperands) {
     const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
     EXPECT_EQ(ssa::multiply(ones, ones, params), bigint::mul_schoolbook(ones, ones)) << bits;
   }
-}
-
-TEST(SsaFourStep, StatsReportTileCountsThroughWorkspace) {
-  const std::size_t bits = 4096;
-  util::Rng rng(17);
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-
-  const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
-  ReversedExecutor exec(2);
-  ssa::Workspace workspace;
-  workspace.tile_executor = &exec;
-  ssa::SsaStats stats;
-  BigUInt out;
-  ssa::multiply_into(out, a, b, params, workspace, &stats);
-  EXPECT_EQ(out, bigint::mul_schoolbook(a, b));
-  EXPECT_GT(stats.tile_groups, 0u);
-  EXPECT_EQ(stats.tile_groups, exec.groups);
-  EXPECT_EQ(stats.tiles, exec.tiles);
 }
 
 TEST(SsaFourStep, SpectrumDomainRoundTrips) {

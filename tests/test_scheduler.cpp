@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -153,96 +152,6 @@ TEST(Scheduler, HwLanesAccumulateModeledCycles) {
   EXPECT_EQ(cycles_after, cycles);
 }
 
-// ---- intra-op tiling (run_tiles) -----------------------------------------
-
-TEST(SchedulerTiles, NestedSubmissionCannotDeadlockAtOneLane) {
-  // The caller of run_tiles claims and executes tiles itself, so a job
-  // running on the only lane of a 1-lane scheduler -- and tiles that
-  // themselves run nested groups -- must complete without any other lane
-  // being free. A regression here hangs; the CTest timeout converts that
-  // into a failure, and the TSan matrix cell checks the synchronization.
-  Scheduler scheduler(config_for("classical", 1));
-  std::atomic<u64> inner_runs{0};
-  auto done = scheduler.submit([&](backend::MultiplierBackend&) {
-    scheduler.run_tiles(8, [&](u64) {
-      scheduler.run_tiles(4, [&](u64) { inner_runs.fetch_add(1); });
-    });
-    return BigUInt(1);
-  });
-  EXPECT_EQ(done.get(), BigUInt(1));
-  EXPECT_EQ(inner_runs.load(), 32u);
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.tile_groups, 1u + 8u);
-  EXPECT_EQ(stats.tiles_executed, 8u + 32u);
-}
-
-TEST(SchedulerTiles, EveryTileRunsExactlyOnceAcrossLanes) {
-  Scheduler scheduler(config_for("classical", 4));
-  constexpr u64 kTiles = 64;
-  std::vector<std::atomic<u64>> runs(kTiles);
-  // External (non-lane) caller: the calling thread participates alongside
-  // the helper tasks the group fans out to the lanes.
-  scheduler.run_tiles(kTiles, [&](u64 i) { runs[i].fetch_add(1); });
-  for (u64 i = 0; i < kTiles; ++i) EXPECT_EQ(runs[i].load(), 1u) << "tile " << i;
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.tile_groups, 1u);
-  EXPECT_EQ(stats.tiles_executed, kTiles);
-}
-
-TEST(SchedulerTiles, HelpersDoNotPerturbJobCounters) {
-  // Tile-helper tasks ride the job queue but submitted/completed/jobs
-  // describe the caller-visible workload only.
-  Scheduler scheduler(config_for("classical", 3));
-  constexpr u64 kJobs = 6;
-  std::vector<std::future<BigUInt>> futures;
-  std::atomic<u64> tiles_run{0};
-  for (u64 j = 0; j < kJobs; ++j) {
-    futures.push_back(scheduler.submit([&](backend::MultiplierBackend&) {
-      scheduler.run_tiles(16, [&](u64) { tiles_run.fetch_add(1); });
-      return BigUInt(0);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(tiles_run.load(), kJobs * 16);
-
-  // A lane books its job counters just after satisfying the future.
-  scheduler.wait_idle();
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kJobs);
-  EXPECT_EQ(stats.completed, kJobs);
-  u64 lane_jobs = 0, lane_tiles = 0;
-  for (const LaneStats& lane : stats.lanes) {
-    lane_jobs += lane.jobs;
-    lane_tiles += lane.tiles;
-  }
-  EXPECT_EQ(lane_jobs, kJobs);
-  // Every tile ran on a lane thread (callers are lanes, helpers are
-  // lanes), so the per-lane attribution covers the group totals exactly.
-  EXPECT_EQ(stats.tiles_executed, kJobs * 16);
-  EXPECT_EQ(lane_tiles, stats.tiles_executed);
-}
-
-TEST(SchedulerTiles, TileExceptionRethrownOnCaller) {
-  Scheduler scheduler(config_for("classical", 2));
-  EXPECT_THROW(scheduler.run_tiles(8,
-                                   [&](u64 i) {
-                                     if (i == 3) throw std::runtime_error("tile failed");
-                                   }),
-               std::runtime_error);
-  // The group drained despite the exception; the scheduler stays usable.
-  std::atomic<u64> runs{0};
-  scheduler.run_tiles(4, [&](u64) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 4u);
-}
-
-TEST(SchedulerTiles, ZeroTilesIsANoOp) {
-  Scheduler scheduler(config_for("classical", 1));
-  scheduler.run_tiles(0, [&](u64) { FAIL() << "tile ran for an empty group"; });
-  EXPECT_EQ(scheduler.stats().tile_groups, 0u);
-}
-
 TEST(Config, NumWorkersResolution) {
   Config config;
   EXPECT_GE(config.resolved_num_workers(), 1u);
@@ -250,23 +159,16 @@ TEST(Config, NumWorkersResolution) {
   EXPECT_EQ(config.resolved_num_workers(), 5u);
 }
 
-TEST(Accelerator, SubmitApiMatchesSynchronousMultiply) {
+TEST(Accelerator, SynchronousMultiplyMatchesSchedulerLanes) {
   util::Rng rng(0xACCE);
-  Config config = config_for("ssa", 2);
+  const Config config = config_for("ssa", 2);
   Accelerator accel(config);
+  Scheduler scheduler(config);
 
   const BigUInt a = BigUInt::random_bits(rng, 4000);
   const BigUInt b = BigUInt::random_bits(rng, 4000);
-  std::future<BigUInt> async_product = accel.submit_multiply(a, b);
+  std::future<BigUInt> async_product = scheduler.submit_multiply(a, b);
   EXPECT_EQ(async_product.get(), accel.multiply(a, b).product);
-  EXPECT_EQ(accel.scheduler().num_workers(), 2u);
-
-  std::vector<backend::MulJob> jobs = {{a, b}, {b, a}, {a, a}};
-  std::vector<std::future<BigUInt>> futures = accel.submit_batch(jobs);
-  const BigUInt expected = bigint::mul_schoolbook(a, b);
-  EXPECT_EQ(futures[0].get(), expected);
-  EXPECT_EQ(futures[1].get(), expected);
-  EXPECT_EQ(futures[2].get(), bigint::mul_schoolbook(a, a));
 }
 
 }  // namespace

@@ -217,9 +217,8 @@ TEST_F(SsaAllocationAudit, BackendWithItsOwnWorkspaceOnlyAllocatesTheProduct) {
   // An SsaBackend holding its own workspace -- a scheduler lane's engine --
   // pays one allocation per call in steady state, the product it returns,
   // for multiply and square alike, on operands it has not seen before (as
-  // a lane sees them). Checked on a standalone instance and on the lane of
-  // a one-worker scheduler (intra-op tiling off: run_tiles allocates its
-  // tile group).
+  // a lane sees them). Checked on a standalone instance and on a lane of a
+  // one- and a two-worker default scheduler.
   util::Rng rng(8);
   const std::size_t bits = 20000;
   std::vector<BigUInt> operands;
@@ -241,19 +240,20 @@ TEST_F(SsaAllocationAudit, BackendWithItsOwnWorkspaceOnlyAllocatesTheProduct) {
   standalone.set_workspace(std::make_shared<Workspace>());
   EXPECT_EQ(audit(standalone, operands[0], operands[1], operands[2]), (Allocs{1, 1}));
 
-  core::Config config;
-  config.backend_name = "ssa";
-  config.num_workers = 1;
-  config.intra_op_tiling = false;
-  core::Scheduler scheduler(config);
-  Allocs lane_allocs;
-  scheduler
-      .submit([&](backend::MultiplierBackend& lane) {
-        lane_allocs = audit(lane, operands[3], operands[4], operands[5]);
-        return BigUInt{};
-      })
-      .get();
-  EXPECT_EQ(lane_allocs, (Allocs{1, 1}));
+  for (const unsigned workers : {1u, 2u}) {
+    core::Config config;
+    config.backend_name = "ssa";
+    config.num_workers = workers;
+    core::Scheduler scheduler(config);
+    Allocs lane_allocs;
+    scheduler
+        .submit([&](backend::MultiplierBackend& lane) {
+          lane_allocs = audit(lane, operands[3], operands[4], operands[5]);
+          return BigUInt{};
+        })
+        .get();
+    EXPECT_EQ(lane_allocs, (Allocs{1, 1})) << workers << " worker(s)";
+  }
 }
 
 TEST_F(SsaAllocationAudit, ShiftsAllocateOnlyTheirResult) {

@@ -86,27 +86,6 @@ TRACKED = {
         Metric("four_step.convolve_64k_ms",
                lambda d: d["four_step"]["convolve_64k_ms"], direction="lower",
                mode="warn"),
-        # Intra-op tiling geometry is deterministic in (transform shape,
-        # worker count): 12 tile groups per cached multiply, split into
-        # tiles_per_pass(256, w) tiles each. Drift means the pass
-        # structure or the tile sizing changed -- regenerate the baseline
-        # deliberately if that is intentional.
-        Metric("intra_op.tile_groups_per_multiply",
-               lambda d: d["intra_op"]["tile_groups_per_multiply"],
-               direction="lower", mode="hard"),
-        Metric("intra_op.tiles_per_multiply_w1",
-               lambda d: d["intra_op"]["arms"]["w1"]["tiles_per_multiply"],
-               direction="lower", mode="hard"),
-        Metric("intra_op.tiles_per_multiply_w2",
-               lambda d: d["intra_op"]["arms"]["w2"]["tiles_per_multiply"],
-               direction="lower", mode="hard"),
-        Metric("intra_op.tiles_per_multiply_w4",
-               lambda d: d["intra_op"]["arms"]["w4"]["tiles_per_multiply"],
-               direction="lower", mode="hard"),
-        # Proof that ONE multiply fans across more than one PE lane when
-        # workers > 1 (>= 2 lanes executed tiles over the w=2 arm).
-        Metric("intra_op.multi_lane_fanout",
-               lambda d: d["intra_op"]["multi_lane_fanout"], kind="bool", mode="hard"),
     ],
     "scheduler_throughput.json": [
         Metric("bit_exact", lambda d: d["bit_exact"], kind="bool", mode="hard"),
