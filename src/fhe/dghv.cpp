@@ -64,20 +64,10 @@ Dghv::Dghv(const DghvParams& params, u64 seed,
 
   // Exact public modulus x0 = q0 * p with q0 odd: (gamma - eta)-bit q0 and
   // eta-bit p make x0 gamma - 1 or gamma bits long.
-  const std::size_t q_bits = params.gamma - params.eta;
-  BigUInt q0 = BigUInt::random_bits(rng_, q_bits);
-  if (!q0.is_odd()) q0 += BigUInt{1};
-  pk_.x0 = q0 * p_;
+  q0_ = BigUInt::random_bits(rng_, params.gamma - params.eta);
+  if (!q0_.is_odd()) q0_ += BigUInt{1};
+  pk_.x0 = q0_ * p_;
   x0_ = pk_.x0;
-
-  // Public encryptions of zero: x_i = (q_i * p + 2 r_i) mod x0.
-  pk_.x.reserve(params.tau);
-  for (unsigned i = 0; i < params.tau; ++i) {
-    const BigUInt qi = BigUInt::random_below(rng_, q0);
-    BigUInt ri = BigUInt::random_bits(rng_, params.rho);
-    BigUInt xi = qi * p_ + (ri << 1);
-    pk_.x.push_back(xi % pk_.x0);
-  }
 }
 
 Dghv::Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
@@ -85,25 +75,31 @@ Dghv::Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
     : EvalKey(public_key.params, public_key.x0, std::move(engine)),
       p_(std::move(secret_key)), pk_(std::move(public_key)), rng_(seed) {
   HEMUL_CHECK_MSG(p_.is_odd(), "Dghv: secret key must be odd");
-  HEMUL_CHECK_MSG((x0_ % p_).is_zero(), "Dghv: x0 is not a multiple of the secret key");
+  bigint::DivModResult split = bigint::divmod(x0_, p_);
+  HEMUL_CHECK_MSG(split.remainder.is_zero(), "Dghv: x0 is not a multiple of the secret key");
+  q0_ = std::move(split.quotient);
+}
+
+BigUInt Dghv::encrypt_value(util::Rng& rng, bool message) const {
+  // q <= q0 - 1 gives q*p <= x0 - p, and validate()'s rho + 32 < eta gives
+  // 2r + m < 2^(rho+1) < p: the sum stays below x0.
+  BigUInt c = BigUInt::random_below(rng, q0_) * p_;
+  BigUInt noise = BigUInt::random_bits(rng, params_.rho) << 1;
+  if (message) noise += BigUInt{1};
+  c += noise;
+  return c;
 }
 
 Ciphertext Dghv::encrypt(bool message) {
-  // One buffer holds r + sum x_i: at most tau + 1 terms below x0, so one
-  // spare limb takes the carries and one more the doubling. The rng draws
-  // (r, then one flip per x_i) are those of the textbook loop
-  // `c += xi << 1`, so the ciphertext is the same bit for bit.
-  std::vector<u64> sum(x0_.limb_count() + 2, 0);
-  const BigUInt r = BigUInt::random_bits(rng_, params_.rho);
-  bigint::add_into(sum, r.limbs(), 0);
-  for (const BigUInt& xi : pk_.x) {
-    if (rng_.flip()) bigint::add_into(sum, xi.limbs(), 0);
-  }
-  // c = 2 * (r + sum x_i) + m: the doubling fits in the spare top limb and
-  // leaves bit 0 free for m.
-  bigint::add_into(sum, sum, 0);
-  sum[0] |= message ? 1u : 0u;
-  return {BigUInt::from_limbs(std::move(sum)) % x0_, NoiseModel::fresh(params_)};
+  return {encrypt_value(rng_, message), NoiseModel::fresh(params_)};
+}
+
+PublicKey Dghv::build_public_key(u64 seed) const {
+  PublicKey pk{params_, x0_, {}};
+  util::Rng rng(seed);
+  pk.x.reserve(params_.tau);
+  for (unsigned i = 0; i < params_.tau; ++i) pk.x.push_back(encrypt_value(rng, false));
+  return pk;
 }
 
 bool Dghv::decrypt(const Ciphertext& c) const {
@@ -117,6 +113,26 @@ std::pair<PublicKey, bigint::BigUInt> Dghv::release_keys() && {
 
 std::size_t Dghv::measured_noise_bits(const Ciphertext& c) const {
   return (c.value % p_).bit_length();
+}
+
+Ciphertext encrypt_public(const PublicKey& pk, util::Rng& rng, bool message) {
+  HEMUL_CHECK_MSG(pk.x.size() == pk.params.tau,
+                  "encrypt_public: the key needs its tau elements (Dghv::build_public_key)");
+  // One buffer holds r + sum x_i: at most tau + 1 terms below x0, so one
+  // spare limb takes the carries and one more the doubling. The rng draws
+  // (r, then one flip per x_i) are those of the textbook loop
+  // `c += xi << 1`, so the ciphertext is the same bit for bit.
+  std::vector<u64> sum(pk.x0.limb_count() + 2, 0);
+  const BigUInt r = BigUInt::random_bits(rng, pk.params.rho);
+  bigint::add_into(sum, r.limbs(), 0);
+  for (const BigUInt& xi : pk.x) {
+    if (rng.flip()) bigint::add_into(sum, xi.limbs(), 0);
+  }
+  // c = 2 * (r + sum x_i) + m: the doubling fits in the spare top limb and
+  // leaves bit 0 free for m.
+  bigint::add_into(sum, sum, 0);
+  sum[0] |= message ? 1u : 0u;
+  return {BigUInt::from_limbs(std::move(sum)) % pk.x0, NoiseModel::fresh(pk.params)};
 }
 
 }  // namespace hemul::fhe

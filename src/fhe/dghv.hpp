@@ -20,7 +20,9 @@ struct Ciphertext {
 };
 
 /// DGHV public key: the exact modulus x0 = q0*p and the tau noisy
-/// encryptions of zero used by the subset-sum encryption.
+/// encryptions of zero a party without p encrypts with (encrypt_public).
+/// A tenant's key leaves x empty: the tenant encrypts with p
+/// (Dghv::encrypt), and Dghv::build_public_key fills x only on request.
 struct PublicKey {
   DghvParams params;
   bigint::BigUInt x0;
@@ -84,8 +86,11 @@ class EvalKey {
 /// The DGHV somewhat-homomorphic scheme over the integers (CMNT variant:
 /// the public modulus x0 is an exact multiple of the secret key, so
 /// reductions modulo x0 add no noise): the tenant's full key context, i.e.
-/// the evaluation context plus the secret key p, the public encryptions of
-/// zero and the encryption randomness.
+/// the evaluation context plus the secret key p, q0 = x0 / p and the
+/// encryption randomness. It holds no public encryptions of zero: the
+/// tenant encrypts with p (van Dijk-Gentry-Halevi-Vaikuntanathan,
+/// EUROCRYPT'10, section 3), and build_public_key makes the tau elements
+/// only for a party without p.
 ///
 /// Noise convention: key and encryption noises are one-sided (r in
 /// [0, 2^rho)), which keeps every residue non-negative and lets decryption
@@ -93,44 +98,68 @@ class EvalKey {
 /// security-irrelevant simplification of the symmetric-noise spec.
 class Dghv : public EvalKey {
  public:
-  /// Generates a key pair with the given deterministic seed, on the
-  /// registry's auto engine.
+  /// Generates a key with the given deterministic seed, on the registry's
+  /// auto engine: an odd eta-bit p, an odd (gamma - eta)-bit q0 and
+  /// x0 = q0 * p, drawn in that order from Rng(seed), which then goes on
+  /// to drive encrypt().
   Dghv(const DghvParams& params, u64 seed);
 
-  /// Generates a key pair and runs all homomorphic multiplications on the
+  /// Generates a key and runs all homomorphic multiplications on the
   /// given engine (any registered backend: "ssa", "hw", ...).
   Dghv(const DghvParams& params, u64 seed,
        std::shared_ptr<backend::MultiplierBackend> engine);
 
   /// Rebuilds a key context from existing key material, e.g. the keys a
-  /// fleet client's create_session generated. `seed` drives only this
-  /// context's encryption randomness. The engine defaults to the
-  /// registry's auto policy.
+  /// fleet client's create_session generated. One divmod(x0, p) yields q0
+  /// and checks that x0 is a multiple of p. `seed` drives only this
+  /// context's encryption randomness; public_key.x is carried, not used.
+  /// The engine defaults to the registry's auto policy.
   Dghv(PublicKey public_key, bigint::BigUInt secret_key, u64 seed,
        std::shared_ptr<backend::MultiplierBackend> engine = nullptr);
 
-  /// Encrypts one bit: c = (m + 2r + 2 * sum_{i in S} x_i) mod x0.
+  /// Secret-key encryption of one bit: c = q*p + 2r + m, q uniform below
+  /// q0 (drawn first), then r of rho bits. q*p <= x0 - p and 2r + m < p,
+  /// so c < x0 with no reduction.
   [[nodiscard]] Ciphertext encrypt(bool message);
 
   /// Decrypts: m = (c mod p) mod 2.
   [[nodiscard]] bool decrypt(const Ciphertext& c) const;
 
+  /// params and x0; x is empty unless the context was rebuilt from a key
+  /// that carried elements.
   [[nodiscard]] const PublicKey& public_key() const noexcept { return pk_; }
+
+  /// The public key with its tau encryptions of zero, built on request for
+  /// a party without p (encrypt_public). Each x_i is a secret-key
+  /// encryption of 0, drawn from Rng(seed): a stream apart from encrypt()'s,
+  /// so building the elements moves no tenant ciphertext, and the same key
+  /// and seed give the same elements. Costs tau gamma-bit products (a few
+  /// hundred ms at small_paper()); no session path calls it.
+  [[nodiscard]] PublicKey build_public_key(u64 seed) const;
 
   /// Secret key access for the test suite (noise measurements).
   [[nodiscard]] const bigint::BigUInt& secret_key() const noexcept { return p_; }
 
-  /// Moves the key pair out without copying the tau public elements; the
-  /// context must not be used afterwards.
+  /// Moves the key pair out; the context must not be used afterwards.
   [[nodiscard]] std::pair<PublicKey, bigint::BigUInt> release_keys() &&;
 
   /// Bits of actual noise in a ciphertext (via the secret key).
   [[nodiscard]] std::size_t measured_noise_bits(const Ciphertext& c) const;
 
  private:
-  bigint::BigUInt p_;  ///< secret key: odd eta-bit integer
-  PublicKey pk_;       ///< pk_.params and pk_.x0 repeat params() and x0()
+  /// q*p + 2r + m with q below q0, then r, drawn from `rng`.
+  [[nodiscard]] bigint::BigUInt encrypt_value(util::Rng& rng, bool message) const;
+
+  bigint::BigUInt p_;   ///< secret key: odd eta-bit integer
+  bigint::BigUInt q0_;  ///< x0 / p: every encryption's q is drawn below it
+  PublicKey pk_;        ///< pk_.params and pk_.x0 repeat params() and x0()
   util::Rng rng_;
 };
+
+/// Public-key encryption of one bit, for a party that holds only `pk`:
+/// c = (m + 2r + 2 * sum_{i in S} x_i) mod x0, where S takes each x_i on
+/// one coin. `rng` draws r, then one flip per x_i. Requires the tau
+/// elements (Dghv::build_public_key).
+[[nodiscard]] Ciphertext encrypt_public(const PublicKey& pk, util::Rng& rng, bool message);
 
 }  // namespace hemul::fhe

@@ -11,7 +11,7 @@ namespace hemul::fhe {
 /// Coron-Mandal-Naccache-Tibouchi CRYPTO'11 variant with an exact public
 /// modulus x0 = q0*p).
 ///
-///   rho   - noise bits per public-key element
+///   rho   - noise bits per encryption (and per public-key element)
 ///   eta   - secret key bits
 ///   gamma - ciphertext bits (the operand size of the accelerator!)
 ///   tau   - number of public-key elements
@@ -43,8 +43,10 @@ struct DghvParams {
   /// Throws std::invalid_argument on violation.
   void validate() const;
 
-  /// Noise bits of a freshly encrypted bit: the subset sum of up to tau
-  /// elements of rho-bit noise plus the encryption noise.
+  /// Noise bits of a freshly encrypted bit, bounded for both encryption
+  /// paths by the public-key one: the subset sum of up to tau elements of
+  /// rho-bit noise plus the encryption noise. A secret-key encryption
+  /// (Dghv::encrypt) has rho + 1 bits, under this bound.
   [[nodiscard]] double fresh_noise_bits() const noexcept;
 };
 

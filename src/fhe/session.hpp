@@ -10,8 +10,8 @@ namespace hemul::fhe {
 /// Everything a server needs to serve one tenant, and nothing that
 /// decrypts: the parameters, the public modulus x0 and the constant
 /// encryptions of 0 and 1 that the builtin circuits splice in. It is the
-/// body of a kCreateSession message; the tenant keeps p and the tau public
-/// encryptions of zero.
+/// body of a kCreateSession message; the tenant keeps p and encrypts with
+/// it. No party builds the tau public encryptions of zero for a session.
 struct SessionCreate {
   DghvParams params;
   bigint::BigUInt x0;

@@ -54,9 +54,11 @@ class ShardClient {
   ShardClient(const ShardClient&) = delete;
   ShardClient& operator=(const ShardClient&) = delete;
 
-  /// A created session: the server-assigned id plus the key pair the
-  /// client generated for this tenant (it encrypts/decrypts locally by
-  /// rebuilding an fhe::Dghv from these). The keys never left the client.
+  /// A created session: the server-assigned id plus the key the client
+  /// generated for this tenant (it encrypts/decrypts locally by rebuilding
+  /// an fhe::Dghv from these). public_key holds params and x0 only: its x
+  /// is empty, since the tenant encrypts with p. The keys never left the
+  /// client.
   struct SessionKeys {
     core::SessionId session = 0;
     fhe::PublicKey public_key;

@@ -35,7 +35,9 @@ TEST(DghvParams, ValidationCatchesBadConfigs) {
 TEST(Dghv, KeyGenerationStructure) {
   const Dghv scheme(DghvParams::toy(), 1);
   const auto& pk = scheme.public_key();
-  EXPECT_EQ(pk.x.size(), DghvParams::toy().tau);
+  // A tenant key has no public elements; build_public_key makes them.
+  EXPECT_TRUE(pk.x.empty());
+  EXPECT_EQ(scheme.build_public_key(1).x.size(), DghvParams::toy().tau);
   EXPECT_TRUE(pk.x0.is_odd());
   EXPECT_EQ(pk.x0.bit_length(), DghvParams::toy().gamma);
   EXPECT_TRUE(scheme.secret_key().is_odd());
@@ -161,8 +163,96 @@ TEST(Dghv, DeterministicForSeed) {
   EXPECT_EQ(s1.encrypt(true).value, s2.encrypt(true).value);
 }
 
+TEST(Dghv, RebuiltContextChecksThatPDividesX0) {
+  const Dghv keys(DghvParams::toy(), 3);
+  EXPECT_NO_THROW(Dghv(keys.public_key(), keys.secret_key(), 1));
+  EXPECT_ANY_THROW(Dghv(keys.public_key(), keys.secret_key() + BigUInt{2}, 1));
+  EXPECT_ANY_THROW(Dghv(keys.public_key(), keys.secret_key() + BigUInt{1}, 1));  // even
+}
+
+/// Secret-key encryption from a mirror of the scheme's rng: q below
+/// q0 = x0 / p, then r, then c = q*p + 2r + m.
+BigUInt reference_secret_encrypt(const PublicKey& pk, const BigUInt& p, util::Rng& rng,
+                                 bool message) {
+  const BigUInt q = BigUInt::random_below(rng, pk.x0 / p);
+  const BigUInt r = BigUInt::random_bits(rng, pk.params.rho);
+  return q * p + (r << 1) + BigUInt{message ? 1u : 0u};
+}
+
+TEST(DghvEncrypt, MatchesTheSecretKeyFormula) {
+  for (const DghvParams& params : {DghvParams::toy(), DghvParams::deep(), DghvParams::medium(),
+                                   DghvParams::small_paper()}) {
+    const Dghv keys(params, 5);
+    for (const u64 seed : {1u, 2u, 99u}) {
+      Dghv scheme(keys.public_key(), keys.secret_key(), seed);
+      util::Rng mirror(seed);
+      for (int i = 0; i < 4; ++i) {
+        const bool m = (i % 2) == 0;
+        EXPECT_EQ(scheme.encrypt(m).value,
+                  reference_secret_encrypt(keys.public_key(), keys.secret_key(), mirror, m))
+            << "gamma " << params.gamma << ", seed " << seed << ", encryption " << i;
+      }
+    }
+  }
+}
+
+TEST(DghvEncrypt, PublicElementsAreEncryptionsOfZeroFromTheirOwnStream) {
+  const DghvParams params = DghvParams::toy();
+  Dghv a(params, 21);
+  Dghv b(params, 21);
+  const PublicKey pk = b.build_public_key(77);
+  EXPECT_EQ(pk.x0, b.x0());
+  util::Rng mirror(77);
+  for (const BigUInt& xi : pk.x) {
+    EXPECT_EQ(xi, reference_secret_encrypt(pk, b.secret_key(), mirror, false));
+  }
+  EXPECT_EQ(b.build_public_key(77).x, pk.x);  // same key and seed, same elements
+  // Building the elements draws nothing from the encryption rng.
+  EXPECT_EQ(a.encrypt(true).value, b.encrypt(true).value);
+}
+
+/// Fresh ciphertexts of both encryption paths lie below x0, decrypt, and
+/// carry no more noise than NoiseModel::fresh predicts; the AND of two of
+/// them stays under after_mult.
+void expect_fresh_noise_sound(const DghvParams& params, u64 seed, int count) {
+  Dghv scheme(params, seed);
+  const PublicKey pk = scheme.build_public_key(seed + 1);
+  util::Rng public_rng(seed + 2);
+  const double fresh = NoiseModel::fresh(params);
+  for (const bool secret : {true, false}) {
+    const char* path = secret ? "secret-key" : "public-key";
+    std::vector<Ciphertext> cts;
+    for (int i = 0; i < count; ++i) {
+      const bool m = (i % 2) == 0;
+      cts.push_back(secret ? scheme.encrypt(m) : encrypt_public(pk, public_rng, m));
+      const Ciphertext& c = cts.back();
+      EXPECT_LT(c.value, scheme.x0()) << path << " gamma " << params.gamma;
+      EXPECT_EQ(scheme.decrypt(c), m) << path << " gamma " << params.gamma;
+      EXPECT_EQ(c.noise_bits, fresh);
+      EXPECT_LE(static_cast<double>(scheme.measured_noise_bits(c)), fresh)
+          << path << " gamma " << params.gamma;
+    }
+    const Ciphertext product = scheme.multiply(cts[0], cts[1]);
+    EXPECT_FALSE(scheme.decrypt(product));  // 1 AND 0
+    EXPECT_LE(static_cast<double>(scheme.measured_noise_bits(product)),
+              NoiseModel::after_mult(fresh, fresh))
+        << path << " gamma " << params.gamma;
+  }
+}
+
+TEST(DghvNoise, FreshNoiseIsUnderTheModelOnBothPaths) {
+  for (const DghvParams& params : {DghvParams::toy(), DghvParams::medium(), DghvParams::deep()}) {
+    for (const u64 seed : {3u, 4u}) expect_fresh_noise_sound(params, seed, 8);
+  }
+}
+
+TEST(DghvNoise, FreshNoiseIsUnderTheModelOnBothPathsAtPaperSize) {
+  expect_fresh_noise_sound(DghvParams::small_paper(), 6, 2);
+}
+
 /// The textbook subset sum, one term at a time from a mirror of the
-/// scheme's rng: r, then one flip per x_i, then (m + 2r + 2 sum x_i) mod x0.
+/// encryptor's rng: r, then one flip per x_i, then
+/// (m + 2r + 2 sum x_i) mod x0.
 BigUInt reference_encrypt(const PublicKey& pk, util::Rng& rng, bool message) {
   const BigUInt r = BigUInt::random_bits(rng, pk.params.rho);
   BigUInt sum;
@@ -172,15 +262,16 @@ BigUInt reference_encrypt(const PublicKey& pk, util::Rng& rng, bool message) {
   return (BigUInt{message ? 1u : 0u} + (r << 1) + (sum << 1)) % pk.x0;
 }
 
-/// Encrypts `count` alternating bits with Dghv(pk, p, seed) and checks each
-/// against reference_encrypt on Rng(seed). Consecutive encryptions only
-/// agree if both consume the same number of draws.
-void expect_encrypt_matches_formula(const PublicKey& pk, const BigUInt& p, u64 seed, int count) {
-  Dghv scheme(pk, p, seed);
+/// Encrypts `count` alternating bits with encrypt_public on Rng(seed) and
+/// checks each against reference_encrypt on a mirror Rng(seed).
+/// Consecutive encryptions only agree if both consume the same number of
+/// draws.
+void expect_encrypt_matches_formula(const PublicKey& pk, u64 seed, int count) {
+  util::Rng rng(seed);
   util::Rng mirror(seed);
   for (int i = 0; i < count; ++i) {
     const bool m = (i % 2) == 0;
-    EXPECT_EQ(scheme.encrypt(m).value, reference_encrypt(pk, mirror, m))
+    EXPECT_EQ(encrypt_public(pk, rng, m).value, reference_encrypt(pk, mirror, m))
         << "gamma " << pk.params.gamma << ", seed " << seed << ", encryption " << i;
   }
 }
@@ -188,15 +279,21 @@ void expect_encrypt_matches_formula(const PublicKey& pk, const BigUInt& p, u64 s
 TEST(DghvEncrypt, MatchesTheSubsetSumFormula) {
   for (const DghvParams& params : {DghvParams::toy(), DghvParams::deep(), DghvParams::medium()}) {
     const Dghv keys(params, 5);
+    const PublicKey pk = keys.build_public_key(5);
     for (const u64 seed : {1u, 2u, 99u}) {
-      expect_encrypt_matches_formula(keys.public_key(), keys.secret_key(), seed, 6);
+      expect_encrypt_matches_formula(pk, seed, 6);
     }
   }
 }
 
 TEST(DghvEncrypt, MatchesTheSubsetSumFormulaAtPaperSize) {
   const Dghv keys(DghvParams::small_paper(), 7);
-  expect_encrypt_matches_formula(keys.public_key(), keys.secret_key(), 1, 2);
+  expect_encrypt_matches_formula(keys.build_public_key(7), 1, 2);
+}
+
+TEST(DghvEncrypt, PublicEncryptionNeedsTheElements) {
+  util::Rng rng(1);
+  EXPECT_ANY_THROW((void)encrypt_public(Dghv(DghvParams::toy(), 1).public_key(), rng, true));
 }
 
 TEST(DghvEncrypt, CarryRipplesIntoTheTopLimb) {
@@ -212,7 +309,7 @@ TEST(DghvEncrypt, CarryRipplesIntoTheTopLimb) {
   ASSERT_EQ(pk.x0.limbs().back(), ~u64{0});
   pk.x.assign(pk.params.tau, pk.x0 - BigUInt{1});
   ASSERT_GT((pk.x[0] + pk.x[0]).limb_count(), pk.x0.limb_count());
-  for (const u64 seed : {1u, 2u, 99u}) expect_encrypt_matches_formula(pk, p, seed, 4);
+  for (const u64 seed : {1u, 2u, 99u}) expect_encrypt_matches_formula(pk, seed, 4);
 }
 
 }  // namespace

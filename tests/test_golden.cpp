@@ -397,10 +397,10 @@ void expect_golden(const std::vector<Job>& jobs, const Served& served, std::stri
 
 constexpr std::string_view kToyDeepGolden =
     "requests 25, statuses 0001000000000000000000000, and_gates 213, levels 65, "
-    "transforms_executed 450, transforms_avoided 189, fingerprint bc0cad12ef1aca7f";
+    "transforms_executed 450, transforms_avoided 189, fingerprint a5466a3ca0afcfb2";
 constexpr std::string_view kPaperAndGolden =
     "requests 1, statuses 0, and_gates 1, levels 1, "
-    "transforms_executed 3, transforms_avoided 0, fingerprint bca44d4a9740a03b";
+    "transforms_executed 3, transforms_avoided 0, fingerprint 90ef585720dbb29d";
 
 TEST(GoldenTest, ToyAndDeepStreamMatchesOnEveryPathAndTheCommittedLedger) {
   // Every builtin kind under both lowerings at toy (width 2) and deep

@@ -137,6 +137,8 @@ TEST(NetTest, LoopbackShardMatchesInProcessServiceBitExactly) {
   ShardClient::SessionKeys keys = client.create_session(DghvParams::toy(), key_seed);
   const core::SessionId local_session =
       local_service.create_session(DghvParams::toy(), key_seed);
+  // The tenant encrypts with p: keygen built no public encryptions of zero.
+  EXPECT_TRUE(keys.public_key.x.empty());
 
   // The tenant rebuilds its scheme from the keys create_session generated;
   // its x0 is the one the in-process session was opened with.

@@ -95,7 +95,8 @@ TEST_F(SerializeTest, InconsistentParamsAreRejected) {
 }
 
 TEST_F(SerializeTest, PublicKeyRoundTrip) {
-  const PublicKey& key = scheme_.public_key();
+  const PublicKey key = scheme_.build_public_key(41);
+  ASSERT_EQ(key.x.size(), key.params.tau);
   const PublicKey back = decode_public_key(encode_public_key(key));
   EXPECT_EQ(back.x0, key.x0);
   EXPECT_EQ(back.x, key.x);
@@ -280,7 +281,7 @@ TEST_F(SerializeTest, TruncationAtEveryLengthIsRejectedNotUB) {
   const std::vector<Bytes> frames = {
       encode_biguint(scheme_.public_key().x0),
       encode_params(scheme_.params()),
-      encode_public_key(scheme_.public_key()),
+      encode_public_key(scheme_.build_public_key(41)),
       encode_secret_key(scheme_.secret_key()),
       encode_ciphertext(scheme_.encrypt(true)),
       encode_graph(GraphTopology::capture(graph, outs)),
@@ -675,11 +676,11 @@ TEST_F(SerializeTest, DocumentedCreateSessionEnvelopeHexExampleRoundTrips) {
       0x01, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x67, 0xCF, 0x7C, 0xB8, 0x5E, 0x41, 0x61, 0x77, 0x75, 0x2C, 0x21, 0xFF, 0xCB,
       0x4F, 0x8C, 0xB8, 0x48, 0x4D, 0x57, 0x31, 0x01, 0x05, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6F, 0xBB, 0x7C, 0x20, 0xC8,
-      0x1F, 0x3D, 0x73, 0x25, 0xA9, 0x3B, 0xA1, 0xC0, 0x9B, 0x95, 0xA0, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6A, 0xC5, 0x7C, 0x6C, 0x93,
+      0x30, 0x4F, 0x75, 0xCD, 0x6A, 0x2E, 0x50, 0xC6, 0xF5, 0x90, 0xAC, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x10, 0x40, 0x48, 0x4D, 0x57, 0x31, 0x01, 0x05, 0x20, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x70, 0xBB, 0x7C, 0x20,
-      0xC8, 0x1F, 0x3D, 0x73, 0x25, 0xA9, 0x3B, 0xA1, 0xC0, 0x9B, 0x95, 0xA0, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xB8, 0x2B, 0xC2, 0xCC,
+      0x01, 0x2F, 0x60, 0xDB, 0x91, 0x01, 0xD5, 0x66, 0xE0, 0x2D, 0x05, 0x25, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x10, 0x40,
   };
   ASSERT_EQ(documented.size(), 215u);

@@ -154,11 +154,17 @@ TRACKED = {
                lambda d: _max_over(d["results"], "requests_per_sec"), mode="warn"),
     ],
     "fhe_dghv.json": [
-        # Dghv::encrypt's in-place subset sum against the loop it replaced,
-        # both drawn from one seed: every trial's ciphertexts must be equal.
+        # The public-key encryptor's in-place subset sum against the loop it
+        # replaced, both drawn from one seed: every trial's ciphertexts must
+        # be equal.
         Metric("encrypt.bit_exact", lambda d: d["encrypt"]["bit_exact"], kind="bool",
                mode="hard"),
-        # Paper-size median over the former loop's median, same run.
+        # Secret-key encryption (Dghv::encrypt, no reduction): every
+        # ciphertext is below x0 and decrypts.
+        Metric("encrypt.secret_ok", lambda d: d["encrypt"]["secret_ok"], kind="bool",
+               mode="hard"),
+        # Paper-size public encrypt median over the former loop's median,
+        # same run.
         Metric("encrypt.speedup", lambda d: d["encrypt"]["speedup"], mode="warn"),
     ],
 }
