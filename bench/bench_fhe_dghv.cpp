@@ -18,6 +18,13 @@
 // the modulus's Barrett reducer (one Knuth division); the software SSA
 // line times the raw gamma-bit product the same way.
 //
+// The served-AND row evaluates one paper-size AND the way the service
+// does, through fhe::Evaluator on a 1-lane "ssa" scheduler with the wires
+// resident in the spectrum domain, next to Dghv::multiply (both medians of
+// 9 after a warm-up). Its resident transform length is a deterministic
+// fact of the residency plan (hard-gated at 65,536 points, the paper's
+// transform); its result must equal Dghv::multiply's.
+//
 // The keygen lines give the paper-size medians of kKeygenTrials tenant
 // keygens and element builds, and a mirror of the element build on the
 // same seeds that times the tau q_i * p products apart from the rest; its
@@ -27,8 +34,9 @@
 //   bench_fhe_dghv [--json FILE]
 //
 // Exit 0 iff every decryption checks, every secret-key ciphertext is below
-// x0, every public-key encryption is bit-exact and the mirrored build
-// reproduces the scheme's public elements.
+// x0, every public-key encryption is bit-exact, the mirrored build
+// reproduces the scheme's public elements and the served AND equals
+// Dghv::multiply.
 
 #include <algorithm>
 #include <chrono>
@@ -40,7 +48,10 @@
 #include <vector>
 
 #include "core/accelerator.hpp"
+#include "core/scheduler.hpp"
 #include "fhe/dghv.hpp"
+#include "fhe/evaluator.hpp"
+#include "fhe/graph.hpp"
 #include "ssa/multiply.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -172,6 +183,37 @@ KeygenSplit time_keygen(const fhe::DghvParams& params, u64 seed) {
   return split;
 }
 
+/// One paper-size AND served through the evaluator, next to the scheme's
+/// own product.
+struct ServedAnd {
+  u64 transform_size = 0;    ///< points of the resident transforms
+  u64 coeff_bits = 0;        ///< m of the resident geometry
+  double served_ms = 0.0;    ///< Evaluator on a 1-lane ssa scheduler, median
+  double multiply_ms = 0.0;  ///< Dghv::multiply, median
+  bool bit_exact = false;    ///< the two products are equal
+};
+
+ServedAnd time_served_and(fhe::Dghv& scheme, const fhe::Ciphertext& ca, const fhe::Ciphertext& cb) {
+  ServedAnd result;
+  fhe::Graph graph(scheme);
+  const std::vector<fhe::Wire> outputs = {graph.gate_and(graph.input(ca), graph.input(cb))};
+  core::Config config;
+  config.backend_name = "ssa";
+  config.num_workers = 1;
+  core::Scheduler scheduler(config);
+  fhe::Evaluator evaluator(scheduler);
+  fhe::EvalReport report;
+  std::vector<fhe::Ciphertext> served;
+  result.served_ms = median_ms([&] { served = evaluator.evaluate(graph, outputs, &report); });
+  fhe::Ciphertext product;
+  result.multiply_ms = median_ms([&] { product = scheme.multiply(ca, cb); });
+  result.transform_size = report.residency.transform_size;
+  result.coeff_bits = report.residency.coeff_bits;
+  result.bit_exact = report.spectrum_resident && served.size() == 1 &&
+                     served[0].value == product.value;
+  return result;
+}
+
 struct SettingResult {
   const char* name;
   std::size_t gamma;
@@ -269,7 +311,8 @@ SettingResult run_setting(const char* name, const fhe::DghvParams& params, util:
 }
 
 bool write_json(const std::string& path, const std::vector<SettingResult>& results,
-                const KeygenSplit& keygen, bool bit_exact, bool secret_ok) {
+                const KeygenSplit& keygen, const ServedAnd& served, bool bit_exact,
+                bool secret_ok) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -285,6 +328,13 @@ bool write_json(const std::string& path, const std::vector<SettingResult>& resul
                "\"bit_exact\": %s},\n",
                keygen.median_ms, keygen.build_median_ms, keygen.mirror_ms, keygen.products_ms,
                keygen.products_share(), keygen.bit_exact ? "true" : "false");
+  std::fprintf(out,
+               "  \"resident\": {\"paper_and_transform_size\": %llu, "
+               "\"paper_and_coeff_bits\": %llu, \"paper_and_ms\": %.3f, "
+               "\"paper_multiply_ms\": %.3f, \"paper_and_bit_exact\": %s},\n",
+               static_cast<unsigned long long>(served.transform_size),
+               static_cast<unsigned long long>(served.coeff_bits), served.served_ms,
+               served.multiply_ms, served.bit_exact ? "true" : "false");
   std::fprintf(out, "  \"settings\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SettingResult& r = results[i];
@@ -386,8 +436,27 @@ int main(int argc, char** argv) {
   std::printf("\nModeled accelerator speedup over this host's software SSA: %.1fx\n",
               sw_ms * 1000.0 / perf.mult_us());
 
+  // The same AND as the service runs it: wires resident in the spectrum
+  // domain, at the geometry the residency plan fits to the circuit.
+  const ServedAnd served = time_served_and(scheme, ca, cb);
+  ok = ok && served.bit_exact;
+  const auto geometry = [](u64 points, u64 coeff_bits) {
+    return util::with_commas(points) + " points, m = " + std::to_string(coeff_bits);
+  };
+  const ssa::SsaParams eager = ssa::SsaParams::for_bits(scheme.x0().bit_length());
+  util::Table served_table({"setting", "path", "transform", "hom-mult", "check"});
+  served_table.add_row({"small (paper)", "Dghv::multiply (eager)",
+                        geometry(eager.transform_size, eager.coeff_bits),
+                        util::format_fixed(served.multiply_ms, 2) + " ms", ""});
+  served_table.add_row({"small (paper)", "Evaluator, 1-lane ssa (resident)",
+                        geometry(served.transform_size, served.coeff_bits),
+                        util::format_fixed(served.served_ms, 2) + " ms",
+                        served.bit_exact ? "bit-exact" : "DIFFERS"});
+  std::printf("\nServed AND (median of %d, with its reduction):\n%s\n", kTrials,
+              served_table.render().c_str());
+
   if (!json_path.empty()) {
-    if (!write_json(json_path, results, keygen, bit_exact, secret_ok)) return 1;
+    if (!write_json(json_path, results, keygen, served, bit_exact, secret_ok)) return 1;
     std::printf("json : %s\n", json_path.c_str());
   }
   return ok && bit_exact && secret_ok ? 0 : 1;

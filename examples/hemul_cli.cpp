@@ -412,6 +412,10 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, const std::st
                 static_cast<unsigned long long>(3 * report.and_gates),
                 static_cast<unsigned long long>(rs.domain_additions),
                 static_cast<unsigned long long>(rs.spectra_evicted));
+    std::printf("geometry     : %s points, m = %llu, largest fold %llu product(s)\n",
+                util::with_commas(rs.transform_size).c_str(),
+                static_cast<unsigned long long>(rs.coeff_bits),
+                static_cast<unsigned long long>(rs.max_fold_products));
   }
 
   scheduler.wait_idle();

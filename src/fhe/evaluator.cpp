@@ -11,7 +11,6 @@
 
 #include "backend/ssa_backend.hpp"
 #include "core/scheduler.hpp"
-#include "fp/fp64.hpp"
 #include "ssa/resident.hpp"
 #include "ssa/workspace.hpp"
 #include "util/check.hpp"
@@ -153,38 +152,56 @@ void EvalState::evict(u32 wire, unsigned kind) {
   if (spectra_.erase(spectrum_key(wire, kind)) != 0) ++rstats_.spectra_evicted;
 }
 
+void EvalState::enable_residency() {
+  const std::size_t bits = modulus().bit_length();
+  const ssa::SsaParams headroom = ssa::SsaParams::for_bits(bits, ssa::kResidentHeadroomBits);
+  const u64 k_max = plan_folds(headroom.max_products());
+  set_geometry(ssa::SsaParams::for_products(bits, k_max), k_max);
+}
+
 void EvalState::enable_residency(const ssa::SsaParams& params) {
+  params.validate();
+  set_geometry(params, plan_folds(params.max_products()));
+}
+
+void EvalState::set_geometry(const ssa::SsaParams& params, u64 max_fold_products) {
+  HEMUL_CHECK_MSG(params.max_products() >= max_fold_products,
+                  "EvalState: geometry too short for the fold plan");
   params_ = params;
-  params_.validate();
+  rstats_.max_fold_products = max_fold_products;
+  rstats_.transform_size = params.transform_size;
+  rstats_.coeff_bits = params.coeff_bits;
+}
+
+u64 EvalState::plan_folds(u64 fold_cap) {
   residency_ = true;
 
   const u32 count = static_cast<u32>(graph_->size());
   folded_.assign(count, 0);
   needs_value_.assign(count, 0);
 
-  // Static reduction-bound analysis. Every AND product's true convolution
-  // coefficients stay below num_coeffs * (2^m - 1)^2 (< p by the for_bits
-  // headroom); a fold's bound is the sum of its operands'. Folds whose
-  // bound would reach p are demoted to eager here, up front, so the
-  // runtime never needs a mid-level canonicalization flush -- and the
-  // transform counts stay a deterministic function of the circuit.
-  const u128 max_coeff = (u128{1} << params_.coeff_bits) - 1;
-  const u128 and_bound = static_cast<u128>(params_.num_coeffs) * max_coeff * max_coeff;
-  std::vector<u128> bound(count, 0);  // nonzero <=> the wire is in-domain
+  // Static reduction-bound analysis, in units of AND products: an AND
+  // product's true convolution coefficients stay below num_coeffs *
+  // (2^m - 1)^2, and a fold's bound is the sum of its operands'. Folds
+  // that would sum more than `fold_cap` products are demoted to eager
+  // here, up front, so the runtime never needs a mid-level
+  // canonicalization flush -- and the transform counts stay a
+  // deterministic function of the circuit and the cap.
+  std::vector<u64> products(count, 0);  // nonzero <=> the wire is in-domain
   for (u32 id = 0; id < count; ++id) {
     if (!live_[id]) continue;
     const Wire w{id};
     const GateOp op = graph_->op(w);
     if (op == GateOp::kAnd) {
-      bound[id] = and_bound;
+      products[id] = 1;
     } else if (op == GateOp::kXor) {
       const auto [a, b] = graph_->operands(w);
-      if (bound[a.id] == 0 || bound[b.id] == 0) continue;
-      if (bound[a.id] + bound[b.id] >= u128{fp::kModulus}) {
+      if (products[a.id] == 0 || products[b.id] == 0) continue;
+      if (products[a.id] > fold_cap - products[b.id]) {  // sum > cap; both are <= cap
         ++rstats_.bound_flushes;
         continue;
       }
-      bound[id] = bound[a.id] + bound[b.id];
+      products[id] = products[a.id] + products[b.id];
       folded_[id] = 1;
     }
   }
@@ -262,6 +279,14 @@ void EvalState::enable_residency(const ssa::SsaParams& params) {
     if (last_operand[id] > 0) evict_operand_[last_operand[id]].push_back(id);
     if (last_spectrum[id] > 0) evict_spectrum_[last_spectrum[id]].push_back(id);
   }
+
+  // The largest sum a resident spectrum stands for. A fold the relaxation
+  // kept has both operands in the domain, so its first-pass count holds.
+  u64 k_max = 1;
+  for (u32 id = 0; id < count; ++id) {
+    if (folded_[id]) k_max = std::max(k_max, products[id]);
+  }
+  return k_max;
 }
 
 const bigint::BigUInt& EvalState::wire_value(u32 id) const { return values_[id].value; }
@@ -356,9 +381,7 @@ Lanes::Lanes(std::shared_ptr<backend::MultiplierBackend> engine)
 }
 
 void Lanes::plan(EvalState& state) const {
-  if (!resident_) return;
-  state.enable_residency(ssa::SsaParams::for_bits(
-      state.graph().scheme().x0().bit_length(), ssa::kResidentHeadroomBits));
+  if (resident_) state.enable_residency();
 }
 
 namespace {

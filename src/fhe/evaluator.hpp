@@ -28,7 +28,10 @@ struct ResidencyStats {
   u64 domain_additions = 0;    ///< XOR folds executed as pointwise additions
   u64 spectra_evicted = 0;     ///< resident entries dropped after last use
   u64 resident_peak = 0;       ///< high-water mark of simultaneously resident spectra
-  u64 bound_flushes = 0;       ///< XOR folds demoted to eager by the reduction bound
+  u64 bound_flushes = 0;       ///< XOR folds demoted to eager by the fold cap
+  u64 max_fold_products = 0;   ///< most AND products one resident wire sums
+  u64 transform_size = 0;      ///< points of every resident transform (planned)
+  u64 coeff_bits = 0;          ///< m: bits per packed coefficient (planned)
 
   /// Transforms actually executed; the eager path pays ~3 per AND gate.
   [[nodiscard]] u64 transforms_executed() const noexcept {
@@ -173,8 +176,17 @@ class EvalState {
   // materialization ((a mod x0) + (b mod x0) == a + b (mod x0)).
 
   /// Plans residency: decides per wire whether it stays in the spectrum
-  /// domain (static reduction-bound analysis included; over-bound XOR folds
-  /// are demoted to eager and counted as bound_flushes).
+  /// domain. A static bound analysis counts the AND products each XOR fold
+  /// sums; folds over the cap, SsaParams::for_bits(bits,
+  /// kResidentHeadroomBits).max_products() for x0's bit length, are demoted
+  /// to eager and counted as bound_flushes. The spectra then run at the
+  /// shortest exact geometry for the plan's largest fold k,
+  /// SsaParams::for_products(bits, k): 65,536 points at paper size when no
+  /// fold sums two products. Lanes::plan() calls this.
+  void enable_residency();
+  /// The same plan at a fixed geometry, capped at params.max_products().
+  /// At for_bits(bits, kResidentHeadroomBits) it makes the fold set
+  /// enable_residency() makes, on longer transforms.
   void enable_residency(const ssa::SsaParams& params);
   [[nodiscard]] bool residency_enabled() const noexcept { return residency_; }
   [[nodiscard]] const ssa::SsaParams& spectrum_params() const noexcept { return params_; }
@@ -215,6 +227,10 @@ class EvalState {
   [[nodiscard]] const ResidencyStats& residency_stats() const noexcept { return rstats_; }
 
  private:
+  /// The fold plan under `fold_cap` products per wire; returns the
+  /// largest fold it keeps (at least 1).
+  u64 plan_folds(u64 fold_cap);
+  void set_geometry(const ssa::SsaParams& params, u64 max_fold_products);
   [[nodiscard]] static u64 spectrum_key(u32 wire, unsigned kind) noexcept;
   [[nodiscard]] const ssa::SpectrumHandle* find_spectrum(u32 wire, unsigned kind) const;
   void publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum);
@@ -261,8 +277,9 @@ class Lanes {
   [[nodiscard]] core::Scheduler* scheduler() const noexcept { return scheduler_; }
   [[nodiscard]] backend::MultiplierBackend* engine() const noexcept { return engine_.get(); }
 
-  /// Enables residency on `state` (SSA geometry of its scheme's x0) when
-  /// the lanes speak spectra; leaves it on the eager protocol otherwise.
+  /// Enables residency on `state` (its geometry fitted to its own fold
+  /// plan) when the lanes speak spectra; leaves it on the eager protocol
+  /// otherwise.
   void plan(EvalState& state) const;
 
  private:

@@ -238,6 +238,11 @@ DghvParams decode_params(std::span<const u8> buffer) {
 // --- PublicKey -------------------------------------------------------------
 
 Bytes encode_public_key(const PublicKey& key) {
+  // The counts a key can have: none (a tenant's key) or all tau elements
+  // (Dghv::build_public_key). The decoder accepts exactly these.
+  if (!key.x.empty() && key.x.size() != key.params.tau) {
+    fail("public-key element count is neither 0 nor tau");
+  }
   ByteWriter w;
   w.begin_frame(WireTag::kPublicKey);
   write_params_payload(w, key.params);
@@ -256,7 +261,9 @@ PublicKey read_public_key_payload(ByteReader& r) {
   key.x0 = r.get_biguint();
   if (key.x0.is_zero()) fail("public modulus x0 is zero");
   const u32 count = r.get_u32();
-  if (count != key.params.tau) fail("public-key element count disagrees with tau");
+  if (count != 0 && count != key.params.tau) {
+    fail("public-key element count is neither 0 nor tau");
+  }
   // Every element costs at least its 8-byte limb count: bound the
   // allocation by the bytes actually present (a hostile tau would
   // otherwise reserve gigabytes before the first element read fails).

@@ -163,6 +163,8 @@ Bytes encode_params(const DghvParams& params);
 DghvParams decode_params(ByteReader& reader);
 DghvParams decode_params(std::span<const u8> buffer);
 
+/// A public key carries either no elements (a tenant's key: x0 only) or
+/// all tau of them; encode and decode refuse any other count.
 Bytes encode_public_key(const PublicKey& key);
 PublicKey decode_public_key(ByteReader& reader);
 PublicKey decode_public_key(std::span<const u8> buffer);

@@ -29,6 +29,15 @@ bool exact(std::size_t m, u64 num_coeffs, unsigned headroom_bits = 0) {
          (u128{fp::kModulus} >> headroom_bits);
 }
 
+/// The geometry for operands of `operand_bits` at coefficient width m.
+SsaParams geometry(std::size_t operand_bits, std::size_t m) {
+  SsaParams params;
+  params.coeff_bits = m;
+  params.num_coeffs = (operand_bits + m - 1) / m;
+  params.transform_size = std::max<u64>(next_pow2(2 * params.num_coeffs), kMinTransform);
+  return params;
+}
+
 }  // namespace
 
 SsaParams SsaParams::paper() {
@@ -44,16 +53,32 @@ SsaParams SsaParams::for_bits(std::size_t operand_bits, unsigned headroom_bits) 
   if (operand_bits == 0) throw std::invalid_argument("for_bits: operand_bits must be > 0");
   // Largest m keeps the transform shortest; scan downward until exact.
   for (std::size_t m = 26; m >= 4; --m) {
-    const u64 num_coeffs = (operand_bits + m - 1) / m;
-    if (!exact(m, num_coeffs, headroom_bits)) continue;
-    SsaParams params;
-    params.coeff_bits = m;
-    params.num_coeffs = num_coeffs;
-    params.transform_size = std::max<u64>(next_pow2(2 * num_coeffs), kMinTransform);
+    SsaParams params = geometry(operand_bits, m);
+    if (!exact(m, params.num_coeffs, headroom_bits)) continue;
     params.validate();
     return params;
   }
   throw std::invalid_argument("for_bits: no exact parameterization found");
+}
+
+SsaParams SsaParams::for_products(std::size_t operand_bits, u64 products) {
+  if (operand_bits == 0) throw std::invalid_argument("for_products: operand_bits must be > 0");
+  if (products == 0) throw std::invalid_argument("for_products: products must be > 0");
+  for (std::size_t m = 26; m >= 4; --m) {
+    SsaParams params = geometry(operand_bits, m);
+    if (params.max_products() < products) continue;
+    params.validate();
+    return params;
+  }
+  throw std::invalid_argument("for_products: no geometry admits that many products");
+}
+
+u64 SsaParams::max_products() const noexcept {
+  // m <= 31 and num_coeffs < 2^64 keep one product's bound within 126 bits.
+  const u128 max_coeff = (u128{1} << coeff_bits) - 1;
+  const u128 product_bound = static_cast<u128>(num_coeffs) * max_coeff * max_coeff;
+  if (product_bound == 0) return 0;
+  return static_cast<u64>((u128{fp::kModulus} - 1) / product_bound);
 }
 
 void SsaParams::validate() const {

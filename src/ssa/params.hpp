@@ -35,6 +35,21 @@ struct SsaParams {
   /// operand_bits == 0.
   static SsaParams for_bits(std::size_t operand_bits, unsigned headroom_bits = 0);
 
+  /// The shortest exact geometry whose product spectra may be summed
+  /// `products` at a time: the largest m (so the shortest transform) with
+  ///     products * num_coeffs * (2^m - 1)^2 < p,
+  /// i.e. max_products() >= products. for_products(bits, 1) is
+  /// for_bits(bits). The spectrum-resident evaluator sizes its geometry
+  /// this way, from the largest fold its residency plan makes. Throws
+  /// std::invalid_argument if operand_bits or products is 0, or if no
+  /// geometry admits that many products.
+  static SsaParams for_products(std::size_t operand_bits, u64 products);
+
+  /// How many product spectra of this geometry may be summed pointwise
+  /// with every true coefficient staying below p: the largest k with
+  /// k * num_coeffs * (2^m - 1)^2 < p (0 if not even one product fits).
+  [[nodiscard]] u64 max_products() const noexcept;
+
   /// Maximum operand size this instance can multiply exactly.
   [[nodiscard]] std::size_t max_operand_bits() const noexcept {
     return coeff_bits * static_cast<std::size_t>(num_coeffs);

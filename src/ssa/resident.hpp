@@ -52,11 +52,14 @@ struct Spectrum {
 /// copies.
 using SpectrumHandle = std::shared_ptr<Spectrum>;
 
-/// Exactness headroom (in bits) the spectrum-resident evaluator asks of
-/// SsaParams::for_bits: room for up to 2^6 = 64 product spectra to
-/// accumulate pointwise before any true coefficient can reach p. At the
-/// bench geometry (gamma = 8192 bits) this costs nothing -- the transform
-/// length is the same 1024 points with or without the headroom.
+/// The spectrum-resident evaluator's fold cap, in bits: no resident wire
+/// sums more product spectra than SsaParams::for_bits(bits,
+/// kResidentHeadroomBits).max_products() (at least 2^6 = 64), and a fold
+/// that would is demoted to eager. The cap only bounds the fold plan; the
+/// spectra run at SsaParams::for_products(bits, k) for the plan's largest
+/// fold k. Reserving the headroom in the geometry itself is not free: at
+/// gamma = 786,432 it forces m = 21 and 131,072 points, against the
+/// paper's m = 24 and 65,536 for a circuit whose folds sum one product.
 inline constexpr unsigned kResidentHeadroomBits = 6;
 
 /// Binds one SSA parameterization (packing geometry) to a workspace and

@@ -10,7 +10,9 @@
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
+#include "fp/fp64.hpp"
 #include "ntt/plan.hpp"
+#include "util/rng.hpp"
 
 namespace hemul::fhe {
 namespace {
@@ -518,6 +520,221 @@ TEST(GraphResidency, EverySpectrumPublishedIsEvictedByTheLastLevel) {
     EXPECT_GT(rs.resident_peak, 0u) << circuit;
     EXPECT_LT(rs.resident_peak, published) << circuit;
   }
+}
+
+// --- resident geometry -----------------------------------------------------
+
+/// The residency plan of `outputs`, made without executing anything.
+EvalState planned(const Graph& graph, std::span<const Wire> outputs) {
+  EvalState state(graph, outputs);
+  state.enable_residency();
+  return state;
+}
+
+/// True iff `products` product spectra of `params` sum below p.
+bool admits(const ssa::SsaParams& params, u64 products) {
+  const u128 max_coeff = (u128{1} << params.coeff_bits) - 1;
+  return static_cast<u128>(products) * params.num_coeffs * max_coeff * max_coeff <
+         u128{fp::kModulus};
+}
+
+void expect_paper_geometry(const ssa::SsaParams& params, const char* circuit) {
+  const ssa::SsaParams paper = ssa::SsaParams::paper();
+  EXPECT_EQ(params.transform_size, paper.transform_size) << circuit;
+  EXPECT_EQ(params.coeff_bits, paper.coeff_bits) << circuit;
+  EXPECT_EQ(params.num_coeffs, paper.num_coeffs) << circuit;
+}
+
+TEST(GraphResidency, PaperSizeGatesPlanThePapersTransform) {
+  // A served paper-size AND, and the 1-bit multiplies beside it, sum at
+  // most two products per fold, so they run at the paper's m = 24 and
+  // 65,536 points, not at the 131,072 points the 6-bit fold headroom
+  // would force at gamma = 786,432.
+  Dghv scheme(DghvParams::small_paper(), 31);
+  const Ciphertext ca = scheme.encrypt(true);
+  const Ciphertext cb = scheme.encrypt(true);
+  const Ciphertext zero = scheme.encrypt(false);
+  const std::size_t bits = scheme.x0().bit_length();
+  EXPECT_EQ(ssa::SsaParams::for_bits(bits, ssa::kResidentHeadroomBits).transform_size, 131072u);
+
+  Graph and_graph(scheme);
+  const std::vector<Wire> and_out = {and_graph.gate_and(and_graph.input(ca), and_graph.input(cb))};
+  const EvalState and_plan = planned(and_graph, and_out);
+  expect_paper_geometry(and_plan.spectrum_params(), "and");
+  EXPECT_EQ(and_plan.residency_stats().max_fold_products, 1u);
+
+  for (const LoweringStrategy strategy :
+       {LoweringStrategy::kCarrySave, LoweringStrategy::kRippleCarry}) {
+    Graph graph(scheme, LoweringOptions{strategy});
+    const std::vector<Wire> a = graph.inputs(std::vector<Ciphertext>{ca});
+    const std::vector<Wire> b = graph.inputs(std::vector<Ciphertext>{cb});
+    const std::vector<Wire> product = graph.multiply(a, b, graph.input(zero));
+    const EvalState plan = planned(graph, product);
+    const std::string circuit = std::string("mul/1 ") + lowering_strategy_name(strategy).data();
+    expect_paper_geometry(plan.spectrum_params(), circuit.c_str());
+    EXPECT_LE(plan.residency_stats().max_fold_products, 2u) << circuit;
+    EXPECT_EQ(plan.residency_stats().bound_flushes, 0u) << circuit;
+  }
+
+  // The AND runs there, on a 1-lane ssa scheduler, bit-exact against the
+  // scheme's own product.
+  core::Config config;
+  config.backend_name = "ssa";
+  config.num_workers = 1;
+  core::Scheduler scheduler(config);
+  EvalReport report;
+  const std::vector<Ciphertext> got = Evaluator(scheduler).evaluate(and_graph, and_out, &report);
+  ASSERT_TRUE(report.spectrum_resident);
+  EXPECT_EQ(report.residency.transform_size, 65536u);
+  EXPECT_EQ(report.residency.coeff_bits, 24u);
+  EXPECT_EQ(report.residency.transforms_executed(), 3u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].value, scheme.multiply(ca, cb).value);
+  EXPECT_TRUE(scheme.decrypt(got[0]));
+}
+
+TEST(GraphResidency, CircuitMixKeepsItsTransformLength) {
+  // The service's deep carry-save circuits (fleetbench circuit_mix) fold a
+  // few products each; their fitted geometry widens m but keeps the
+  // 4,096 points of the headroom geometry.
+  Dghv scheme(DghvParams::deep(), 61);
+  const LoweringOptions carry_save{LoweringStrategy::kCarrySave};
+  const Ciphertext zero = scheme.encrypt(false);
+  const Ciphertext one = scheme.encrypt(true);
+  const EncryptedInt x8 = encrypt_int(scheme, 0xA7, 8);
+  const EncryptedInt y8 = encrypt_int(scheme, 0x5C, 8);
+  const EncryptedInt x16 = encrypt_int(scheme, 0xBEEF, 16);
+  const EncryptedInt y16 = encrypt_int(scheme, 0x1234, 16);
+  const std::size_t bits = scheme.x0().bit_length();
+  const ssa::SsaParams headroom = ssa::SsaParams::for_bits(bits, ssa::kResidentHeadroomBits);
+
+  for (const std::string circuit : {"mul/8", "adder/16", "lt/16", "equals/16", "mux/16"}) {
+    Graph g(scheme, carry_save);
+    const bool narrow = circuit == "mul/8";
+    const std::vector<Wire> a = g.inputs(narrow ? x8 : x16);
+    const std::vector<Wire> b = g.inputs(narrow ? y8 : y16);
+    std::vector<Wire> outputs;
+    if (circuit == "mul/8") {
+      outputs = g.multiply(a, b, g.input(zero));
+    } else if (circuit == "adder/16") {
+      Graph::AddResult sum = g.add(a, b, g.input(zero));
+      outputs = std::move(sum.sum);
+      outputs.push_back(sum.carry_out);
+    } else if (circuit == "lt/16") {
+      outputs = {g.less_than(a, b, g.input(zero), g.input(one))};
+    } else if (circuit == "equals/16") {
+      outputs = {g.equals(a, b, g.input(one))};
+    } else {
+      outputs = g.mux(g.input(one), a, b);
+    }
+    const EvalState plan = planned(g, outputs);
+    EXPECT_EQ(plan.spectrum_params().transform_size, 4096u) << circuit;
+    EXPECT_EQ(plan.spectrum_params().transform_size, headroom.transform_size) << circuit;
+    EXPECT_TRUE(admits(plan.spectrum_params(), plan.residency_stats().max_fold_products))
+        << circuit;
+  }
+}
+
+/// A seeded random circuit in `rounds` rounds over 8 fresh encryptions.
+/// Each round ANDs random pairs of any earlier wires, then XORs random
+/// pairs drawn from the round's recent gates, so XOR chains over AND
+/// products stay foldable and pile up many products: some folds pass the
+/// cap. Outputs: the last three wires and two earlier gates.
+std::pair<Graph, std::vector<Wire>> random_circuit(Dghv& scheme, u64 seed, unsigned rounds) {
+  util::Rng rng(seed);
+  Graph graph(scheme);
+  std::vector<Wire> wires;
+  for (unsigned i = 0; i < 8; ++i) wires.push_back(graph.input(scheme.encrypt(rng.flip())));
+  const auto pick_two = [&](std::size_t from) {
+    const u64 span = wires.size() - from;
+    const Wire a = wires[from + rng.below(span)];
+    Wire b = a;
+    while (b.id == a.id) b = wires[from + rng.below(span)];
+    return std::pair{a, b};
+  };
+  for (unsigned round = 0; round < rounds; ++round) {
+    const std::size_t start = wires.size();
+    for (unsigned i = 0; i < 6; ++i) {
+      const auto [a, b] = pick_two(0);
+      wires.push_back(graph.gate_and(a, b));
+    }
+    for (unsigned i = 0; i < 24; ++i) {
+      const auto [a, b] = pick_two(std::max(start, wires.size() - 6));
+      wires.push_back(graph.gate_xor(a, b));
+    }
+  }
+  std::vector<Wire> outputs(wires.end() - 3, wires.end());
+  for (int i = 0; i < 2; ++i) outputs.push_back(wires[8 + rng.below(wires.size() - 11)]);
+  return {std::move(graph), std::move(outputs)};
+}
+
+TEST(GraphResidency, FittedGeometryMatchesTheHeadroomPlanOnRandomCircuits) {
+  // The fitted geometry changes transform lengths only: against the same
+  // circuit planned at for_bits(bits, kResidentHeadroomBits), the fold
+  // set (bound_flushes) and every transform count are identical, and the
+  // outputs equal the eager inline evaluation bit for bit.
+  const EvalOptions no_veto{.check_noise = false};
+  std::atomic<u64> eager_products{0};
+  const auto eager_engine = counting_engine(eager_products);
+  u64 flushes = 0;
+  u64 widest_fold = 0;
+  for (const auto& [params, seeds, rounds] :
+       {std::tuple{DghvParams::toy(), 8u, 4u}, std::tuple{DghvParams::deep(), 3u, 3u}}) {
+    Dghv scheme(params, 5150);
+    const std::size_t bits = scheme.x0().bit_length();
+    const ssa::SsaParams headroom = ssa::SsaParams::for_bits(bits, ssa::kResidentHeadroomBits);
+    for (u64 seed = 1; seed <= seeds; ++seed) {
+      const auto [graph, outputs] = random_circuit(scheme, seed * 7919 + params.gamma, rounds);
+      const std::string what = std::to_string(params.gamma) + " bits, seed " + std::to_string(seed);
+
+      const std::vector<Ciphertext> eager =
+          Evaluator(eager_engine).evaluate(graph, outputs, nullptr, no_veto);
+
+      EvalReport report;
+      const std::vector<Ciphertext> fitted =
+          Evaluator(backend::make_backend("ssa")).evaluate(graph, outputs, &report, no_veto);
+      ASSERT_TRUE(report.spectrum_resident) << what;
+      expect_bit_exact(fitted, eager, what + " fitted");
+
+      // The shortest exact geometry for the plan's largest fold.
+      const ResidencyStats& fit = report.residency;
+      const ssa::SsaParams chosen = ssa::SsaParams::for_products(bits, fit.max_fold_products);
+      EXPECT_EQ(fit.transform_size, chosen.transform_size) << what;
+      EXPECT_EQ(fit.coeff_bits, chosen.coeff_bits) << what;
+      EXPECT_TRUE(admits(chosen, fit.max_fold_products)) << what;
+      if (chosen.coeff_bits < 26) {
+        ssa::SsaParams wider = chosen;
+        wider.coeff_bits += 1;
+        wider.num_coeffs = (bits + wider.coeff_bits - 1) / wider.coeff_bits;
+        EXPECT_FALSE(admits(wider, fit.max_fold_products)) << what;
+      }
+      EXPECT_LE(fit.transform_size, headroom.transform_size) << what;
+
+      // The same circuit planned at the headroom geometry.
+      EvalState state(graph, outputs);
+      state.enable_residency(headroom);
+      const Lanes lanes(backend::make_backend("ssa"));
+      for (unsigned level = 1; level <= state.max_level(); ++level) {
+        LevelStep step{&state, level, {}};
+        (void)step_levels({&step, 1}, lanes);
+        ASSERT_FALSE(step.fault) << what;
+      }
+      expect_bit_exact(state.outputs(), eager, what + " headroom");
+      const ResidencyStats& old = state.residency_stats();
+      EXPECT_EQ(old.transform_size, headroom.transform_size) << what;
+      EXPECT_EQ(fit.bound_flushes, old.bound_flushes) << what;
+      EXPECT_EQ(fit.max_fold_products, old.max_fold_products) << what;
+      EXPECT_EQ(fit.forward_transforms, old.forward_transforms) << what;
+      EXPECT_EQ(fit.inverse_transforms, old.inverse_transforms) << what;
+      EXPECT_EQ(fit.pointwise_products, old.pointwise_products) << what;
+      EXPECT_EQ(fit.domain_additions, old.domain_additions) << what;
+      flushes += fit.bound_flushes;
+      widest_fold = std::max(widest_fold, fit.max_fold_products);
+    }
+  }
+  // The sweep reaches the cap and folds more than one product.
+  EXPECT_GT(flushes, 0u);
+  EXPECT_GT(widest_fold, 1u);
 }
 
 // --- noise model tightness -------------------------------------------------

@@ -107,6 +107,41 @@ TEST_F(SerializeTest, PublicKeyRoundTrip) {
   EXPECT_EQ(p, scheme_.secret_key());
 }
 
+TEST_F(SerializeTest, TenantPublicKeyRoundTripsWithNoElements) {
+  // A tenant's key is x0 alone: it encodes and decodes back to x0 alone.
+  const PublicKey& key = scheme_.public_key();
+  ASSERT_TRUE(key.x.empty());
+  const PublicKey back = decode_public_key(encode_public_key(key));
+  EXPECT_EQ(back.x0, key.x0);
+  EXPECT_TRUE(back.x.empty());
+  EXPECT_EQ(back.params.tau, key.params.tau);
+}
+
+TEST_F(SerializeTest, PublicKeyWithSomeButNotAllElementsIsRefusedBothWays) {
+  // 1..tau-1 elements is no key that exists: the encoder will not write
+  // one, and the decoder refuses a frame that claims one.
+  const PublicKey full = scheme_.build_public_key(41);
+  const DghvParams& params = full.params;
+  for (u32 count = 1; count < params.tau; ++count) {
+    PublicKey partial = full;
+    partial.x.resize(count);
+    EXPECT_THROW((void)encode_public_key(partial), SerializeError) << count;
+
+    ByteWriter w;
+    w.begin_frame(WireTag::kPublicKey);
+    w.put_u32(params.lambda);
+    w.put_u64(params.rho);
+    w.put_u64(params.eta);
+    w.put_u64(params.gamma);
+    w.put_u32(params.tau);
+    w.put_biguint(full.x0);
+    w.put_u32(count);
+    for (u32 i = 0; i < count; ++i) w.put_biguint(full.x[i]);
+    w.finish_frame();
+    EXPECT_THROW((void)decode_public_key(w.bytes()), SerializeError) << count;
+  }
+}
+
 TEST_F(SerializeTest, HostileTauDoesNotAllocate) {
   // A public-key frame whose params claim tau = 2^32 - 1 (internally
   // consistent, so it passes validate()) with a matching element count
@@ -282,6 +317,7 @@ TEST_F(SerializeTest, TruncationAtEveryLengthIsRejectedNotUB) {
       encode_biguint(scheme_.public_key().x0),
       encode_params(scheme_.params()),
       encode_public_key(scheme_.build_public_key(41)),
+      encode_public_key(scheme_.public_key()),
       encode_secret_key(scheme_.secret_key()),
       encode_ciphertext(scheme_.encrypt(true)),
       encode_graph(GraphTopology::capture(graph, outs)),
@@ -289,6 +325,7 @@ TEST_F(SerializeTest, TruncationAtEveryLengthIsRejectedNotUB) {
   const auto decoders = std::vector<std::function<void(std::span<const u8>)>>{
       [](std::span<const u8> s) { (void)decode_biguint(s); },
       [](std::span<const u8> s) { (void)decode_params(s); },
+      [](std::span<const u8> s) { (void)decode_public_key(s); },
       [](std::span<const u8> s) { (void)decode_public_key(s); },
       [](std::span<const u8> s) { (void)decode_secret_key(s); },
       [](std::span<const u8> s) { (void)decode_ciphertext(s); },

@@ -49,6 +49,37 @@ TEST(SsaParams, ForBitsHeadroomShrinksTheConvolutionBudget) {
   }
 }
 
+TEST(SsaParams, ForProductsFitsTheLargestFold) {
+  // for_products(bits, k) is the widest m with k * n * (2^m - 1)^2 < p:
+  // one product reproduces for_bits(bits), the paper's operands get the
+  // paper's geometry, and the headroom geometry admits at least 2^h
+  // products.
+  EXPECT_EQ(SsaParams::for_products(786432, 1).transform_size, SsaParams::paper().transform_size);
+  EXPECT_EQ(SsaParams::for_products(786432, 1).coeff_bits, SsaParams::paper().coeff_bits);
+  EXPECT_EQ(SsaParams::for_bits(786432, kResidentHeadroomBits).transform_size, 131072u);
+  for (const std::size_t bits : {1u, 417u, 4096u, 32768u, 786432u}) {
+    const SsaParams one = SsaParams::for_products(bits, 1);
+    EXPECT_EQ(one.coeff_bits, SsaParams::for_bits(bits).coeff_bits) << bits;
+    EXPECT_EQ(one.transform_size, SsaParams::for_bits(bits).transform_size) << bits;
+    const u64 cap = SsaParams::for_bits(bits, kResidentHeadroomBits).max_products();
+    EXPECT_GE(cap, u64{1} << kResidentHeadroomBits) << bits;
+    for (const u64 k : {u64{2}, u64{23}, cap}) {
+      const SsaParams p = SsaParams::for_products(bits, k);
+      EXPECT_GE(p.max_products(), k) << bits << " x" << k;
+      EXPECT_GE(p.max_operand_bits(), bits) << bits << " x" << k;
+      if (p.coeff_bits < 26) {
+        SsaParams wider = p;
+        wider.coeff_bits += 1;
+        wider.num_coeffs = (bits + wider.coeff_bits - 1) / wider.coeff_bits;
+        EXPECT_LT(wider.max_products(), k) << bits << " x" << k;
+      }
+    }
+  }
+  EXPECT_THROW(SsaParams::for_products(0, 1), std::invalid_argument);
+  EXPECT_THROW(SsaParams::for_products(4096, 0), std::invalid_argument);
+  EXPECT_THROW(SsaParams::for_products(4096, ~u64{0}), std::invalid_argument);
+}
+
 TEST(SsaParams, ValidateCatchesInexactness) {
   SsaParams p = SsaParams::paper();
   p.coeff_bits = 31;  // 2^15 * (2^31-1)^2 >> p: convolution would overflow

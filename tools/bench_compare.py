@@ -166,6 +166,16 @@ TRACKED = {
         # Paper-size public encrypt median over the former loop's median,
         # same run.
         Metric("encrypt.speedup", lambda d: d["encrypt"]["speedup"], mode="warn"),
+        # One paper-size AND served through the evaluator: its resident
+        # transform length is fixed by the residency plan (the paper's
+        # 65,536 points), and its product must equal Dghv::multiply's.
+        Metric("resident.paper_and_transform_size",
+               lambda d: d["resident"]["paper_and_transform_size"], direction="lower",
+               mode="hard"),
+        Metric("resident.paper_and_bit_exact", lambda d: d["resident"]["paper_and_bit_exact"],
+               kind="bool", mode="hard"),
+        Metric("resident.paper_and_ms", lambda d: d["resident"]["paper_and_ms"],
+               direction="lower", mode="warn"),
     ],
 }
 
