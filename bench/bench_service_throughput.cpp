@@ -6,8 +6,9 @@
 // sweeps tenant count x PE-lane count over a synthetic workload (each
 // tenant submits single-multiply requests through the full wire path:
 // encrypt -> serialize -> Service -> deserialize -> decrypt) and reports
-// requests/sec plus the headline coalescing ratio: scheduler batches
-// submitted vs requests served. It also proves the wire path is lossless:
+// requests/sec, each cell's median admission wait (Response::queue_ms)
+// plus the headline coalescing ratio: scheduler batches submitted vs
+// requests served. It also proves the wire path is lossless:
 // for every registered backend, a served request's output ciphertexts are
 // compared bit for bit against in-process evaluation of the same graph.
 //
@@ -18,6 +19,7 @@
 // Exit code 0 iff every decrypted result matches the plaintext
 // computation AND the per-backend parity check is bit-exact.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +54,7 @@ struct Sample {
   /// never from lane timing).
   u64 transforms_executed = 0;
   i64 transforms_avoided = 0;
+  double queue_ms = 0.0;  ///< median Response::queue_ms (submit -> admission)
 };
 
 std::vector<unsigned> parse_list(const char* text) {
@@ -121,8 +124,11 @@ Sample run_cell(unsigned workers, unsigned tenants, unsigned requests_per_tenant
   for (auto& future : futures) responses.push_back(future.get());
   const double wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
+  std::vector<double> queue_ms;
+  queue_ms.reserve(responses.size());
   for (std::size_t i = 0; i < responses.size(); ++i) {
     const core::Response& response = responses[i];
+    queue_ms.push_back(response.queue_ms);
     if (!response.ok()) {
       *verified = false;
       continue;
@@ -147,6 +153,9 @@ Sample run_cell(unsigned workers, unsigned tenants, unsigned requests_per_tenant
   sample.coalesced = stats.batches_submitted < stats.submitted;
   sample.transforms_executed = stats.transforms_executed;
   sample.transforms_avoided = stats.transforms_avoided;
+  std::sort(queue_ms.begin(), queue_ms.end());
+  const std::size_t n = queue_ms.size();
+  sample.queue_ms = n > 0 ? (queue_ms[(n - 1) / 2] + queue_ms[n / 2]) / 2 : 0.0;
   return sample;
 }
 
@@ -225,10 +234,10 @@ int main(int argc, char** argv) {
       const Sample s = run_cell(workers, tenants, requests_per_tenant, &verified);
       std::printf(
           "  workers %-2u tenants %-3u : %4llu requests  %8.1f ms  %8.1f req/s  "
-          "%3llu batches (%.2f req/batch)%s\n",
+          "%3llu batches (%.2f req/batch)  queue p50 %6.3f ms%s\n",
           s.workers, s.tenants, static_cast<unsigned long long>(s.requests), s.wall_ms,
           s.requests_per_sec, static_cast<unsigned long long>(s.batches_submitted),
-          s.coalescing, s.coalesced ? "  [coalesced]" : "");
+          s.coalescing, s.queue_ms, s.coalesced ? "  [coalesced]" : "");
       samples.push_back(s);
     }
   }
@@ -250,6 +259,11 @@ int main(int argc, char** argv) {
   std::printf("  headline transforms: %llu executed, %lld avoided (spectrum-resident rounds)\n",
               static_cast<unsigned long long>(headline.transforms_executed),
               static_cast<long long>(headline.transforms_avoided));
+
+  // A lone tenant's admission wait: no other session could join its
+  // round, so it should not sit out the 2 ms admission window.
+  const Sample solo = run_cell(worker_counts.back(), 1, requests_per_tenant, &verified);
+  std::printf("  solo (1 tenant, %u lanes): queue p50 %.3f ms\n", solo.workers, solo.queue_ms);
 
   std::printf("\n  wire-path parity vs in-process evaluation:\n");
   bool parity = true;
@@ -275,14 +289,15 @@ int main(int argc, char** argv) {
                  "  \"headline_requests\": %llu,\n  \"headline_batches\": %llu,\n"
                  "  \"headline_coalesced\": %s,\n"
                  "  \"headline_transforms_executed\": %llu,\n"
-                 "  \"headline_transforms_avoided\": %lld,\n  \"parity\": {",
+                 "  \"headline_transforms_avoided\": %lld,\n"
+                 "  \"solo_queue_ms\": %.3f,\n  \"parity\": {",
                  requests_per_tenant, std::thread::hardware_concurrency(),
                  verified ? "true" : "false",
                  static_cast<unsigned long long>(headline.requests),
                  static_cast<unsigned long long>(headline.batches_submitted),
                  headline.coalesced ? "true" : "false",
                  static_cast<unsigned long long>(headline.transforms_executed),
-                 static_cast<long long>(headline.transforms_avoided));
+                 static_cast<long long>(headline.transforms_avoided), solo.queue_ms);
     for (std::size_t i = 0; i < parity_results.size(); ++i) {
       std::fprintf(out, "%s\"%s\": %s", i == 0 ? "" : ", ", parity_results[i].first.c_str(),
                    parity_results[i].second ? "true" : "false");
@@ -294,12 +309,12 @@ int main(int argc, char** argv) {
                    "    {\"workers\": %u, \"tenants\": %u, \"requests\": %llu, "
                    "\"wall_ms\": %.3f, \"requests_per_sec\": %.3f, \"batches\": %llu, "
                    "\"coalescing\": %.3f, \"transforms_executed\": %llu, "
-                   "\"transforms_avoided\": %lld}%s\n",
+                   "\"transforms_avoided\": %lld, \"queue_ms\": %.3f}%s\n",
                    s.workers, s.tenants, static_cast<unsigned long long>(s.requests),
                    s.wall_ms, s.requests_per_sec,
                    static_cast<unsigned long long>(s.batches_submitted), s.coalescing,
                    static_cast<unsigned long long>(s.transforms_executed),
-                   static_cast<long long>(s.transforms_avoided),
+                   static_cast<long long>(s.transforms_avoided), s.queue_ms,
                    i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

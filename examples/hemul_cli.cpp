@@ -497,8 +497,9 @@ int run_stream(std::istream& in, const std::string& backend_name, unsigned worke
   core::ServiceOptions options;
   options.config.backend_name = backend_name.empty() ? "ssa" : backend_name;
   options.config.num_workers = workers;
-  // Linger briefly at admission so the stream's requests coalesce the way
-  // concurrent remote tenants would.
+  // Linger at most 2 ms at admission so the stream's requests coalesce the
+  // way concurrent remote tenants would; a round starts early once every
+  // open session has a request waiting, and an idle session keeps it open.
   options.admission_window_ms = 2.0;
   core::Service service(options);
 

@@ -6,6 +6,9 @@
 //               [--max-sessions N] [--max-queue N] [--deadline-ms MS]
 //               [--fault-plan SPEC]
 //
+// --window MS bounds the admission linger: the coordinator holds a round
+// open for other tenants at most MS, and closes it early once every open
+// session has a request waiting (an idle session keeps it open).
 // --deadline-ms sets the default per-request budget: requests whose budget
 // elapses in the admission queue complete with kExpired instead of
 // executing (a request-borne deadline overrides it).
@@ -39,6 +42,9 @@ int usage() {
                "usage: hemul_shard [--port N] [--workers N] [--backend NAME]\n"
                "                   [--window MS] [--max-sessions N] [--max-queue N]\n"
                "                   [--deadline-ms MS] [--fault-plan SPEC]\n"
+               "  --window MS        longest admission linger (default 2); a round\n"
+               "                     starts early once every open session has a\n"
+               "                     request waiting, an idle session keeps it open\n"
                "  --deadline-ms MS   default per-request budget; overdue queued\n"
                "                     requests expire instead of executing (0 = off)\n"
                "  --fault-plan SPEC  deterministic fault injection, e.g.\n"

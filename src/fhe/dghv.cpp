@@ -22,7 +22,10 @@ EvalKey::EvalKey(const DghvParams& params, BigUInt x0,
 }
 
 Ciphertext EvalKey::add(const Ciphertext& a, const Ciphertext& b) const {
-  return {(a.value + b.value) % x0_, NoiseModel::after_add(a.noise_bits, b.noise_bits)};
+  HEMUL_CHECK_MSG(a.value < x0_ && b.value < x0_, "EvalKey::add: operand not reduced modulo x0");
+  BigUInt sum = a.value + b.value;
+  if (sum >= x0_) sum -= x0_;  // sum < 2*x0: the quotient is 0 or 1
+  return {std::move(sum), NoiseModel::after_add(a.noise_bits, b.noise_bits)};
 }
 
 Ciphertext EvalKey::multiply(const Ciphertext& a, const Ciphertext& b) const {

@@ -47,7 +47,9 @@ class EvalKey {
   EvalKey(const DghvParams& params, bigint::BigUInt x0,
           std::shared_ptr<backend::MultiplierBackend> engine = nullptr);
 
-  /// Homomorphic XOR: c1 + c2 (mod x0).
+  /// Homomorphic XOR: c1 + c2 (mod x0). Both operands must be reduced
+  /// (below x0; throws std::logic_error otherwise), so the sum is below
+  /// 2*x0 and one conditional subtraction reduces it.
   [[nodiscard]] Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
 
   /// Homomorphic AND: c1 * c2 (mod x0) -- the accelerator workload.

@@ -99,6 +99,8 @@ SessionId Service::create_session(fhe::SessionCreate create) {
   const SessionId id = next_session_++;
   session->stats.session = id;
   if (options_.max_sessions > 0 && sessions_.size() >= options_.max_sessions) {
+    // Swaps one idle session for another: the admission linger's open and
+    // busy counts are unchanged, so the coordinator is owed no wake-up.
     evict_idle_session_locked();
   }
   session->last_used = ++lru_tick_;
@@ -184,7 +186,7 @@ void Service::submit(SessionId session, Request request, double deadline_ms,
     } else {
       tenant.stats.bytes_in += pending.request.graph.size() + pending.request.inputs.size();
       ++in_flight_;
-      ++tenant.in_flight;
+      if (tenant.in_flight++ == 0) ++busy_sessions_;
       pending.session = &tenant;
       pending_.push_back(std::move(pending));
       accepted = true;
@@ -271,7 +273,7 @@ void Service::complete(Active& request, Response response) {
         break;
     }
     tenant.bytes_out += response.outputs.size();
-    --session.in_flight;
+    if (--session.in_flight == 0) --busy_sessions_;
     --in_flight_;
     idle = in_flight_ == 0;
   }
@@ -462,10 +464,14 @@ void Service::coordinator_loop() {
         continue;
       }
       if (options_.admission_window_ms > 0.0 && !stop_) {
-        // Linger so tenants submitting concurrently land in one round.
+        // Linger so tenants submitting concurrently land in one round, but
+        // only while the round can still grow: with nothing active, every
+        // busy session's requests are pending, so once every open session
+        // is busy no other tenant can join.
         const auto deadline = Clock::now() + std::chrono::duration<double, std::milli>(
                                                  options_.admission_window_ms);
-        work_cv_.wait_until(lock, deadline, [&] { return stop_; });
+        const auto linger_over = [&] { return stop_ || busy_sessions_ == sessions_.size(); };
+        work_cv_.wait_until(lock, deadline, linger_over);
       }
     }
     std::vector<Pending> batch;

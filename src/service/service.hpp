@@ -24,10 +24,14 @@ namespace hemul::core {
 struct ServiceOptions {
   /// Backend / PE-lane configuration of the owned Scheduler.
   Config config = Config::paper();
-  /// How long the coordinator lingers after spotting the first pending
-  /// request before sealing an admission round, so requests submitted
-  /// concurrently by independent tenants land in the same shared wavefront
-  /// (0 = admit whatever is queued the moment the coordinator wakes).
+  /// Upper bound on how long the idle coordinator lingers after spotting
+  /// the first pending request before sealing an admission round, so
+  /// requests submitted concurrently by independent tenants land in the
+  /// same shared wavefront. The linger ends early once every open session
+  /// has a request waiting -- no other tenant could join the round, so a
+  /// lone tenant is admitted at once -- while an idle session keeps it
+  /// open to this bound (0 = admit whatever is queued the moment the
+  /// coordinator wakes).
   double admission_window_ms = 0.0;
   /// Upper bound on resident tenant sessions (0 = unbounded). At the
   /// bound, create_session evicts the least-recently-used session with no
@@ -177,6 +181,9 @@ class Service {
   std::unordered_map<SessionId, std::unique_ptr<Session>> sessions_;
   std::deque<Pending> pending_;
   std::size_t in_flight_ = 0;  ///< admitted, not yet completed
+  /// Sessions with in_flight > 0; the admission linger ends when this
+  /// reaches sessions_.size().
+  std::size_t busy_sessions_ = 0;
   SessionId next_session_ = 1;
   u64 lru_tick_ = 0;  ///< monotonic session-recency clock (under mutex_)
   bool stop_ = false;

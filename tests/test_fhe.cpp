@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "bigint/mul.hpp"
 #include "fhe/dghv.hpp"
 #include "util/rng.hpp"
@@ -168,6 +172,52 @@ TEST(Dghv, RebuiltContextChecksThatPDividesX0) {
   EXPECT_NO_THROW(Dghv(keys.public_key(), keys.secret_key(), 1));
   EXPECT_ANY_THROW(Dghv(keys.public_key(), keys.secret_key() + BigUInt{2}, 1));
   EXPECT_ANY_THROW(Dghv(keys.public_key(), keys.secret_key() + BigUInt{1}, 1));  // even
+}
+
+/// A gamma-bit odd modulus: EvalKey::add only needs x0, not a key pair.
+BigUInt random_modulus(util::Rng& rng, std::size_t gamma) {
+  BigUInt x0 = BigUInt::pow2(gamma - 1) + BigUInt::random_bits(rng, gamma - 1);
+  if (!x0.is_odd()) x0 += BigUInt{1};
+  return x0;
+}
+
+TEST(EvalKeyAdd, MatchesModularReductionAtEverySize) {
+  util::Rng rng(31);
+  for (const DghvParams& params : {DghvParams::toy(), DghvParams::deep(),
+                                   DghvParams::small_paper()}) {
+    const BigUInt x0 = random_modulus(rng, params.gamma);
+    const EvalKey key(params, x0);
+    const BigUInt top = x0 - BigUInt{1};
+    const BigUInt a = BigUInt::random_below(rng, x0);
+    std::vector<std::pair<BigUInt, BigUInt>> cases = {
+        {BigUInt{}, BigUInt{}},                   // zero operands
+        {BigUInt{}, top},                         // zero plus the largest
+        {a, BigUInt{}},                           // zero on the right
+        {a, BigUInt::random_below(rng, x0 - a)},  // sum < x0
+        {a, x0 - a},                              // sum == x0
+        {top, top},                               // sum == 2*x0 - 2
+        {top, BigUInt{1}},                        // sum == x0 again
+    };
+    for (int i = 0; i < 8; ++i) {
+      cases.emplace_back(BigUInt::random_below(rng, x0), BigUInt::random_below(rng, x0));
+    }
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const auto& [lhs, rhs] = cases[k];
+      const Ciphertext sum = key.add({lhs, 1.0}, {rhs, 2.0});
+      EXPECT_EQ(sum.value, (lhs + rhs) % x0) << "gamma " << params.gamma << ", case " << k;
+      EXPECT_EQ(sum.noise_bits, NoiseModel::after_add(1.0, 2.0));
+    }
+  }
+}
+
+TEST(EvalKeyAdd, RefusesOperandsThatAreNotReduced) {
+  util::Rng rng(32);
+  const BigUInt x0 = random_modulus(rng, DghvParams::toy().gamma);
+  const EvalKey key(DghvParams::toy(), x0);
+  const Ciphertext reduced{x0 - BigUInt{1}, 1.0};
+  EXPECT_THROW((void)key.add({x0, 1.0}, reduced), std::logic_error);
+  EXPECT_THROW((void)key.add(reduced, {x0 + BigUInt{5}, 1.0}), std::logic_error);
+  EXPECT_NO_THROW((void)key.add(reduced, reduced));
 }
 
 /// Secret-key encryption from a mirror of the scheme's rng: q below

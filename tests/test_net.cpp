@@ -190,7 +190,8 @@ TEST(NetTest, DrainingShardRefusesNewSessionsCleanly) {
 TEST(NetTest, OverloadSheddingIsBoundedAndObservableOverTheWire) {
   // One worker, a bounded queue of 1 and a long admission window: the
   // first pipelined submit occupies the queue slot, every later one must
-  // be shed with kOverloaded + a retry hint before the window closes.
+  // be shed with kOverloaded + a retry hint before the window closes. An
+  // idle second session keeps the window open to its bound.
   core::ServiceOptions options = ssa_options(1, /*window_ms=*/200.0);
   options.max_queue_depth = 1;
   core::Service service(options);
@@ -198,6 +199,7 @@ TEST(NetTest, OverloadSheddingIsBoundedAndObservableOverTheWire) {
   ShardClient client(loopback(server.port()));
 
   ShardClient::SessionKeys keys = client.create_session(DghvParams::toy(), 9);
+  (void)client.create_session(DghvParams::toy(), 10);
   fhe::Dghv tenant(std::move(keys.public_key), std::move(keys.secret_key), 99);
 
   constexpr int kPipelined = 6;
@@ -229,6 +231,23 @@ TEST(NetTest, OverloadSheddingIsBoundedAndObservableOverTheWire) {
   EXPECT_EQ(stats.completed, static_cast<u64>(ok));
   EXPECT_LE(stats.queue_depth, 1u);  // the bound held
   EXPECT_EQ(client.stats().shards[0].service.shed, static_cast<u64>(shed));
+}
+
+TEST(NetTest, LoneTenantRequestIsNotHeldByTheWindow) {
+  // The shard's only session has a request waiting: no other tenant could
+  // join the round, so admission does not wait out the window.
+  constexpr double kWindowMs = 250.0;
+  core::Service service(ssa_options(1, kWindowMs));
+  ShardServer server(service);
+  ShardClient client(loopback(server.port()));
+
+  ShardClient::SessionKeys keys = client.create_session(DghvParams::toy(), 11);
+  fhe::Dghv tenant(std::move(keys.public_key), std::move(keys.secret_key), 12);
+  const core::Response response =
+      client.submit(keys.session, and_request(tenant, true, true)).get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(decrypt_response(tenant, response), 1u);
+  EXPECT_LT(response.queue_ms, kWindowMs / 2);
 }
 
 TEST(NetTest, LruEvictionDropsIdleSessionsOverTheWire) {

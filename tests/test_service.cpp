@@ -645,11 +645,13 @@ TEST(ServiceTest, StopAcceptingDrainsButRefusesNewWork) {
 TEST(ServiceTest, BoundedQueueShedsWithRetryHintAndNeverExceedsDepth) {
   // One queue slot and a long admission window: the first submit occupies
   // the slot, every later one must shed synchronously -- the queue depth
-  // can never exceed the bound because refusals never enter the queue.
+  // can never exceed the bound because refusals never enter the queue. An
+  // idle second session keeps the window open to its bound.
   ServiceOptions options = ssa_options(1, /*window_ms=*/150.0);
   options.max_queue_depth = 1;
   Service service(options);
   Tenant tenant = open_tenant(service, DghvParams::toy(), 41);
+  (void)service.create_session(DghvParams::toy(), 42);
   const SessionId session = tenant.session;
   fhe::Dghv& scheme = tenant.scheme;
 
@@ -685,11 +687,13 @@ TEST(ServiceTest, BoundedQueueShedsWithRetryHintAndNeverExceedsDepth) {
 TEST(ServiceTest, CompletionCallbackRunsExactlyOnceOnTheCoordinatorOrInsideSubmit) {
   // The callback is the Service's one completion path: an admitted request
   // completes on the coordinator thread, a shed one inside submit() itself,
-  // and an unknown session throws without ever calling it.
+  // and an unknown session throws without ever calling it. An idle second
+  // session holds the window open, so the admitted request still queues.
   ServiceOptions options = ssa_options(1, /*window_ms=*/150.0);
   options.max_queue_depth = 1;
   Service service(options);
   Tenant tenant = open_tenant(service, DghvParams::toy(), 43);
+  (void)service.create_session(DghvParams::toy(), 44);
   const SessionId session = tenant.session;
   fhe::Dghv& scheme = tenant.scheme;
   auto make_request = [&] {
@@ -730,6 +734,57 @@ TEST(ServiceTest, CompletionCallbackRunsExactlyOnceOnTheCoordinatorOrInsideSubmi
   service.wait_idle();
   EXPECT_EQ(admitted_calls.load(), 1);
   EXPECT_EQ(shed_calls, 1);
+}
+
+// --- admission window -------------------------------------------------------
+
+constexpr double kWindowMs = 250.0;
+
+TEST(ServiceTest, LoneSessionIsAdmittedWithoutLingering) {
+  // No other tenant could join the round, so the window closes at once.
+  Service service(ssa_options(1, kWindowMs));
+  Tenant tenant = open_tenant(service, DghvParams::toy(), 61);
+  const Response response =
+      service.submit(tenant.session, and_request(tenant.scheme, true, true)).get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_LT(response.queue_ms, kWindowMs / 2);
+}
+
+TEST(ServiceTest, WindowClosesWhenEverySessionHasWork) {
+  // The second submit leaves no idle session: the round starts with both
+  // requests, long before the window's bound.
+  Service service(ssa_options(1, kWindowMs));
+  Tenant s1 = open_tenant(service, DghvParams::toy(), 62);
+  Tenant s2 = open_tenant(service, DghvParams::toy(), 63);
+  Request r1 = and_request(s1.scheme, true, true);
+  Request r2 = and_request(s2.scheme, true, false);
+
+  const ServiceStats before = service.stats();
+  auto f1 = service.submit(s1.session, std::move(r1));
+  auto f2 = service.submit(s2.session, std::move(r2));
+  const Response a = f1.get();
+  const Response b = f2.get();
+  ASSERT_TRUE(a.ok()) << a.error;
+  ASSERT_TRUE(b.ok()) << b.error;
+  EXPECT_EQ(decrypt_response(s1.scheme, a), 1u);
+  EXPECT_EQ(decrypt_response(s2.scheme, b), 0u);
+
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.batches_submitted, before.batches_submitted + 1);
+  EXPECT_EQ(after.coalesced_requests, before.coalesced_requests + 2);
+  EXPECT_LT(a.queue_ms, kWindowMs / 2);
+  EXPECT_LT(b.queue_ms, kWindowMs / 2);
+}
+
+TEST(ServiceTest, IdleSessionKeepsTheWindowOpen) {
+  // The idle tenant may still submit, so the round waits out the window.
+  Service service(ssa_options(1, kWindowMs));
+  Tenant busy = open_tenant(service, DghvParams::toy(), 64);
+  (void)open_tenant(service, DghvParams::toy(), 65);
+  const Response response =
+      service.submit(busy.session, and_request(busy.scheme, true, true)).get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_GE(response.queue_ms, kWindowMs);
 }
 
 // --- LRU session eviction ---------------------------------------------------

@@ -152,6 +152,10 @@ TRACKED = {
                mode="hard"),
         Metric("max_requests_per_sec",
                lambda d: _max_over(d["results"], "requests_per_sec"), mode="warn"),
+        # Median admission wait of the one-tenant cell: no other session
+        # could join its round, so it should not sit out the window.
+        Metric("solo_queue_ms", lambda d: d["solo_queue_ms"], direction="lower",
+               mode="warn"),
     ],
     "fhe_dghv.json": [
         # The public-key encryptor's in-place subset sum against the loop it
